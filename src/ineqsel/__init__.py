@@ -12,12 +12,7 @@ from .operators import RangeOp, ScalarOp
 from .stats import AttributeStats, analyze_column, load_stats, save_stats
 from .estimator import (
     InsufficientStatisticsError,
-    join_lt_hist,
-    join_lt_hist_mcv,
-    join_lt_mcv_hist,
-    join_lt_mcv_mcv,
     join_selectivity,
-    restriction_lt_hist,
     restriction_selectivity,
 )
 from .ranges import (
@@ -63,10 +58,6 @@ __all__ = [
     "format_range",
     "generate_range_column",
     "generate_scalar_column",
-    "join_lt_hist",
-    "join_lt_hist_mcv",
-    "join_lt_mcv_hist",
-    "join_lt_mcv_mcv",
     "join_selectivity",
     "load_range_stats",
     "load_stats",
@@ -76,7 +67,6 @@ __all__ = [
     "range_join_selectivity",
     "range_op_holds",
     "read_results_csv",
-    "restriction_lt_hist",
     "restriction_selectivity",
     "run_sweep",
     "save_range_stats",

@@ -13,6 +13,17 @@ The operator algebra reduces everything to the less-than case:
 Estimates combine the per-partition results weighted by the null / MCV /
 histogram fractions of each side.  All inequality operators are strict, so
 null rows contribute nothing.
+
+Ties between point masses (MCV entries, or zero-width histogram bins) are
+counted differently per pair of partitions, for P(X < Y):
+
+* histogram X, MCV Y: a tie counts as X < Y (the CDF is right-continuous);
+* MCV X, histogram Y: a tie does not count;
+* histogram X, histogram Y: a tie does not count;
+* MCV X, MCV Y: a tie does not count for LT and counts in full for LE.
+
+LE adds only the MCV x MCV equality mass to LT, GT is LT with the sides
+swapped, and GE is the complement of LT.
 """
 
 from __future__ import annotations
@@ -28,11 +39,6 @@ from .stats import AttributeStats
 
 class InsufficientStatisticsError(ValueError):
     """Raised when an estimate needs a statistics component that is absent."""
-
-
-def restriction_lt_hist(h: EquiDepthHistogram, c: float) -> float:
-    """P(X < c) for a histogram-described attribute; equals the CDF at c."""
-    return cdf(h, c)
 
 
 def _check_usable(s: AttributeStats) -> None:

@@ -27,7 +27,10 @@ class MostCommonValues:
             raise ValueError("values and fractions must be 1-d arrays of equal length")
         if np.unique(values).size != values.size:
             raise ValueError("MCV values must be distinct")
-        if values.size and (np.any(fractions <= 0) or np.any(fractions > 1)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError("MCV values must be finite")
+        # written so that a NaN fraction fails too
+        if not np.all((fractions > 0) & (fractions <= 1)):
             raise ValueError("fractions must lie in (0, 1]")
         if fractions.sum() > 1 + 1e-12:
             raise ValueError("fractions sum exceeds 1")

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._util import as_float_column
 from .operators import RangeOp, ScalarOp
-from .ranges import RangeValue
+from .ranges import BOUND_INEQUALITY, RangeValue
 
 
 @dataclass(frozen=True)
@@ -88,24 +88,22 @@ def exact_join(xs, ys, op: ScalarOp) -> ExactCount:
 # Range joins.  Bound comparisons must honor open/closed flags exactly, so
 # each bound is encoded as an even/odd integer cut over the ranked bound
 # values: at the same value, a closed lower bound starts before an open
-# one, and an open upper bound ends before a closed one.  The predicates
-# then become plain integer comparisons that searchsorted can count.
+# one, and an open upper bound ends before a closed one.  Every entry of
+# BOUND_INEQUALITY then becomes cut_x <= cut_y (for < and <=) or
+# cut_y <= cut_x (for > and >=), a plain integer comparison that
+# searchsorted can count.
 
 
-def _rank(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    return np.searchsorted(grid, values, side="left")
+def _bound(ranges: list[RangeValue], bound: str) -> tuple[np.ndarray, np.ndarray]:
+    """The values of one bound ("lower" or "upper") and their closed flags."""
+    if bound == "lower":
+        return np.array([r.lower for r in ranges]), np.array([r.lower_closed for r in ranges])
+    return np.array([r.upper for r in ranges]), np.array([r.upper_closed for r in ranges])
 
 
-def _lower_cuts(ranges: list[RangeValue], grid: np.ndarray) -> np.ndarray:
-    vals = np.array([r.lower for r in ranges])
-    closed = np.array([r.lower_closed for r in ranges])
-    return 2 * _rank(vals, grid) + np.where(closed, 0, 1)
-
-
-def _upper_cuts(ranges: list[RangeValue], grid: np.ndarray) -> np.ndarray:
-    vals = np.array([r.upper for r in ranges])
-    closed = np.array([r.upper_closed for r in ranges])
-    return 2 * _rank(vals, grid) + np.where(closed, 1, 0)
+def _cuts(bound: str, values: np.ndarray, closed: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    offset = closed if bound == "upper" else ~closed
+    return 2 * np.searchsorted(grid, values, side="left") + offset
 
 
 def _count_le(a: np.ndarray, b: np.ndarray) -> int:
@@ -115,11 +113,16 @@ def _count_le(a: np.ndarray, b: np.ndarray) -> int:
     return int((b_sorted.size - below).sum())
 
 
-def _count_strictly_left(xs: list[RangeValue], ys: list[RangeValue]) -> int:
-    grid = np.unique(np.array([r.upper for r in xs] + [r.lower for r in ys]))
-    ucut = _upper_cuts(xs, grid)
-    lcut = _lower_cuts(ys, grid)
-    return _count_le(ucut, lcut)
+def _count_bound_inequality(xs: list[RangeValue], ys: list[RangeValue], op: RangeOp) -> int:
+    x_bound, scalar_op, y_bound = BOUND_INEQUALITY[op]
+    x_values, x_closed = _bound(xs, x_bound)
+    y_values, y_closed = _bound(ys, y_bound)
+    grid = np.unique(np.concatenate((x_values, y_values)))
+    x_cut = _cuts(x_bound, x_values, x_closed, grid)
+    y_cut = _cuts(y_bound, y_values, y_closed, grid)
+    if scalar_op in (ScalarOp.LT, ScalarOp.LE):
+        return _count_le(x_cut, y_cut)
+    return _count_le(y_cut, x_cut)
 
 
 def exact_range_join(xs, ys, op: RangeOp) -> ExactCount:
@@ -128,30 +131,21 @@ def exact_range_join(xs, ys, op: RangeOp) -> ExactCount:
     ys = list(ys)
     if not xs or not ys:
         raise ValueError("no data")
+    if op is not RangeOp.OVERLAPS and op not in BOUND_INEQUALITY:
+        raise ValueError(f"unsupported operator {op}")
     total = len(xs) * len(ys)
     xv = [r for r in xs if r is not None and not r.empty]
     yv = [r for r in ys if r is not None and not r.empty]
     if not xv or not yv:
         return ExactCount(0, total)
 
-    if op is RangeOp.STRICTLY_LEFT:
-        count = _count_strictly_left(xv, yv)
-    elif op is RangeOp.STRICTLY_RIGHT:
-        count = _count_strictly_left(yv, xv)
-    elif op is RangeOp.NO_EXTEND_RIGHT:
-        grid = np.unique(np.array([r.upper for r in xv] + [r.upper for r in yv]))
-        count = _count_le(_upper_cuts(xv, grid), _upper_cuts(yv, grid))
-    elif op is RangeOp.NO_EXTEND_LEFT:
-        grid = np.unique(np.array([r.lower for r in xv] + [r.lower for r in yv]))
-        # X.lower at or after Y.lower: count pairs lcut_y <= lcut_x
-        count = _count_le(_lower_cuts(yv, grid), _lower_cuts(xv, grid))
-    elif op is RangeOp.OVERLAPS:
+    if op is RangeOp.OVERLAPS:
         # each non-empty pair is strictly left, strictly right, or overlapping
         count = (
             len(xv) * len(yv)
-            - _count_strictly_left(xv, yv)
-            - _count_strictly_left(yv, xv)
+            - _count_bound_inequality(xv, yv, RangeOp.STRICTLY_LEFT)
+            - _count_bound_inequality(xv, yv, RangeOp.STRICTLY_RIGHT)
         )
     else:
-        raise ValueError(f"unsupported operator {op}")
+        count = _count_bound_inequality(xv, yv, op)
     return ExactCount(int(count), total)

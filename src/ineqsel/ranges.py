@@ -3,13 +3,14 @@
 A range attribute is summarized by two scalar statistics objects (one over
 the finite lower bounds, one over the finite upper bounds) plus fractions
 for nulls, empty ranges and infinite bounds.  Each positional operator
-reduces to a scalar inequality between one bound of each side, so the
-scalar join estimator does the real work:
+reduces to a scalar inequality between one bound of each side (the table
+BOUND_INEQUALITY, which the estimator and the exact oracle both read), so
+the scalar join estimator does the real work:
 
-* X strictly left of Y   ->  X.upper < Y.lower
-* X strictly right of Y  ->  X.lower > Y.upper
-* X no-extend-right of Y ->  X.upper < Y.upper
-* X no-extend-left of Y  ->  X.lower < Y.lower  (see range_join_selectivity)
+* X strictly left of Y   ->  X.upper <  Y.lower
+* X strictly right of Y  ->  X.lower >  Y.upper
+* X no-extend-right of Y ->  X.upper <= Y.upper
+* X no-extend-left of Y  ->  X.lower >= Y.lower
 * X overlaps Y           ->  complement of the two strict cases
 
 Containment cannot be derived this way: it ties a range's own bounds
@@ -38,6 +39,7 @@ from .stats import (
     stats_to_dict,
     SAMPLE_ROWS_PER_TARGET,
     _require,
+    _require_fraction,
 )
 
 
@@ -180,6 +182,20 @@ def range_op_holds(op: RangeOp, x: RangeValue | None, y: RangeValue | None) -> b
     raise ValueError(f"unsupported operator {op}")
 
 
+# Each positional operator but overlaps as a scalar inequality
+# ``X.<bound> <op> Y.<bound>``.  The estimator applies it to the bound
+# statistics; the oracle counts it exactly over the bound cuts.  Overlaps is
+# the complement of the two strict operators.
+BOUND_INEQUALITY: dict[RangeOp, tuple[str, ScalarOp, str]] = {
+    RangeOp.STRICTLY_LEFT: ("upper", ScalarOp.LT, "lower"),
+    RangeOp.STRICTLY_RIGHT: ("lower", ScalarOp.GT, "upper"),
+    RangeOp.NO_EXTEND_RIGHT: ("upper", ScalarOp.LE, "upper"),
+    RangeOp.NO_EXTEND_LEFT: ("lower", ScalarOp.GE, "lower"),
+}
+
+_INFINITE_BOUND = {"lower": -math.inf, "upper": math.inf}
+
+
 # ---------------------------------------------------------------------------
 # Statistics over a range column.
 
@@ -275,60 +291,46 @@ def _scalar_term(
     return weight * join_selectivity(sx, sy, op)
 
 
-def _conditional_selectivity(
-    sx: RangeStats, sy: RangeStats, op: RangeOp, lower_ge: bool
-) -> float:
+def _conditional_selectivity(sx: RangeStats, sy: RangeStats, op: RangeOp) -> float:
     """P(X <op> Y) given both sides non-null and non-empty."""
-    lx, ux = sx.lower_inf_frac, sx.upper_inf_frac
-    ly, uy = sy.lower_inf_frac, sy.upper_inf_frac
-    if op is RangeOp.STRICTLY_LEFT:
-        # an infinite X.upper or Y.lower can never satisfy the inequality
-        return _scalar_term(
-            sx.upper_stats, sy.lower_stats, ScalarOp.LT, (1.0 - ux) * (1.0 - ly)
-        )
-    if op is RangeOp.STRICTLY_RIGHT:
-        return _scalar_term(
-            sx.lower_stats, sy.upper_stats, ScalarOp.GT, (1.0 - lx) * (1.0 - uy)
-        )
-    if op is RangeOp.NO_EXTEND_RIGHT:
-        # a finite X.upper lies below an infinite Y.upper with certainty
-        return (1.0 - ux) * uy + _scalar_term(
-            sx.upper_stats, sy.upper_stats, ScalarOp.LT, (1.0 - ux) * (1.0 - uy)
-        )
-    if op is RangeOp.NO_EXTEND_LEFT:
-        if lower_ge:
-            return ly + _scalar_term(
-                sx.lower_stats, sy.lower_stats, ScalarOp.GE, (1.0 - lx) * (1.0 - ly)
-            )
-        return lx * (1.0 - ly) + _scalar_term(
-            sx.lower_stats, sy.lower_stats, ScalarOp.LT, (1.0 - lx) * (1.0 - ly)
-        )
     if op is RangeOp.OVERLAPS:
-        left = _conditional_selectivity(sx, sy, RangeOp.STRICTLY_LEFT, lower_ge)
-        right = _conditional_selectivity(sx, sy, RangeOp.STRICTLY_RIGHT, lower_ge)
+        left = _conditional_selectivity(sx, sy, RangeOp.STRICTLY_LEFT)
+        right = _conditional_selectivity(sx, sy, RangeOp.STRICTLY_RIGHT)
         return 1.0 - left - right
-    raise ValueError(f"unsupported operator {op}")
+    if op not in BOUND_INEQUALITY:
+        raise ValueError(f"unsupported operator {op}")
+    x_bound, scalar_op, y_bound = BOUND_INEQUALITY[op]
+    ix = getattr(sx, f"{x_bound}_inf_frac")
+    iy = getattr(sy, f"{y_bound}_inf_frac")
+    # An infinite bound is open, so it compares the same way against every
+    # finite value, and two equal infinite bounds compare as equal.
+    x_inf, y_inf = _INFINITE_BOUND[x_bound], _INFINITE_BOUND[y_bound]
+    infinite_mass = (
+        ix * (1.0 - iy) * scalar_op.apply(x_inf, 0.0)
+        + (1.0 - ix) * iy * scalar_op.apply(0.0, y_inf)
+        + ix * iy * scalar_op.apply(x_inf, y_inf)
+    )
+    return infinite_mass + _scalar_term(
+        getattr(sx, f"{x_bound}_stats"),
+        getattr(sy, f"{y_bound}_stats"),
+        scalar_op,
+        (1.0 - ix) * (1.0 - iy),
+    )
 
 
-def range_join_selectivity(
-    sx: RangeStats,
-    sy: RangeStats,
-    op: RangeOp,
-    *,
-    no_extend_left_as_ge: bool = False,
-) -> float:
+def range_join_selectivity(sx: RangeStats, sy: RangeStats, op: RangeOp) -> float:
     """Estimate the fraction of the Cartesian product with ``x <op> y``.
 
-    The no-extend-left operator estimates P(X.lower < Y.lower) by default;
-    with ``no_extend_left_as_ge`` it estimates P(X.lower >= Y.lower), the
-    reading that matches the operator's pairwise semantics.
+    Each operator but overlaps is the scalar inequality of its
+    BOUND_INEQUALITY entry, estimated from the bound statistics over the
+    finite bounds plus the exact contribution of the infinite ones;
+    overlaps is the complement of strictly-left and strictly-right.
     """
     nn_x = (1.0 - sx.null_frac) * (1.0 - sx.empty_frac)
     nn_y = (1.0 - sy.null_frac) * (1.0 - sy.empty_frac)
     if nn_x <= 0.0 or nn_y <= 0.0:
         return 0.0
-    cond = _conditional_selectivity(sx, sy, op, no_extend_left_as_ge)
-    return clamp01(nn_x * nn_y * cond)
+    return clamp01(nn_x * nn_y * _conditional_selectivity(sx, sy, op))
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +355,10 @@ def save_range_stats(s: RangeStats) -> bytes:
 def range_stats_from_dict(doc: dict) -> RangeStats:
     if not isinstance(doc, dict):
         raise ValueError("stats document must be a JSON object")
-    fracs = {}
-    for fld in ("null_frac", "empty_frac", "lower_inf_frac", "upper_inf_frac"):
-        v = _require(doc, fld)
-        if not isinstance(v, (int, float)) or not 0 <= v <= 1:
-            raise ValueError(f"{fld} out of range")
-        fracs[fld] = float(v)
+    fracs = {
+        fld: _require_fraction(doc, fld)
+        for fld in ("null_frac", "empty_frac", "lower_inf_frac", "upper_inf_frac")
+    }
     lower_doc = _require(doc, "lower_stats")
     upper_doc = _require(doc, "upper_stats")
     lower = None if lower_doc is None else stats_from_dict(lower_doc)

@@ -131,44 +131,69 @@ def save_stats(s: AttributeStats) -> bytes:
 
 
 def _require(doc: dict, fld: str):
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object holding {fld}")
     if fld not in doc:
         raise ValueError(f"missing field {fld}")
     return doc[fld]
 
 
+def _is_number(v) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _require_fraction(doc: dict, fld: str) -> float:
+    v = _require(doc, fld)
+    if not _is_number(v) or not 0 <= v <= 1:
+        raise ValueError(f"{fld} out of range")
+    return float(v)
+
+
+def _require_numbers(doc: dict, fld: str) -> np.ndarray:
+    v = _require(doc, fld)
+    if not isinstance(v, list) or not all(_is_number(x) for x in v):
+        raise ValueError(f"{fld} must be an array of numbers")
+    return np.array(v, dtype=np.float64)
+
+
+def _require_int(doc: dict, fld: str, minimum: int) -> int:
+    v = _require(doc, fld)
+    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
+        raise ValueError(f"{fld} must be an integer of at least {minimum}")
+    return v
+
+
 def stats_from_dict(doc: dict) -> AttributeStats:
     if not isinstance(doc, dict):
         raise ValueError("stats document must be a JSON object")
-    null_frac = _require(doc, "null_frac")
-    if not isinstance(null_frac, (int, float)) or not 0 <= null_frac <= 1:
-        raise ValueError("null_frac out of range")
+    null_frac = _require_fraction(doc, "null_frac")
     mcv_doc = _require(doc, "mcv")
-    mcv_values = _require(mcv_doc, "values")
-    mcv_fractions = _require(mcv_doc, "fractions")
+    mcv_values = _require_numbers(mcv_doc, "values")
+    mcv_fractions = _require_numbers(mcv_doc, "fractions")
     if len(mcv_values) != len(mcv_fractions):
         raise ValueError("mcv values and fractions differ in length")
     try:
-        mcv = MostCommonValues(np.array(mcv_values, dtype=np.float64),
-                               np.array(mcv_fractions, dtype=np.float64))
+        mcv = MostCommonValues(mcv_values, mcv_fractions)
     except ValueError as exc:
         raise ValueError(f"invalid mcv: {exc}") from None
 
     hist_doc = _require(doc, "histogram")
     histogram = None
     if hist_doc is not None:
-        bounds = _require(hist_doc, "bounds")
         try:
-            histogram = EquiDepthHistogram(np.array(bounds, dtype=np.float64))
+            histogram = EquiDepthHistogram(_require_numbers(hist_doc, "bounds"))
         except ValueError as exc:
             raise ValueError(str(exc)) from None
+    elif null_frac < 1 and abs(mcv.total_fraction - 1) > 1e-9:
+        # without a histogram the MCV list must cover every non-null row
+        raise ValueError(
+            f"mcv fractions sum to {mcv.total_fraction:g} and there is no histogram"
+        )
 
-    row_count = _require(doc, "row_count")
-    if not isinstance(row_count, int) or row_count < 0:
-        raise ValueError("row_count must be a non-negative integer")
-    target = _require(doc, "statistics_target")
-    if not isinstance(target, int) or target < 1:
-        raise ValueError("statistics_target must be a positive integer")
-    return AttributeStats(float(null_frac), mcv, histogram, row_count, target)
+    row_count = _require_int(doc, "row_count", 0)
+    target = _require_int(doc, "statistics_target", 1)
+    return AttributeStats(null_frac, mcv, histogram, row_count, target)
 
 
 def load_stats(data: bytes | str) -> AttributeStats:

@@ -19,7 +19,6 @@ from ineqsel import (
     exact_join,
     exact_restriction,
     generate_range_column,
-    join_lt_hist,
     join_selectivity,
     load_range_stats,
     load_stats,
@@ -28,6 +27,7 @@ from ineqsel import (
     save_range_stats,
     save_stats,
 )
+from ineqsel.estimator import join_lt_hist
 from ineqsel.harness import run_sweep, write_range_column, write_results_csv
 from ineqsel.histogram import cdf
 from ineqsel.ranges import EMPTY_RANGE, RangeValue

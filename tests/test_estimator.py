@@ -8,15 +8,12 @@ from ineqsel import (
     ScalarOp,
     analyze_column,
     build_equi_depth,
+    cdf,
     exact_join,
-    join_lt_hist,
-    join_lt_hist_mcv,
-    join_lt_mcv_hist,
-    join_lt_mcv_mcv,
     join_selectivity,
-    restriction_lt_hist,
     restriction_selectivity,
 )
+from ineqsel.estimator import join_lt_hist, join_lt_hist_mcv, join_lt_mcv_hist, join_lt_mcv_mcv
 from ineqsel.mcv import EMPTY_MCV
 from ineqsel.stats import AttributeStats
 
@@ -36,12 +33,12 @@ def mcv_only_stats(pairs, null_frac=0.0):
 
 class TestRestriction:
     def test_lt_hist_is_cdf(self, hist_x):
-        assert restriction_lt_hist(hist_x, 30) == pytest.approx(0.75, abs=1e-12)
-        assert restriction_lt_hist(hist_x, 10) == 0.0
+        assert cdf(hist_x, 30) == pytest.approx(0.75, abs=1e-12)
+        assert cdf(hist_x, 10) == 0.0
 
     def test_lt_hist_partial_bin(self):
         h = EquiDepthHistogram(np.array([15.0, 20.0, 39.0, 50.0]))
-        assert restriction_lt_hist(h, 25) == pytest.approx(8 / 19, abs=1e-12)
+        assert cdf(h, 25) == pytest.approx(8 / 19, abs=1e-12)
 
     def test_running_example_lt(self, r1_x):
         s = analyze_column(r1_x, 3)
@@ -251,3 +248,37 @@ class TestJoinSelectivity:
             est = join_selectivity(sx, sy, ScalarOp.LT)
             exact = exact_join(xs, ys, ScalarOp.LT).selectivity
             assert abs(est - exact) <= 2 / b + 1e-9
+
+
+def point_hist_stats(bounds):
+    return AttributeStats(0.0, EMPTY_MCV, EquiDepthHistogram(np.array(bounds, dtype=float)), 1, 1)
+
+
+class TestTieConventions:
+    """Ties at a shared value, one case per pair of partition kinds.
+
+    Each side is a point mass at 5, held either by a zero-width histogram
+    bin or by a one-entry MCV list.  The conventions differ by pair; these
+    pin them as the estimator documents them.
+    """
+
+    @pytest.mark.parametrize(
+        "x,y,lt,le",
+        [
+            ("hist", "mcv", 1.0, 1.0),
+            ("mcv", "hist", 0.0, 0.0),
+            ("hist", "hist", 0.0, 0.0),
+            ("mcv", "mcv", 0.0, 1.0),
+        ],
+    )
+    def test_point_mass_at_five(self, x, y, lt, le):
+        side = {"hist": point_hist_stats([5, 5]), "mcv": mcv_only_stats([(5, 1.0)])}
+        sx, sy = side[x], side[y]
+        assert join_selectivity(sx, sy, ScalarOp.LT) == lt
+        assert join_selectivity(sx, sy, ScalarOp.LE) == le
+
+    def test_histogram_steps_meeting(self):
+        # X: half spread over [0, 5), half at 5; Y: half at 5, half over (5, 10]
+        sx, sy = point_hist_stats([0, 5, 5]), point_hist_stats([5, 5, 10])
+        assert join_selectivity(sx, sy, ScalarOp.LT) == pytest.approx(0.75, abs=1e-12)
+        assert join_selectivity(sx, sy, ScalarOp.LE) == pytest.approx(0.75, abs=1e-12)

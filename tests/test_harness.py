@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import subprocess
 import sys
@@ -23,6 +24,40 @@ from ineqsel.harness import (
 )
 
 GOLDEN_JOIN = 24221 / 37620
+
+GOOD_STATS = {
+    "null_frac": 0.0,
+    "mcv": {"values": [3.0], "fractions": [0.25]},
+    "histogram": {"bounds": [1.0, 2.0, 5.0, 7.0]},
+    "row_count": 8,
+    "statistics_target": 3,
+}
+GOOD_RANGE_STATS = {
+    "null_frac": 0.0,
+    "empty_frac": 0.0,
+    "lower_inf_frac": 0.0,
+    "upper_inf_frac": 0.0,
+    "lower_stats": GOOD_STATS,
+    "upper_stats": GOOD_STATS,
+}
+# a valid document, the operator to estimate, and the fields that break it
+MALFORMED_STATS = [
+    pytest.param(GOOD_STATS, "lt", {"mcv": 5}, id="mcv-not-object"),
+    pytest.param(GOOD_STATS, "lt", {"mcv": {"values": 5, "fractions": [0.25]}},
+                 id="mcv-values-not-array"),
+    pytest.param(GOOD_STATS, "lt", {"mcv": {"values": [math.nan], "fractions": [0.25]}},
+                 id="mcv-value-nan"),
+    pytest.param(GOOD_STATS, "lt", {"null_frac": True}, id="null-frac-bool"),
+    pytest.param(GOOD_STATS, "lt", {"row_count": True}, id="row-count-bool"),
+    pytest.param(GOOD_STATS, "lt",
+                 {"mcv": {"values": [1.0, 2.0], "fractions": [0.25, 0.25]}, "histogram": None},
+                 id="mcv-mass-without-histogram"),
+    pytest.param(GOOD_STATS, "lt", {"histogram": 5}, id="histogram-not-object"),
+    pytest.param(GOOD_STATS, "lt", {"histogram": {"bounds": [1.0, {}]}}, id="bound-not-number"),
+    pytest.param(GOOD_RANGE_STATS, "overlaps", {"empty_frac": False}, id="range-frac-bool"),
+    pytest.param(GOOD_RANGE_STATS, "overlaps", {"lower_stats": {**GOOD_STATS, "mcv": 5}},
+                 id="range-nested-mcv-not-object"),
+]
 
 
 class TestGeneration:
@@ -245,6 +280,18 @@ class TestCli:
         assert main(["estimate", "--stats-x", str(sx), "--stats-y", str(sx),
                      "--op", "strictly-left"]) == 1
         assert "range statistics" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("good,op,fields", MALFORMED_STATS)
+    def test_malformed_stats_exit_1(self, tmp_path, capsys, good, op, fields):
+        bad, ok = tmp_path / "bad.json", tmp_path / "ok.json"
+        bad.write_text(json.dumps({**good, **fields}))
+        ok.write_text(json.dumps(good))
+        assert main(["estimate", "--stats-x", str(ok), "--stats-y", str(ok), "--op", op]) == 0
+        capsys.readouterr()
+        assert main(["estimate", "--stats-x", str(bad), "--stats-y", str(ok), "--op", op]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "f.col"

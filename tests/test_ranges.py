@@ -10,6 +10,7 @@ from ineqsel import (
     RangeValue,
     ScalarOp,
     analyze_range_column,
+    exact_range_join,
     format_range,
     join_selectivity,
     load_range_stats,
@@ -241,16 +242,14 @@ class TestJoin:
         for op in RangeOp:
             assert range_join_selectivity(s_null, s, op) == 0.0
 
-    def test_no_extend_left_switch(self):
-        rng = np.random.default_rng(8)
-        sx = analyze_range_column(uniform_ranges(rng, 100), 10)
-        sy = analyze_range_column(uniform_ranges(rng, 100), 10)
-        printed = range_join_selectivity(sx, sy, RangeOp.NO_EXTEND_LEFT)
-        flipped = range_join_selectivity(
-            sx, sy, RangeOp.NO_EXTEND_LEFT, no_extend_left_as_ge=True
-        )
-        # the two readings are complements over the non-null mass
-        assert printed + flipped == pytest.approx(1.0, abs=1e-9)
+    def test_all_upper_bounds_infinite(self):
+        # equal infinite upper bounds are both open, so every pair ends by
+        # the other: no-extend-right holds for all of them
+        xs = [RangeValue(k, math.inf, True, False) for k in range(10)]
+        ys = [RangeValue(k + 5, math.inf, True, False) for k in range(10)]
+        sx, sy = analyze_range_column(xs, 3), analyze_range_column(ys, 3)
+        assert exact_range_join(xs, ys, RangeOp.NO_EXTEND_RIGHT).selectivity == 1.0
+        assert range_join_selectivity(sx, sy, RangeOp.NO_EXTEND_RIGHT) == 1.0
 
     def test_infinite_upper_never_strictly_left(self):
         rows = [RangeValue(0, math.inf, True, False)] * 10
