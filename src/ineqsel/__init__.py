@@ -16,6 +16,7 @@ from .estimator import (
     restriction_selectivity,
 )
 from .ranges import (
+    RangeColumn,
     RangeStats,
     RangeValue,
     analyze_range_column,
@@ -43,6 +44,7 @@ __all__ = [
     "ExperimentRow",
     "InsufficientStatisticsError",
     "MostCommonValues",
+    "RangeColumn",
     "RangeOp",
     "RangeStats",
     "RangeValue",

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._util import as_float_column
 from .operators import RangeOp, ScalarOp
-from .ranges import BOUND_INEQUALITY, RangeValue
+from .ranges import BOUND_INEQUALITY, RangeColumn
 
 
 @dataclass(frozen=True)
@@ -86,66 +86,65 @@ def exact_join(xs, ys, op: ScalarOp) -> ExactCount:
 
 # ---------------------------------------------------------------------------
 # Range joins.  Bound comparisons must honor open/closed flags exactly, so
-# each bound is encoded as an even/odd integer cut over the ranked bound
-# values: at the same value, a closed lower bound starts before an open
-# one, and an open upper bound ends before a closed one.  Every entry of
-# BOUND_INEQUALITY then becomes cut_x <= cut_y (for < and <=) or
-# cut_y <= cut_x (for > and >=), a plain integer comparison that
-# searchsorted can count.
+# each bound is a key (value, offset) compared value first: at the same
+# value, a closed lower bound (offset 0) starts before an open one
+# (offset 1), and an open upper bound (offset 0) ends before a closed one
+# (offset 1).  Every entry of BOUND_INEQUALITY then becomes key_x <= key_y
+# (for < and <=) or key_y <= key_x (for > and >=), which searchsorted
+# counts over each side's values sorted and split by offset.
 
 
-def _bound(ranges: list[RangeValue], bound: str) -> tuple[np.ndarray, np.ndarray]:
-    """The values of one bound ("lower" or "upper") and their closed flags."""
-    if bound == "lower":
-        return np.array([r.lower for r in ranges]), np.array([r.lower_closed for r in ranges])
-    return np.array([r.upper for r in ranges]), np.array([r.upper_closed for r in ranges])
+def _keys(column: RangeColumn, bound: str) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted values of one bound of the positioned rows, at offset 0 and at offset 1."""
+    positioned = column.positioned
+    values = getattr(column, bound)[positioned]
+    closed = getattr(column, f"{bound}_closed")[positioned]
+    late = closed if bound == "upper" else ~closed
+    return np.sort(values[~late]), np.sort(values[late])
 
 
-def _cuts(bound: str, values: np.ndarray, closed: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    offset = closed if bound == "upper" else ~closed
-    return 2 * np.searchsorted(grid, values, side="left") + offset
+def _count_le(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> int:
+    """Number of pairs (i, j) with key a_i <= key b_j."""
+    (a0, a1), (b0, b1) = a, b
+    # at equal values only an offset-1 key a against an offset-0 key b fails
+    return int(
+        np.searchsorted(a0, b0, side="right").sum()
+        + np.searchsorted(a0, b1, side="right").sum()
+        + np.searchsorted(a1, b0, side="left").sum()
+        + np.searchsorted(a1, b1, side="right").sum()
+    )
 
 
-def _count_le(a: np.ndarray, b: np.ndarray) -> int:
-    """Number of pairs (i, j) with a[i] <= b[j]."""
-    b_sorted = np.sort(b)
-    below = np.searchsorted(b_sorted, a, side="left")  # per a[i]: #{b < a[i]}
-    return int((b_sorted.size - below).sum())
-
-
-def _count_bound_inequality(xs: list[RangeValue], ys: list[RangeValue], op: RangeOp) -> int:
+def _count_bound_inequality(xs: RangeColumn, ys: RangeColumn, op: RangeOp) -> int:
     x_bound, scalar_op, y_bound = BOUND_INEQUALITY[op]
-    x_values, x_closed = _bound(xs, x_bound)
-    y_values, y_closed = _bound(ys, y_bound)
-    grid = np.unique(np.concatenate((x_values, y_values)))
-    x_cut = _cuts(x_bound, x_values, x_closed, grid)
-    y_cut = _cuts(y_bound, y_values, y_closed, grid)
+    x_keys, y_keys = _keys(xs, x_bound), _keys(ys, y_bound)
     if scalar_op in (ScalarOp.LT, ScalarOp.LE):
-        return _count_le(x_cut, y_cut)
-    return _count_le(y_cut, x_cut)
+        return _count_le(x_keys, y_keys)
+    return _count_le(y_keys, x_keys)
 
 
 def exact_range_join(xs, ys, op: RangeOp) -> ExactCount:
-    """Count pairs of non-null, non-empty ranges with ``x <op> y``."""
-    xs = list(xs)
-    ys = list(ys)
-    if not xs or not ys:
+    """Count pairs of non-null, non-empty ranges with ``x <op> y``.
+
+    Either side is a RangeColumn or an iterable of RangeValue and None.
+    """
+    xs, ys = RangeColumn.from_values(xs), RangeColumn.from_values(ys)
+    if not len(xs) or not len(ys):
         raise ValueError("no data")
     if op is not RangeOp.OVERLAPS and op not in BOUND_INEQUALITY:
         raise ValueError(f"unsupported operator {op}")
     total = len(xs) * len(ys)
-    xv = [r for r in xs if r is not None and not r.empty]
-    yv = [r for r in ys if r is not None and not r.empty]
-    if not xv or not yv:
+    nx, ny = int(xs.positioned.sum()), int(ys.positioned.sum())
+    if not nx or not ny:
         return ExactCount(0, total)
 
     if op is RangeOp.OVERLAPS:
         # each non-empty pair is strictly left, strictly right, or overlapping
         count = (
-            len(xv) * len(yv)
-            - _count_bound_inequality(xv, yv, RangeOp.STRICTLY_LEFT)
-            - _count_bound_inequality(xv, yv, RangeOp.STRICTLY_RIGHT)
+            nx * ny
+            - _count_bound_inequality(xs, ys, RangeOp.STRICTLY_LEFT)
+            - _count_bound_inequality(xs, ys, RangeOp.STRICTLY_RIGHT)
         )
     else:
-        count = _count_bound_inequality(xv, yv, op)
+        count = _count_bound_inequality(xs, ys, op)
     return ExactCount(int(count), total)

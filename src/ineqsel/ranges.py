@@ -25,8 +25,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress
+
+import numpy as np
 
 from ._util import clamp01
 from .estimator import InsufficientStatisticsError, join_selectivity
@@ -89,7 +94,122 @@ class RangeValue:
 
 EMPTY_RANGE = RangeValue(0.0, 0.0, False, False, empty=True)
 
+
+_COLUMN_FIELDS = ("lower", "upper", "lower_closed", "upper_closed", "null", "empty")
+
+
+@dataclass(frozen=True, eq=False)
+class RangeColumn:
+    """A column of nullable ranges as six parallel numpy arrays.
+
+    Rows are normalized the way RangeValue normalizes one range: infinite
+    bounds are open, a range whose bounds coincide without both being
+    closed is empty, and null and empty rows hold bounds 0.0 with both
+    flags false.  A row is never both null and empty.  The arrays are
+    read-only.
+
+    Indexing a row gives a RangeValue or None, iterating gives every row
+    that way, and a slice gives a RangeColumn; a column compares equal to
+    another column or to a sequence holding the same rows.
+    """
+
+    lower: np.ndarray
+    upper: np.ndarray
+    lower_closed: np.ndarray
+    upper_closed: np.ndarray
+    null: np.ndarray
+    empty: np.ndarray
+
+    def __post_init__(self):
+        lower = np.array(self.lower, dtype=np.float64)
+        upper = np.array(self.upper, dtype=np.float64)
+        lower_closed = np.array(self.lower_closed, dtype=bool)
+        upper_closed = np.array(self.upper_closed, dtype=bool)
+        null = np.array(self.null, dtype=bool)
+        empty = np.array(self.empty, dtype=bool)
+        arrays = (lower, upper, lower_closed, upper_closed, null, empty)
+        if any(a.shape != null.shape or a.ndim != 1 for a in arrays):
+            raise ValueError("range column arrays must be one-dimensional and equally long")
+        empty &= ~null
+        positioned = ~(null | empty)
+        lo, hi = lower[positioned], upper[positioned]
+        for problem, bad in (
+            ("range bounds may not be NaN", np.isnan(lo) | np.isnan(hi)),
+            ("range bounds out of order", (lo == math.inf) | (hi == -math.inf) | (lo > hi)),
+        ):
+            if bad.any():
+                row = int(np.flatnonzero(positioned)[np.argmax(bad)])
+                raise ValueError(f"row {row}: {problem}")
+        # infinite bounds never contain their endpoint
+        lower_closed &= ~np.isinf(lower)
+        upper_closed &= ~np.isinf(upper)
+        empty |= positioned & (lower == upper) & ~(lower_closed & upper_closed)
+        blank = null | empty
+        lower[blank] = upper[blank] = 0.0
+        lower_closed &= ~blank
+        upper_closed &= ~blank
+        for name, a in zip(_COLUMN_FIELDS, arrays):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    @classmethod
+    def from_values(cls, values) -> RangeColumn:
+        """The column of an iterable of RangeValue and None entries."""
+        if isinstance(values, RangeColumn):
+            return values
+        rows = list(values)
+        null = [r is None for r in rows]
+        rows = [EMPTY_RANGE if r is None else r for r in rows]
+        return cls(
+            [r.lower for r in rows],
+            [r.upper for r in rows],
+            [r.lower_closed for r in rows],
+            [r.upper_closed for r in rows],
+            null,
+            [r.empty for r in rows],
+        )
+
+    @property
+    def positioned(self) -> np.ndarray:
+        """Rows that are neither null nor empty."""
+        return ~(self.null | self.empty)
+
+    def __len__(self) -> int:
+        return self.null.size
+
+    def __iter__(self):
+        rows = zip(*(getattr(self, name).tolist() for name in _COLUMN_FIELDS))
+        for lower, upper, lower_closed, upper_closed, null, empty in rows:
+            if null:
+                yield None
+            elif empty:
+                yield EMPTY_RANGE
+            else:
+                yield RangeValue(lower, upper, lower_closed, upper_closed)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return RangeColumn(*(getattr(self, name)[key] for name in _COLUMN_FIELDS))
+        k = operator.index(key)
+        if self.null[k]:
+            return None
+        if self.empty[k]:
+            return EMPTY_RANGE
+        return RangeValue(float(self.lower[k]), float(self.upper[k]),
+                          bool(self.lower_closed[k]), bool(self.upper_closed[k]))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RangeColumn):
+            return all(np.array_equal(getattr(self, name), getattr(other, name))
+                       for name in _COLUMN_FIELDS)
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+
 _RANGE_RE = re.compile(r"^([\[\(])([^,]*),([^,]*)([\]\)])$")
+_OPENING = (ord("["), ord("("))
+_CLOSING = (ord("]"), ord(")"))
 
 
 def parse_range(text: str) -> RangeValue | None:
@@ -120,12 +240,59 @@ def parse_range(text: str) -> RangeValue | None:
         raise ValueError(f"invalid range {text!r}: {exc}") from None
 
 
-def _fmt_bound(v: float) -> str:
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return repr(v)
+def parse_range_lines(lines: list[str]) -> RangeColumn | None:
+    """Parse a list of range-file lines in bulk, as parse_range would each.
+
+    Every line must be a range literal, "empty" or blank (null); on the
+    first line that is not, or whose range is invalid, the result is None,
+    and the caller finds and reports that line with parse_range.
+    """
+    text = list(map(str.strip, lines))
+    n = len(text)
+    lengths = np.fromiter(map(len, text), np.intp, n)
+    null = lengths == 0
+    empty = np.zeros(n, dtype=bool)
+    five = np.flatnonzero(lengths == 5)
+    empty[five] = [text[i].lower() == "empty" for i in five.tolist()]
+    literal = ~(null | empty)
+    size = lengths[literal]
+    lower, upper = np.zeros(n), np.zeros(n)
+    lower_closed, upper_closed = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    if size.size:
+        # Literals joined by commas: each holds exactly one comma when the
+        # commas alternate between the literals' own and the separators.
+        codes = np.frombuffer(",".join(compress(text, literal)).encode("utf-32-le"),
+                              dtype=np.uint32).copy()
+        first = np.cumsum(size + 1) - (size + 1)
+        last = first + size - 1
+        commas = np.flatnonzero(codes == ord(","))
+        if commas.size != 2 * size.size - 1 or not np.array_equal(commas[1::2], first[1:] - 1):
+            return None
+        opening, closing = codes[first], codes[last]
+        if not (np.isin(opening, _OPENING).all() and np.isin(closing, _CLOSING).all()):
+            return None
+        # with the brackets blanked out, every comma-separated piece is one
+        # bound, which float() reads with its surrounding spaces
+        codes[first] = codes[last] = ord(" ")
+        pieces = codes.tobytes().decode("utf-32-le").split(",")
+        try:
+            bounds = np.fromiter(map(float, pieces), np.float64, len(pieces))
+        except ValueError:
+            return None
+        lower[literal], upper[literal] = bounds[0::2], bounds[1::2]
+        lower_closed[literal] = opening == ord("[")
+        upper_closed[literal] = closing == ord("]")
+    try:
+        return RangeColumn(lower, upper, lower_closed, upper_closed, null, empty)
+    except ValueError:      # NaN or out-of-order bounds
+        return None
+
+
+def _literal(lower: float, upper: float, lower_closed: bool, upper_closed: bool) -> str:
+    # repr gives a float's shortest round-trip text, and "inf" / "-inf"
+    lb = "[" if lower_closed else "("
+    rb = "]" if upper_closed else ")"
+    return f"{lb}{lower!r},{upper!r}{rb}"
 
 
 def format_range(r: RangeValue | None) -> str:
@@ -133,9 +300,14 @@ def format_range(r: RangeValue | None) -> str:
         return ""
     if r.empty:
         return "empty"
-    lb = "[" if r.lower_closed else "("
-    rb = "]" if r.upper_closed else ")"
-    return f"{lb}{_fmt_bound(r.lower)},{_fmt_bound(r.upper)}{rb}"
+    return _literal(r.lower, r.upper, r.lower_closed, r.upper_closed)
+
+
+def format_range_lines(column: RangeColumn) -> list[str]:
+    """format_range of every row of the column."""
+    rows = zip(*(getattr(column, name).tolist() for name in _COLUMN_FIELDS))
+    return ["" if null else "empty" if empty else _literal(lower, upper, lower_closed, upper_closed)
+            for lower, upper, lower_closed, upper_closed, null, empty in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -235,41 +407,36 @@ def analyze_range_column(
     sample_seed: int = 0,
     sample_cap: int | None = None,
 ) -> RangeStats:
-    """Build RangeStats from a column of RangeValue and None entries."""
+    """Build RangeStats from a RangeColumn or an iterable of RangeValue and None entries."""
     if statistics_target < 1:
         raise ValueError("statistics target must be at least 1")
     if sample_cap is None:
         sample_cap = SAMPLE_ROWS_PER_TARGET * statistics_target
-    rows = list(values)
-    if not rows:
+    column = RangeColumn.from_values(values)
+    if not len(column):
         raise ValueError("no data")
 
-    idx = sample_rows(len(rows), sample_cap, sample_seed)
-    sample = [rows[k] for k in idx]
-    nonnull = [r for r in sample if r is not None]
-    null_frac = (len(sample) - len(nonnull)) / len(sample)
+    idx = sample_rows(len(column), sample_cap, sample_seed)
+    null, empty = column.null[idx], column.empty[idx]
+    nonnull = idx.size - int(np.count_nonzero(null))
+    null_frac = (idx.size - nonnull) / idx.size
+    positioned = idx[~(null | empty)]
+    empty_frac = (nonnull - positioned.size) / nonnull if nonnull else 0.0
 
-    nonempty = [r for r in nonnull if not r.empty]
-    empty_frac = (len(nonnull) - len(nonempty)) / len(nonnull) if nonnull else 0.0
+    def bound_stats(bound: np.ndarray) -> tuple[AttributeStats | None, float]:
+        values = bound[positioned]
+        finite = values[np.isfinite(values)]
+        inf_frac = (values.size - finite.size) / values.size if values.size else 0.0
+        # the range rows were already sampled; analyze the bounds in full
+        stats = (
+            analyze_column(finite, statistics_target, sample_seed, finite.size)
+            if finite.size
+            else None
+        )
+        return stats, inf_frac
 
-    lowers = [r.lower for r in nonempty]
-    uppers = [r.upper for r in nonempty]
-    finite_lowers = [v for v in lowers if math.isfinite(v)]
-    finite_uppers = [v for v in uppers if math.isfinite(v)]
-    lower_inf_frac = (len(lowers) - len(finite_lowers)) / len(lowers) if nonempty else 0.0
-    upper_inf_frac = (len(uppers) - len(finite_uppers)) / len(uppers) if nonempty else 0.0
-
-    # the range rows were already sampled; analyze the bounds in full
-    lower_stats = (
-        analyze_column(finite_lowers, statistics_target, sample_seed, len(finite_lowers))
-        if finite_lowers
-        else None
-    )
-    upper_stats = (
-        analyze_column(finite_uppers, statistics_target, sample_seed, len(finite_uppers))
-        if finite_uppers
-        else None
-    )
+    lower_stats, lower_inf_frac = bound_stats(column.lower)
+    upper_stats, upper_inf_frac = bound_stats(column.upper)
     return RangeStats(
         float(null_frac),
         float(empty_frac),

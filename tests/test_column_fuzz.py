@@ -1,0 +1,167 @@
+"""Seeded fuzz test of column files.
+
+Lines of a valid range file are broken the ways hand-edited or truncated
+files go wrong.  ``read_range_column`` must return the rows that a loop of
+``parse_range`` over the file's lines returns, or raise the same error,
+which names the same ``path:line``.  The CLI must end every malformed
+column file, range or scalar, with exit status 1 and one ``error:`` line.
+"""
+
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from ineqsel.cli import main
+from ineqsel.harness import generate_range_column, read_range_column, write_range_column
+from ineqsel.ranges import format_range, parse_range
+
+SEEDS = range(200)
+ROWS = 30
+
+
+def reference_read(path):
+    """The per-line reading: one parse_range per line of the file."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                rows.append(parse_range(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: empty column file")
+    return rows
+
+
+def _parts(line):
+    """Brackets and bound texts of a literal; null and empty lines become one."""
+    if line[:1] not in ("[", "("):
+        line = "[3,7)"
+    lo, hi = line[1:-1].split(",")
+    return line[0], lo, hi, line[-1]
+
+
+def _mutate(kind, line):
+    op, lo, hi, cl = _parts(line)
+    return {
+        "drop-comma": f"{op}{lo}{hi}{cl}",
+        "extra-comma": f"{op}{lo},,{hi}{cl}",
+        "comma-in-bound": f"{op}{lo},{hi},1{cl}",
+        "swap-brackets": f"{cl}{lo},{hi}{op}",
+        "drop-open": f"{lo},{hi}{cl}",
+        "drop-close": f"{op}{lo},{hi}",
+        "bracket-in-bound": f"{op}{lo}],{hi}{cl}",
+        "nan-lower": f"{op}nan,{hi}{cl}",
+        "nan-upper": f"{op}{lo},NaN{cl}",
+        "inf-lower": f"{op}inf,{hi}{cl}",
+        "minus-inf-upper": f"{op}{lo},-inf{cl}",
+        "reversed": f"{op}{hi},{lo}{cl}" if lo != hi else f"{op}9,1{cl}",
+        "degenerate": "[5,5)",
+        "degenerate-closed": "[5,5]",
+        "upper-empty": "EMPTY",
+        "not-a-number": f"{op}{lo},x{cl}",
+        "no-bounds": f"{op},{cl}",
+        "crlf": line + "\r",
+        "inner-whitespace": f" {op} {lo}\t, {hi} {cl}\t",
+        "blank": "  \t",
+    }[kind]
+
+
+MUTATIONS = [
+    "drop-comma", "extra-comma", "comma-in-bound", "swap-brackets", "drop-open", "drop-close",
+    "bracket-in-bound", "nan-lower", "nan-upper", "inf-lower", "minus-inf-upper", "reversed",
+    "degenerate", "degenerate-closed", "upper-empty", "not-a-number", "no-bounds", "crlf",
+    "inner-whitespace", "blank",
+]
+
+
+def fuzzed_file(path, seed):
+    """A valid range file with one to three lines mutated; sometimes no final newline."""
+    rng = np.random.default_rng(seed)
+    lines = [format_range(r) for r in generate_range_column(ROWS, seed)]
+    for k in rng.choice(ROWS, size=int(rng.integers(1, 4)), replace=False).tolist():
+        lines[k] = _mutate(MUTATIONS[int(rng.integers(len(MUTATIONS)))], lines[k])
+    ending = "" if rng.random() < 0.2 else "\n"
+    path.write_bytes(("\n".join(lines) + ending).encode("utf-8"))
+
+
+def assert_reads_as_reference(path):
+    """Same rows as the reference, or the same error; True when the file is malformed."""
+    try:
+        want = reference_read(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            read_range_column(path)
+        assert str(got.value) == str(exc)
+        return True
+    assert read_range_column(path) == want
+    return False
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+def test_each_mutation_reads_as_reference(tmp_path, kind):
+    path = tmp_path / "m.col"
+    lines = [format_range(r) for r in generate_range_column(ROWS, 3)]
+    for k in (0, ROWS // 2, ROWS - 1):
+        mutated = list(lines)
+        mutated[k] = _mutate(kind, lines[k])
+        path.write_bytes(("\n".join(mutated) + "\n").encode("utf-8"))
+        assert_reads_as_reference(path)
+
+
+def test_seeded_fuzz_reads_as_reference(tmp_path, capsys):
+    good = tmp_path / "good.col"
+    write_range_column(good, generate_range_column(ROWS, 0))
+    malformed = 0
+    for seed in SEEDS:
+        path = tmp_path / f"fuzz{seed}.col"
+        fuzzed_file(path, seed)
+        if not assert_reads_as_reference(path):
+            continue
+        malformed += 1
+        code = main(["oracle", "--in-x", str(path), "--in-y", str(good), "--op", "overlaps"])
+        err = capsys.readouterr().err
+        assert code == 1, seed
+        assert err.startswith(f"error: {path}:") and err.count("\n") == 1, err
+    # most seeds break at least one line; the rest must still read the same
+    assert 0.5 * len(SEEDS) < malformed < len(SEEDS)
+
+
+# a line without a comma next to a line with two must not read as two ranges
+@pytest.mark.parametrize("text", ["", "\n", "\n\n", "empty", "[1,2]", "[1,2]\r\n\r\n",
+                                  "(-inf,inf)\n(2,2]\n", "\n[1,2]\n  \n",
+                                  "[1]\n[2,3,4]\n", "[1,2,3]\n[4]\n"])
+def test_whole_file_cases(tmp_path, text):
+    path = tmp_path / "w.col"
+    path.write_bytes(text.encode("utf-8"))
+    assert_reads_as_reference(path)
+
+
+MALFORMED_COLUMNS = [
+    pytest.param("overlaps", b"[1,2]\n[34)\n", id="range-drop-comma"),
+    pytest.param("overlaps", b"[1,2]\n\xff\n", id="range-not-utf8"),
+    pytest.param("overlaps", b"", id="range-empty-file"),
+    pytest.param("lt", b"1\nabc\n", id="scalar-word"),
+    pytest.param("lt", b"nan\n2\n", id="scalar-nan"),
+    pytest.param("lt", b"1\n[1,2]\n", id="scalar-range-literal"),
+    pytest.param("lt", b"1\n2,3\n", id="scalar-comma"),
+    pytest.param("lt", b"", id="scalar-empty-file"),
+    pytest.param("lt", b"\xfe\n", id="scalar-not-utf8"),
+]
+
+
+@pytest.mark.parametrize("op,content", MALFORMED_COLUMNS)
+def test_cli_malformed_column_exit_1(tmp_path, op, content):
+    bad, good = tmp_path / "bad.col", tmp_path / "good.col"
+    bad.write_bytes(content)
+    good.write_bytes(b"[1,2]\n" if op == "overlaps" else b"1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ineqsel", "oracle", "--in-x", str(bad), "--in-y", str(good),
+         "--op", op],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr

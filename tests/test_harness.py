@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -77,6 +78,20 @@ class TestGeneration:
         write_scalar_column(a, generate_scalar_column("uniform-int", 500, 3))
         write_scalar_column(b, generate_scalar_column("uniform-int", 500, 3))
         assert a.read_bytes() == b.read_bytes()
+
+    # sha256 of write_range_column(generate_range_column(rows, seed)): the
+    # generator's random stream and its use are fixed for good
+    @pytest.mark.parametrize("rows,seed,digest", [
+        (1, 0, "9a8fb2d1f881ff1331d0c5d43b98de2caeffac34d804ce2e453fb38b6fd14407"),
+        (100, 0, "b6dcd941f9bde05a54b1995e17739cb1d4a9d55876b3bac7552872c6354fc555"),
+        (1000, 7, "1eeb5d2063652fb2238a8d26d6a0676657830f27340b190f1c758370eb856e81"),
+        (5000, 11, "7cca15fe165fbb5a8be23a3888a59afe4c9fc02be2ed72e8ac9c78924f003bf6"),
+        (20000, 1, "ecefeb44af14326ec90b8e07a7250ccbaa6ecf028befa7b80c6ae4d86a12a7bc"),
+    ])
+    def test_range_stream_pinned(self, tmp_path, rows, seed, digest):
+        path = tmp_path / "r.col"
+        write_range_column(path, generate_range_column(rows, seed))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_seed_changes_output(self):
         x = generate_scalar_column("uniform-int", 100, 1)

@@ -5,6 +5,7 @@ import pytest
 
 from ineqsel import (
     InsufficientStatisticsError,
+    RangeColumn,
     RangeOp,
     RangeStats,
     RangeValue,
@@ -55,6 +56,72 @@ class TestRangeValue:
     def test_infinite_lower_above_all_rejected(self):
         with pytest.raises(ValueError):
             rv(math.inf, math.inf)
+
+
+class TestRangeColumn:
+    def raw_rows(self, rng, n):
+        lo = rng.integers(0, 6, size=n).astype(float)
+        hi = lo + rng.integers(0, 3, size=n)
+        lo[rng.random(n) < 0.1] = -math.inf
+        hi[rng.random(n) < 0.1] = math.inf
+        return lo, hi, rng.random(n) < 0.5, rng.random(n) < 0.5
+
+    def test_normalizes_like_range_value(self):
+        rng = np.random.default_rng(0)
+        lo, hi, lc, uc = self.raw_rows(rng, 300)
+        null, empty = rng.random(300) < 0.1, rng.random(300) < 0.1
+        col = RangeColumn(lo, hi, lc, uc, null, empty)
+        want = [None if n else RangeValue(*row, empty=e)
+                for *row, n, e in zip(lo, hi, lc, uc, null, empty)]
+        fields = ("lower", "upper", "lower_closed", "upper_closed", "null", "empty")
+        got = list(zip(*(getattr(col, f).tolist() for f in fields)))
+        assert got == [(0.0, 0.0, False, False, True, False) if r is None else
+                       (r.lower, r.upper, r.lower_closed, r.upper_closed, False, r.empty)
+                       for r in want]
+        assert col == want and list(col) == want
+
+    @pytest.mark.parametrize("lo,hi,message", [
+        (math.nan, 1.0, "row 1: range bounds may not be NaN"),
+        (2.0, 1.0, "row 1: range bounds out of order"),
+        (math.inf, math.inf, "row 1: range bounds out of order"),
+        (-math.inf, -math.inf, "row 1: range bounds out of order"),
+    ])
+    def test_invalid_row_rejected(self, lo, hi, message):
+        with pytest.raises(ValueError, match=message):
+            RangeColumn([0.0, lo], [1.0, hi], [True] * 2, [True] * 2, [False] * 2, [False] * 2)
+
+    def test_invalid_bounds_of_null_and_empty_rows_ignored(self):
+        col = RangeColumn([math.nan, 5.0], [0.0, 1.0], [True] * 2, [True] * 2,
+                          [True, False], [False, True])
+        assert list(col) == [None, EMPTY_RANGE]
+
+    def test_shapes_checked(self):
+        with pytest.raises(ValueError, match="equally long"):
+            RangeColumn([0.0], [1.0, 2.0], [True], [True], [False], [False])
+
+    def test_sequence_interface(self):
+        rows = [rv(1, 2), None, EMPTY_RANGE, rv(-math.inf, 4, False, True)]
+        col = RangeColumn.from_values(rows)
+        assert RangeColumn.from_values(col) is col
+        assert len(col) == 4
+        assert [col[k] for k in range(-4, 4)] == rows + rows
+        assert isinstance(col[1:3], RangeColumn) and col[1:3] == rows[1:3]
+        assert col[::-1] == tuple(reversed(rows))
+        assert col == RangeColumn.from_values(list(rows))
+        assert col != rows[:3] and col != rows[::-1] and col != "[1,2]"
+        with pytest.raises(IndexError):
+            col[4]
+        with pytest.raises(ValueError):
+            col.lower[0] = 7.0
+
+    def test_columns_and_lists_give_the_same_results(self):
+        rng = np.random.default_rng(1)
+        xs = uniform_ranges(rng, 40) + [None, EMPTY_RANGE, rv(-math.inf, 3)]
+        ys = uniform_ranges(rng, 30) + [rv(5, math.inf), None]
+        cx, cy = RangeColumn.from_values(xs), RangeColumn.from_values(ys)
+        assert analyze_range_column(cx, 4) == analyze_range_column(xs, 4)
+        for op in RangeOp:
+            assert exact_range_join(cx, cy, op) == exact_range_join(xs, ys, op)
 
 
 class TestLiterals:
