@@ -4,8 +4,8 @@ Join selectivity for inequality predicates
 
 Estimate what fraction of the Cartesian product of two columns satisfies
 x < y, using only the columns' histograms: integrate one side's CDF
-against the other side's density, piece by piece over the merged bin
-boundaries.  The walk costs O(bins) and needs no data rescan.
+against the other side's density with one trapezoid sum over the merged
+bin boundaries.  It costs O(bins) and needs no data rescan.
 """
 
 import numpy as np

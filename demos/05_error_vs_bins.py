@@ -16,12 +16,12 @@ from pathlib import Path
 from ineqsel import RangeOp, generate_range_column, run_sweep, write_results_csv
 from ineqsel.harness import write_range_column
 
-workdir = Path(tempfile.mkdtemp(prefix="ineqsel-demo-"))
-fx, fy = workdir / "x.col", workdir / "y.col"
-write_range_column(fx, generate_range_column(20390, seed=1))
-write_range_column(fy, generate_range_column(20060, seed=2))
-
-rows = run_sweep(fx, fy, RangeOp.STRICTLY_LEFT, targets=range(100, 1001, 100), seed=0)
+# the column files live only as long as the sweep that reads them
+with tempfile.TemporaryDirectory(prefix="ineqsel-demo-") as workdir:
+    fx, fy = Path(workdir) / "x.col", Path(workdir) / "y.col"
+    write_range_column(fx, generate_range_column(20390, seed=1))
+    write_range_column(fy, generate_range_column(20060, seed=2))
+    rows = run_sweep(fx, fy, RangeOp.STRICTLY_LEFT, targets=range(100, 1001, 100), seed=0)
 
 print(f"{'bins':>5}  {'estimate':>10}  {'exact':>10}  {'error':>10}  {'est ms':>7}  {'build ms':>9}")
 for r in rows:

@@ -5,10 +5,12 @@ The operator algebra reduces everything to the less-than case:
 * restriction: P(X < c) is the histogram CDF at c, plus the exact MCV mass
   below c; GE/GT are complements, LE adds the recoverable equality mass.
 * join: P(X < Y) integrates F_X against Y's density.  Both CDFs are
-  piecewise linear, so their product integrates exactly by the trapezoid
-  rule over the merged boundary sequence.  Equality mass between two
-  histograms is taken to be zero (continuous assumption); only MCV overlap
-  contributes P(X = Y).
+  piecewise linear between the merged boundaries of the two histograms, so
+  one trapezoid sum over those knots, with each CDF evaluated on all of
+  them in one array call, integrates their product exactly.  A histogram
+  side against an MCV list is one dot product of the MCV fractions with
+  the CDF at the MCV values.  Equality mass between two histograms is taken
+  to be zero (continuous assumption); only MCV overlap contributes P(X = Y).
 
 Estimates combine the per-partition results weighted by the null / MCV /
 histogram fractions of each side.  All inequality operators are strict, so
@@ -54,6 +56,9 @@ def restriction_selectivity(s: AttributeStats, c: float, op: ScalarOp) -> float:
     """
     if op not in (ScalarOp.LT, ScalarOp.LE, ScalarOp.GT, ScalarOp.GE):
         raise ValueError(f"unsupported restriction operator {op}")
+    if np.isnan(c):
+        # cdf carries a NaN point through to the estimate
+        raise ValueError("restriction constant is NaN")
     if s.null_frac >= 1.0:
         return 0.0
     _check_usable(s)
@@ -73,74 +78,17 @@ def restriction_selectivity(s: AttributeStats, c: float, op: ScalarOp) -> float:
 def join_lt_hist(hx: EquiDepthHistogram, hy: EquiDepthHistogram) -> float:
     """P(X < Y) for two histogram-described attributes.
 
-    Walks the two sorted boundary arrays in parallel, accumulating the
-    trapezoid term (F_X(s) + F_X(s')) * (F_Y(s') - F_Y(s)) over consecutive
-    distinct merged boundaries.  The product F_X * f_Y is linear on each
-    such piece, so this evaluates the integral exactly.  Boundaries outside
-    the overlap of the two supports are skipped: below it every term is
-    zero, and above X's support the remaining mass of Y counts in full.
+    Evaluates F_X and F_Y on the merged distinct boundaries s_0 < ... < s_k
+    and sums the trapezoid terms (F_X(s_i) + F_X(s_i+1)) * (F_Y(s_i+1) - F_Y(s_i)).
+    The product F_X * f_Y is linear on each piece, so this evaluates the
+    integral exactly.  No piece ends at s_0, so steps of both CDFs there
+    add nothing (a tie between histograms does not count); past X's
+    support F_X is 1, so the remaining mass of Y counts in full.
     """
-    bx, by = hx.bounds, hy.bounds
-    nx, ny = hx.bin_count, hy.bin_count
-    lo = max(bx[0], by[0])
-    hi = min(bx[-1], by[-1])
-    if hi < lo:
-        # Disjoint supports: X is either entirely below Y or entirely above.
-        return 1.0 if bx[-1] <= by[0] else 0.0
-
-    # i, j: greatest boundary index at or below the current merged boundary.
-    i = int(np.searchsorted(bx, lo, side="right")) - 1
-    j = int(np.searchsorted(by, lo, side="right")) - 1
-
-    def fx(s: float, i: int) -> float:
-        if i >= nx:
-            return 1.0
-        return (i + (s - bx[i]) / (bx[i + 1] - bx[i])) / nx
-
-    def fy(s: float, j: int) -> float:
-        if j >= ny:
-            return 1.0
-        return (j + (s - by[j]) / (by[j + 1] - by[j])) / ny
-
-    prev_fx = fx(lo, i)
-    prev_fy = fy(lo, j)
-    acc = 0.0
-
-    # Every piece below lo is zero except, when a CDF steps at its own
-    # support minimum (duplicated leading boundary), the one piece ending
-    # at lo; account for it against the nearest boundary below lo.
-    if prev_fx > 0.0 or prev_fy > 0.0:
-        kx = int(np.searchsorted(bx, lo, side="left")) - 1
-        ky = int(np.searchsorted(by, lo, side="left")) - 1
-        below = [float(bx[kx])] if kx >= 0 else []
-        if ky >= 0:
-            below.append(float(by[ky]))
-        if below:
-            s_prev = max(below)
-            acc += (cdf(hx, s_prev) + prev_fx) * (prev_fy - cdf(hy, s_prev))
-
-    s = lo
-    while s < hi:
-        # next distinct merged boundary
-        nxt_x = bx[i + 1] if i + 1 <= nx else None
-        nxt_y = by[j + 1] if j + 1 <= ny else None
-        if nxt_y is None or (nxt_x is not None and nxt_x <= nxt_y):
-            s = nxt_x
-        else:
-            s = nxt_y
-        while i + 1 <= nx and bx[i + 1] <= s:
-            i += 1
-        while j + 1 <= ny and by[j + 1] <= s:
-            j += 1
-        cur_fx = fx(s, i)
-        cur_fy = fy(s, j)
-        acc += (prev_fx + cur_fx) * (cur_fy - prev_fy)
-        prev_fx, prev_fy = cur_fx, cur_fy
-
-    if bx[-1] < by[-1]:
-        # F_X is 1 past its support; Y's remaining mass qualifies in full.
-        acc += 2.0 * (1.0 - prev_fy)
-    return clamp01(acc / 2.0)
+    knots = np.union1d(hx.bounds, hy.bounds)
+    fx = cdf(hx, knots)
+    fy = cdf(hy, knots)
+    return clamp01(float(np.dot(fx[:-1] + fx[1:], np.diff(fy))) / 2.0)
 
 
 def join_lt_mcv_mcv(mx: MostCommonValues, my: MostCommonValues, op: ScalarOp) -> float:
@@ -155,16 +103,12 @@ def join_lt_mcv_mcv(mx: MostCommonValues, my: MostCommonValues, op: ScalarOp) ->
 
 def join_lt_mcv_hist(mx: MostCommonValues, hy: EquiDepthHistogram) -> float:
     """P(X < Y) with X described by an MCV list and Y by a histogram."""
-    return float(
-        sum(f * (1.0 - cdf(hy, v)) for v, f in zip(mx.values, mx.fractions))
-    )
+    return float(mx.fractions @ (1.0 - cdf(hy, mx.values)))
 
 
 def join_lt_hist_mcv(hx: EquiDepthHistogram, my: MostCommonValues) -> float:
     """P(X < Y) with X described by a histogram and Y by an MCV list."""
-    return float(
-        sum(f * cdf(hx, v) for v, f in zip(my.values, my.fractions))
-    )
+    return float(my.fractions @ cdf(hx, my.values))
 
 
 def _join_lt_conditional(sx: AttributeStats, sy: AttributeStats) -> float:

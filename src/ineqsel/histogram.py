@@ -79,23 +79,25 @@ def _locate(bounds: np.ndarray, c: float) -> int:
     return int(np.searchsorted(bounds, c, side="right")) - 1
 
 
-def cdf(h: EquiDepthHistogram, c: float) -> float:
+def cdf(h: EquiDepthHistogram, c: float | np.ndarray) -> float | np.ndarray:
     """Approximate P(X <= c): 0 below the histogram, 1 at and above its max,
     linear interpolation within the containing bin otherwise.
 
     Right-continuous; at a repeated boundary the value jumps by 1/B per
-    zero-width bin collapsed there.
+    zero-width bin collapsed there.  ``c`` may be a scalar, which gives a
+    Python float, or an array of points, which gives an array of the same
+    shape from one ``searchsorted``.
     """
     bounds = h.bounds
-    if c < bounds[0]:
-        return 0.0
-    if c >= bounds[-1]:
-        return 1.0
-    b = h.bin_count
-    j = _locate(bounds, c)
-    # c < bounds[-1] guarantees j < b and a positive width for bin j.
-    width = bounds[j + 1] - bounds[j]
-    return float((j + (c - bounds[j]) / width) / b)
+    x = np.asarray(c, dtype=np.float64)
+    # Bin j holds x in [bounds[j], bounds[j+1]), which has positive width
+    # inside [lo, hi); points outside land in bin 0 or B-1, possibly of
+    # zero width, and take their value from the np.where below.
+    j = np.searchsorted(bounds[1:-1], x, side="right")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = (j + (x - bounds[j]) / (bounds[j + 1] - bounds[j])) / h.bin_count
+    f = np.where(x < bounds[0], 0.0, np.where(x >= bounds[-1], 1.0, f))
+    return float(f) if f.ndim == 0 else f
 
 
 def pdf(h: EquiDepthHistogram, c: float) -> float:

@@ -30,9 +30,11 @@ def hist_y():
 def sync_trapezoid(hx: EquiDepthHistogram, hy: EquiDepthHistogram) -> float:
     """Materialized-sync trapezoid evaluation of the join integral.
 
-    Deliberately naive: merge and deduplicate all boundaries, then apply
-    the trapezoid term to every piece via fresh CDF evaluations.  Serves as
-    the independent reference for the optimized parallel walk.
+    Deliberately naive: merge and deduplicate all boundaries in Python,
+    then apply the trapezoid term to every piece via fresh scalar CDF
+    calls.  Serves as the independent reference for ``join_lt_hist``,
+    which evaluates the same formula with array CDF calls and one dot
+    product.
     """
     sync = sorted(set(hx.bounds.tolist()) | set(hy.bounds.tolist()))
     total = 0.0

@@ -23,3 +23,6 @@ def test_demo_runs(tmp_path, demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    # TMPDIR is the test's directory, so a temporary directory the demo
+    # failed to remove is left here
+    assert not list(tmp_path.glob("ineqsel-demo-*"))

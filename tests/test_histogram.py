@@ -149,6 +149,38 @@ class TestCdf:
         assert cdf(h, 5.0) == 1.0
         assert cdf(h, 6.0) == 1.0
 
+    def test_array_and_scalar_match_reference_bit_for_bit(self):
+        from conftest import random_histogram
+
+        def reference(bounds, c):
+            # the per-point formula, one scalar at a time
+            if c < bounds[0]:
+                return 0.0
+            if c >= bounds[-1]:
+                return 1.0
+            j = int(np.searchsorted(bounds, c, side="right")) - 1
+            return float((j + (c - bounds[j]) / (bounds[j + 1] - bounds[j])) / (bounds.size - 1))
+
+        rng = np.random.default_rng(8)
+        duplicated = 0
+        for _ in range(200):
+            h = random_histogram(rng)
+            b = h.bounds
+            duplicated += bool(np.any(b[1:] == b[:-1]))
+            points = np.concatenate([
+                [-np.inf, b[0] - 1.0, b[-1] + 1.0, np.inf],  # outside the support
+                b,                                           # at every boundary
+                (b[:-1] + b[1:]) / 2,                        # at every bin midpoint
+            ])
+            expected = np.array([reference(b, p) for p in points.tolist()])
+            scalar = [cdf(h, p) for p in points.tolist()]
+            assert all(type(f) is float for f in scalar)
+            array = cdf(h, points)
+            assert array.shape == points.shape
+            for got in (np.array(scalar), array):
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64)), b.tolist()
+        assert duplicated >= 20
+
 
 class TestPdf:
     @pytest.mark.parametrize(
