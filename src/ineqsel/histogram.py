@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._util import sorted_finite
+
 
 @dataclass(frozen=True, eq=False)
 class EquiDepthHistogram:
@@ -59,19 +61,15 @@ def build_equi_depth(values, bin_count: int) -> EquiDepthHistogram:
 
     Boundary j is the element at rank floor(j * (N-1) / B) of the sorted
     input, so the boundaries are always observed values and the first/last
-    boundaries are the min/max.
+    boundaries are the min/max.  Sorted input is not sorted again.
     """
     if bin_count < 1:
         raise ValueError("invalid bin count")
     data = np.asarray(values, dtype=np.float64)
     if data.size == 0:
         raise ValueError("no data")
-    if not np.all(np.isfinite(data)):
-        raise ValueError("values must be finite")
-    data = np.sort(data)
-    n = data.size
-    idx = [(j * (n - 1)) // bin_count for j in range(bin_count + 1)]
-    return EquiDepthHistogram(data[idx])
+    data = sorted_finite(data)
+    return EquiDepthHistogram(data[np.arange(bin_count + 1) * (data.size - 1) // bin_count])
 
 
 def _locate(bounds: np.ndarray, c: float) -> int:

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._util import sorted_finite
 from .operators import ScalarOp
 
 
@@ -62,20 +63,27 @@ def build_mcv(values, max_entries: int) -> MostCommonValues:
     """Collect the up-to-max_entries most frequent values occurring at least twice.
 
     Fractions are exact counts over the input length.  Ties in frequency are
-    broken toward the smaller value.
+    broken toward the smaller value.  Sorted input is read as it is; other
+    input is sorted first.  Each candidate value is a run of equal values in
+    the sorted data, and its count is the run's length.
     """
     if max_entries < 0:
         raise ValueError("max_entries must be non-negative")
     data = np.asarray(values, dtype=np.float64)
     if data.size == 0 or max_entries == 0:
         return EMPTY_MCV
-    uniq, counts = np.unique(data, return_counts=True)
-    keep = counts >= 2
-    uniq, counts = uniq[keep], counts[keep]
-    if uniq.size == 0:
+    data = sorted_finite(data)
+    # same[i] is data[i] == data[i-1], padded false at both ends.  A run of
+    # two or more equal values goes from the index before same turns true to
+    # the last index where it is true, so the flips come in (start, end) pairs.
+    same = np.concatenate(([False], data[1:] == data[:-1], [False]))
+    flips = np.flatnonzero(same[1:] != same[:-1])
+    starts, ends = flips[0::2], flips[1::2]
+    if starts.size == 0:
         return EMPTY_MCV
-    # lexsort: last key is primary, so order by descending count then value
-    order = np.lexsort((uniq, -counts))[:max_entries]
+    uniq, counts = data[starts], ends - starts + 1
+    # uniq ascends, so a stable sort on descending count breaks ties by value
+    order = np.argsort(-counts, kind="stable")[:max_entries]
     return MostCommonValues(uniq[order], counts[order] / data.size)
 
 

@@ -3,6 +3,11 @@
 Every analyzed row lands in exactly one partition: null, most-common value,
 or histogram.  The fractions of the three partitions drive the combined
 selectivity estimates.
+
+ANALYZE sorts the non-null sample once, as PostgreSQL's
+``compute_scalar_stats`` (``src/backend/commands/analyze.c``) does, and
+builds the MCV list, the residual and the histogram from that one sorted
+array.
 """
 
 from __future__ import annotations
@@ -60,6 +65,8 @@ class AttributeStats:
 
 def sample_rows(n: int, cap: int, seed: int) -> np.ndarray:
     """Indices of a uniform sample without replacement; the full column if cap >= n."""
+    if cap < 1:
+        raise ValueError("sample cap must be at least 1")
     if cap >= n:
         return np.arange(n)
     rng = np.random.default_rng(seed)
@@ -78,6 +85,12 @@ def analyze_column(
     entries are capped at statistics_target; the residual histogram gets
     statistics_target bins, reduced when the residual has too few distinct
     values (one bin minimum), and is omitted when nothing is left for it.
+
+    The non-null sample is sorted once, as ``compute_scalar_stats`` does.
+    ``build_mcv`` reads the runs of equal values in it.  The residual is the
+    sorted sample with the MCV runs cut out, so it is sorted too; its
+    distinct count is the number of runs left, and ``build_equi_depth``
+    picks the boundaries from it without sorting again.
     """
     if statistics_target < 1:
         raise ValueError("statistics target must be at least 1")
@@ -89,7 +102,8 @@ def analyze_column(
     if data.size == 0:
         raise ValueError("no data")
 
-    sample = data[sample_rows(data.size, sample_cap, sample_seed)]
+    rows = sample_rows(data.size, sample_cap, sample_seed)
+    sample = data[rows] if rows.size < data.size else data
     nulls = np.isnan(sample)
     null_frac = float(nulls.sum() / sample.size)
     nonnull = sample[~nulls]
@@ -97,12 +111,31 @@ def analyze_column(
     if nonnull.size == 0:
         return AttributeStats(null_frac, EMPTY_MCV, None, int(sample.size), statistics_target)
 
-    mcv = build_mcv(nonnull, max_entries=statistics_target)
-    residual = nonnull[~np.isin(nonnull, mcv.values)] if len(mcv) else nonnull
+    ordered = np.sort(nonnull)
+    mcv = build_mcv(ordered, max_entries=statistics_target)
+    residual = ordered
+    if len(mcv):
+        # the edges cut the sorted sample into kept stretches (possibly
+        # empty) and MCV runs, alternately, starting with a kept stretch
+        cuts = np.sort(mcv.values)
+        edges = np.empty(2 * cuts.size + 2, dtype=np.intp)
+        edges[0], edges[-1] = 0, ordered.size
+        edges[1:-1:2] = np.searchsorted(ordered, cuts, side="left")
+        edges[2:-1:2] = np.searchsorted(ordered, cuts, side="right")
+        kept = np.arange(edges.size - 1) % 2 == 0
+        residual = ordered[np.repeat(kept, np.diff(edges))]
+        zeros = np.searchsorted(residual, 0.0, "right") - np.searchsorted(residual, 0.0, "left")
+        if zeros and 0 < np.count_nonzero(np.signbit(nonnull) & (nonnull == 0)) < zeros:
+            # numpy's sort may hand back either sign for each element of a
+            # run that mixes -0.0 and 0.0, so the signs of zero boundaries
+            # depend on which array was sorted.  Sort the residual in sample
+            # order, as the boundaries have always been taken, to keep them.
+            in_mcv = cuts[np.searchsorted(cuts, nonnull).clip(max=cuts.size - 1)] == nonnull
+            residual = np.sort(nonnull[~in_mcv])
 
     histogram = None
     if residual.size:
-        distinct = np.unique(residual).size
+        distinct = 1 + np.count_nonzero(residual[1:] != residual[:-1])
         bins = min(statistics_target, max(distinct - 1, 1))
         histogram = build_equi_depth(residual, bins)
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from ineqsel import EquiDepthHistogram, build_equi_depth, cdf
+from ineqsel.mcv import EMPTY_MCV, MostCommonValues
+from ineqsel.stats import SAMPLE_ROWS_PER_TARGET, AttributeStats, sample_rows
 
 R1_X = [10, 11, 12, 20, 21, 22, 24, 25, 30, 35, 38, 45]
 R2_Y = [15, 16, 17, 20, 30, 35, 38, 39, 40, 42, 45, 50]
@@ -59,3 +61,39 @@ def random_histogram(rng: np.random.Generator, max_bins: int = 50) -> EquiDepthH
             bounds[i + 1] = bounds[i]
         bounds = np.sort(bounds)
     return EquiDepthHistogram(bounds)
+
+
+def multipass_analyze_column(values, statistics_target, sample_seed=0, sample_cap=None):
+    """Multi-pass ANALYZE: the byte-identity reference for ``analyze_column``.
+
+    Deliberately naive: ``np.unique`` and ``lexsort`` for the MCV list,
+    ``np.isin`` for the residual, a second ``np.unique`` for its distinct
+    count and a fresh sort for the histogram boundaries.
+    """
+    if sample_cap is None:
+        sample_cap = SAMPLE_ROWS_PER_TARGET * statistics_target
+    data = np.asarray(values, dtype=np.float64)
+    sample = data[sample_rows(data.size, sample_cap, sample_seed)]
+    nulls = np.isnan(sample)
+    null_frac = float(nulls.sum() / sample.size)
+    nonnull = sample[~nulls]
+    if nonnull.size == 0:
+        return AttributeStats(null_frac, EMPTY_MCV, None, int(sample.size), statistics_target)
+
+    uniq, counts = np.unique(nonnull, return_counts=True)
+    keep = counts >= 2
+    uniq, counts = uniq[keep], counts[keep]
+    mcv = EMPTY_MCV
+    if uniq.size:
+        order = np.lexsort((uniq, -counts))[:statistics_target]
+        mcv = MostCommonValues(uniq[order], counts[order] / nonnull.size)
+    residual = nonnull[~np.isin(nonnull, mcv.values)] if len(mcv) else nonnull
+
+    histogram = None
+    if residual.size:
+        bins = min(statistics_target, max(np.unique(residual).size - 1, 1))
+        ordered = np.sort(residual)
+        n = ordered.size
+        idx = [(j * (n - 1)) // bins for j in range(bins + 1)]
+        histogram = EquiDepthHistogram(ordered[idx])
+    return AttributeStats(null_frac, mcv, histogram, int(sample.size), statistics_target)

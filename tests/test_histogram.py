@@ -42,6 +42,13 @@ class TestBuild:
         with pytest.raises(ValueError, match="finite"):
             build_equi_depth([1.0, np.inf], 1)
 
+    @pytest.mark.parametrize("data", [
+        [np.nan], [2.0, np.nan, 1.0], [-np.inf, 0.0], [0.0, 1.0, np.nan], [np.inf, 0.0],
+    ])
+    def test_nan_and_infinity_rejected_sorted_or_not(self, data):
+        with pytest.raises(ValueError, match="finite"):
+            build_equi_depth(data, 1)
+
     def test_min_max_always_present(self):
         rng = np.random.default_rng(7)
         for _ in range(50):

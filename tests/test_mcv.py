@@ -91,6 +91,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="sum"):
             make_mcv([(1, 0.7), (2, 0.7)])
 
+    @pytest.mark.parametrize("data", [
+        [1.0, np.nan], [np.nan], [np.inf, 1.0, 1.0], [-np.inf, 1.0, 1.0], [-np.inf, -np.inf], [3.0, np.nan, 3.0],
+    ])
+    def test_non_finite_values_rejected(self, data):
+        with pytest.raises(ValueError, match="finite"):
+            build_mcv(data, max_entries=3)
+
     def test_negative_max_entries(self):
         with pytest.raises(ValueError):
             build_mcv([1, 1], max_entries=-1)

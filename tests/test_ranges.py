@@ -248,6 +248,10 @@ class TestAnalyze:
         with pytest.raises(ValueError):
             analyze_range_column([rv(1, 2)], 0)
 
+    def test_sample_cap_below_one_rejected(self):
+        with pytest.raises(ValueError, match="sample cap"):
+            analyze_range_column([rv(1, 2), rv(3, 4)], 2, sample_cap=0)
+
 
 def uniform_ranges(rng, n, lo=0, hi=1000, max_width=50):
     out = []

@@ -1,12 +1,22 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from ineqsel import analyze_column, load_stats, save_stats
+from ineqsel import (
+    analyze_column,
+    analyze_range_column,
+    build_equi_depth,
+    build_mcv,
+    load_stats,
+    save_range_stats,
+    save_stats,
+)
+from ineqsel.harness import generate_range_column, generate_scalar_column
 from ineqsel.stats import stats_from_dict, stats_to_dict
 
-from conftest import R1_X
+from conftest import R1_X, multipass_analyze_column
 
 
 class TestAnalyze:
@@ -87,6 +97,95 @@ class TestAnalyze:
     def test_infinite_values_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             analyze_column([1.0, np.inf], 2)
+
+    def test_sample_cap_below_one_rejected(self):
+        # a zero-row sample has no null fraction to write
+        with pytest.raises(ValueError, match="sample cap"):
+            analyze_column(np.arange(10.0), 5, 0, 0)
+
+
+def _one_sort_columns() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(20)
+    n = 3000
+    nulls = rng.normal(size=n)
+    nulls[rng.random(n) < 0.2] = np.nan
+    # a few hot values over a wide spread, so the MCV list and the
+    # histogram both matter at every target
+    skewed = rng.integers(-400, 400, size=n).astype(float)
+    hot = rng.random(n) < 0.4
+    skewed[hot] = rng.choice([-7.0, 3.0, 11.0, 250.0], size=int(hot.sum()))
+    zeros_common = rng.integers(-3, 4, size=n).astype(float)
+    zeros_rare = rng.integers(0, 50, size=n).astype(float)
+    for col in (zeros_common, zeros_rare):
+        col[(col == 0) & (rng.random(n) < 0.5)] = -0.0
+    return {
+        "nulls": nulls,
+        "heavy-ties": rng.integers(0, 12, size=n).astype(float),
+        "skewed": skewed,
+        # -0.0 and 0.0 as a common value, and as the minimum that stays
+        # in the histogram at low targets, where the sort of a mixed zero
+        # run may keep either sign
+        "signed-zeros-common": zeros_common,
+        "signed-zeros-rare": zeros_rare,
+        "all-equal": np.full(500, 4.5),
+        "all-distinct": rng.permutation(n).astype(float),
+        "single-row": np.array([2.5]),
+        "sorted": np.sort(skewed),
+    }
+
+
+ONE_SORT_COLUMNS = _one_sort_columns()
+
+
+class TestOneSortAnalyze:
+    """The one-sort ANALYZE writes the same bytes as the multi-pass build."""
+
+    @pytest.mark.parametrize("name", sorted(ONE_SORT_COLUMNS))
+    def test_documents_match_multipass_reference(self, name):
+        col = ONE_SORT_COLUMNS[name]
+        for target in (1, 2, 10, 100, 1000):
+            for seed, cap in enumerate((None, 50, col.size, col.size + 1)):
+                got = save_stats(analyze_column(col, target, seed, cap))
+                want = save_stats(multipass_analyze_column(col, target, seed, cap))
+                assert got == want, (name, target, cap)
+
+    @pytest.mark.parametrize("name", sorted(ONE_SORT_COLUMNS))
+    def test_builders_ignore_input_order(self, name):
+        col = ONE_SORT_COLUMNS[name]
+        ordered = np.sort(col[~np.isnan(col)])
+        shuffled = np.random.default_rng(5).permutation(ordered)
+        for target in (1, 2, 10, 100, 1000):
+            assert build_mcv(ordered, target) == build_mcv(shuffled, target)
+            assert build_equi_depth(ordered, target) == build_equi_depth(shuffled, target)
+
+
+class TestPinnedStatistics:
+    """sha256 of the statistics documents the benchmark workloads write, with
+    default sampling: ANALYZE must keep writing these bytes."""
+
+    @pytest.mark.parametrize("kind,seed,target,digest", [
+        ("uniform-int", 1, 100, "51d869fc5d58f108fc51824315ced0b4418dd19a66f4242c2c39a57e46f4a4e1"),
+        ("uniform-int", 1, 1000, "f4afbb8dfb6fd09d2d32f703db8dcb679bd473f93383648bf366561bc4739a9a"),
+        ("uniform-int", 2, 100, "cc77df522ea65d876ba2cde44cb69e7b906686af2be46f5c1d297947bd87ecbf"),
+        ("uniform-int", 2, 1000, "d5fb92fd70ecf39a97fb546a4f805df8e592f2d12d888d2d6cdedf1f25a3906c"),
+        ("skewed-int", 1, 100, "806fe041c8453a23a0890f40fa8e81733bc8496182774ca7ba6a22df08fa0f24"),
+        ("skewed-int", 1, 1000, "1132e8b6644e185797745d85c8d924714a3b4365cbbc16cbec8ecf2d4af7a2fd"),
+        ("skewed-int", 2, 100, "3cfe12e36846fcf60cf9a5aa233d1aa969436a70a672bd7e770e7a73016862d5"),
+        ("skewed-int", 2, 1000, "6d71f8667efcc25efca52ae6df052567708a83ec8f8f7b30e6d9ca8c831ad3fb"),
+    ])
+    def test_scalar(self, kind, seed, target, digest):
+        doc = save_stats(analyze_column(generate_scalar_column(kind, 200_000, seed), target))
+        assert hashlib.sha256(doc).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed,target,digest", [
+        (1, 100, "1aad800f96f023f51a943e6fec79880beae0bbc3493e356af8ea26a941b68943"),
+        (1, 1000, "d1d46c0195230c4bcbedf879768588ec8b1bebb83bd95716e76ddca602bf56e6"),
+        (2, 100, "c6d8f4abb29e1a5b73e8077721e1e4926ca061203c8f33dc7b1e28ddb74dfc69"),
+        (2, 1000, "a407c909cb8076db674aaa70cffdf05489b6f382655fe107d6b1743a6e21692c"),
+    ])
+    def test_range(self, seed, target, digest):
+        doc = save_range_stats(analyze_range_column(generate_range_column(20_000, seed), target))
+        assert hashlib.sha256(doc).hexdigest() == digest
 
 
 class TestRoundTrip:
