@@ -3,13 +3,14 @@ Equi-depth histograms as approximate distributions
 ==================================================
 
 Build a three-bin equi-depth histogram over a small integer column and
-read its PDF and CDF.  Every bin holds the same share of rows, so bin
-widths adapt: tight where the data is dense, wide where it is sparse.
+read its CDF.  Every bin holds the same share of rows, so bin widths
+adapt: tight where the data is dense, wide where it is sparse.
 """
 
 import numpy as np
 
-from ineqsel import build_equi_depth, cdf, pdf
+from ineqsel import cdf
+from ineqsel.histogram import build_equi_depth
 
 column = [10, 11, 12, 20, 21, 22, 24, 25, 30, 35, 38, 45]
 h = build_equi_depth(column, bin_count=3)
@@ -23,11 +24,6 @@ for j in range(h.bin_count):
     lo, hi = h.bounds[j], h.bounds[j + 1]
     inside = [v for v in column if (v >= lo if j == 0 else v > lo) and v <= hi]
     print(f"bin {j}: ]{lo:g}, {hi:g}]  width={hi - lo:4g}  rows={inside}")
-print()
-
-# The PDF is a step function: 1/(bins * width) inside each bin.
-for c in (9, 12, 22, 30, 45):
-    print(f"pdf({c:2d}) = {pdf(h, c):.6f}")
 print()
 
 # The CDF interpolates linearly inside a bin and is exact at boundaries.

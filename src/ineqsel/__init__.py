@@ -6,8 +6,8 @@ and for the positional range operators, with an exact counting oracle and
 an experiment harness for error-versus-resolution studies.
 """
 
-from .histogram import EquiDepthHistogram, build_equi_depth, cdf, pdf
-from .mcv import MostCommonValues, build_mcv, mcv_restriction_selectivity
+from .histogram import EquiDepthHistogram, cdf
+from .mcv import MostCommonValues
 from .operators import RangeOp, ScalarOp
 from .stats import AttributeStats, analyze_column, load_stats, save_stats
 from .estimator import (
@@ -51,8 +51,6 @@ __all__ = [
     "ScalarOp",
     "analyze_column",
     "analyze_range_column",
-    "build_equi_depth",
-    "build_mcv",
     "cdf",
     "exact_join",
     "exact_range_join",
@@ -63,9 +61,7 @@ __all__ = [
     "join_selectivity",
     "load_range_stats",
     "load_stats",
-    "mcv_restriction_selectivity",
     "parse_range",
-    "pdf",
     "range_join_selectivity",
     "range_op_holds",
     "read_results_csv",

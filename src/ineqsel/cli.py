@@ -8,21 +8,11 @@ files, insufficient statistics).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import harness
-from .operators import RangeOp, ScalarOp, parse_range_op, parse_scalar_op
-from .estimator import join_selectivity
-from .oracle import exact_join, exact_range_join
-from .ranges import (
-    RangeStats,
-    analyze_range_column,
-    load_range_stats,
-    range_join_selectivity,
-    save_range_stats,
-)
-from .stats import AttributeStats, analyze_column, load_stats, save_stats
+from .operators import RangeOp, ScalarOp
+from .stats import _parse_json
 
 SCALAR_OPS = ("lt", "le", "gt", "ge")
 RANGE_OPS = tuple(op.value for op in RangeOp)
@@ -30,9 +20,8 @@ ALL_OPS = SCALAR_OPS + RANGE_OPS
 
 
 def _parse_op(text: str) -> ScalarOp | RangeOp:
-    if text in SCALAR_OPS:
-        return parse_scalar_op(text)
-    return parse_range_op(text)
+    # argparse's choices have already checked the text
+    return ScalarOp(text) if text in SCALAR_OPS else RangeOp(text)
 
 
 def _parse_targets(spec: str) -> list[int]:
@@ -103,12 +92,8 @@ def _cmd_gen(args, parser) -> int:
 def _cmd_analyze(args) -> int:
     if args.target < 1:
         raise ValueError("statistics target must be at least 1")
-    if harness.looks_like_range_file(args.infile):
-        values = harness.read_range_column(args.infile)
-        doc = save_range_stats(analyze_range_column(values, args.target, args.seed))
-    else:
-        values = harness.read_scalar_column(args.infile)
-        doc = save_stats(analyze_column(values, args.target, args.seed))
+    kind = harness.RANGE if harness.looks_like_range_file(args.infile) else harness.SCALAR
+    doc = kind.save(kind.analyze(kind.read(args.infile), args.target, args.seed))
     with open(args.out, "wb") as fh:
         fh.write(doc)
     return 0
@@ -119,40 +104,28 @@ def _load_any_stats(path: str):
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from None
-    if isinstance(doc, dict) and "lower_stats" in doc:
-        return load_range_stats(data)
-    return load_stats(data)
+        doc = _parse_json(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    kind = harness.RANGE if isinstance(doc, dict) and "lower_stats" in doc else harness.SCALAR
+    return kind.from_dict(doc)
 
 
 def _cmd_estimate(args) -> int:
     op = _parse_op(args.op)
+    kind = harness.kind_of(op)
     sx = _load_any_stats(args.stats_x)
     sy = _load_any_stats(args.stats_y)
-    if isinstance(op, RangeOp):
-        if not isinstance(sx, RangeStats) or not isinstance(sy, RangeStats):
-            raise ValueError(f"operator {args.op} needs range statistics files")
-        result = range_join_selectivity(sx, sy, op)
-    else:
-        if not isinstance(sx, AttributeStats) or not isinstance(sy, AttributeStats):
-            raise ValueError(f"operator {args.op} needs scalar statistics files")
-        result = join_selectivity(sx, sy, op)
-    print(repr(result))
+    if not isinstance(sx, kind.stats_type) or not isinstance(sy, kind.stats_type):
+        raise ValueError(f"operator {args.op} needs {kind.name} statistics files")
+    print(repr(kind.estimate(sx, sy, op)))
     return 0
 
 
 def _cmd_oracle(args) -> int:
     op = _parse_op(args.op)
-    if isinstance(op, RangeOp):
-        xs = harness.read_range_column(args.in_x)
-        ys = harness.read_range_column(args.in_y)
-        count = exact_range_join(xs, ys, op)
-    else:
-        xs = harness.read_scalar_column(args.in_x)
-        ys = harness.read_scalar_column(args.in_y)
-        count = exact_join(xs, ys, op)
+    kind = harness.kind_of(op)
+    count = kind.oracle(kind.read(args.in_x), kind.read(args.in_y), op)
     print(f"{count.qualifying}/{count.total}")
     return 0
 

@@ -4,13 +4,18 @@ The operator algebra reduces everything to the less-than case:
 
 * restriction: P(X < c) is the histogram CDF at c, plus the exact MCV mass
   below c; GE/GT are complements, LE adds the recoverable equality mass.
-* join: P(X < Y) integrates F_X against Y's density.  Both CDFs are
-  piecewise linear between the merged boundaries of the two histograms, so
-  one trapezoid sum over those knots, with each CDF evaluated on all of
-  them in one array call, integrates their product exactly.  A histogram
-  side against an MCV list is one dot product of the MCV fractions with
-  the CDF at the MCV values.  Equality mass between two histograms is taken
-  to be zero (continuous assumption); only MCV overlap contributes P(X = Y).
+  The CDF is right-continuous, so at a zero-width bin's value LT counts its
+  mass and GE does not: at c = 5, a point mass at 5 gives LT 1.0 and GE
+  0.0, where the model gives 0 and 1.
+* join: P(X < Y) integrates F_X against Y's density.  When neither
+  histogram has a zero-width bin, both CDFs are piecewise linear between
+  the merged boundaries of the two histograms, so one trapezoid sum over
+  those knots, with each CDF evaluated on all of them in one array call,
+  integrates their product exactly; the sum takes a zero-width bin's step
+  as a ramp from the knot before.  A histogram side against an MCV list is
+  one dot product of the MCV fractions with the CDF at the MCV values.
+  Equality mass between two histograms is taken to be zero (continuous
+  assumption); only MCV overlap contributes P(X = Y).
 
 Estimates combine the per-partition results weighted by the null / MCV /
 histogram fractions of each side.  All inequality operators are strict, so
@@ -80,8 +85,11 @@ def join_lt_hist(hx: EquiDepthHistogram, hy: EquiDepthHistogram) -> float:
 
     Evaluates F_X and F_Y on the merged distinct boundaries s_0 < ... < s_k
     and sums the trapezoid terms (F_X(s_i) + F_X(s_i+1)) * (F_Y(s_i+1) - F_Y(s_i)).
-    The product F_X * f_Y is linear on each piece, so this evaluates the
-    integral exactly.  No piece ends at s_0, so steps of both CDFs there
+    When neither histogram has a zero-width bin, the product F_X * f_Y is
+    linear on each piece, so this evaluates the integral exactly.  A
+    zero-width bin is a step of its CDF, which the sum takes as a ramp from
+    the knot before: join_lt_hist([5, 5], [3, 7]) is 0.75, where the model
+    gives P(Y > 5) = 0.5.  No piece ends at s_0, so steps of both CDFs there
     add nothing (a tie between histograms does not count); past X's
     support F_X is 1, so the remaining mass of Y counts in full.
     """

@@ -3,8 +3,7 @@
 A histogram with B bins is stored as a sorted array of B+1 boundary values.
 Every bin carries mass exactly 1/B, so bin widths adapt to the data: dense
 regions get narrow bins, sparse regions wide ones.  The approximate CDF is
-piecewise linear (uniform-within-bin assumption) and the approximate PDF is
-piecewise constant.
+piecewise linear (uniform-within-bin assumption).
 """
 
 from __future__ import annotations
@@ -72,11 +71,6 @@ def build_equi_depth(values, bin_count: int) -> EquiDepthHistogram:
     return EquiDepthHistogram(data[np.arange(bin_count + 1) * (data.size - 1) // bin_count])
 
 
-def _locate(bounds: np.ndarray, c: float) -> int:
-    """Greatest index j with bounds[j] <= c, or -1 if c < bounds[0]."""
-    return int(np.searchsorted(bounds, c, side="right")) - 1
-
-
 def cdf(h: EquiDepthHistogram, c: float | np.ndarray) -> float | np.ndarray:
     """Approximate P(X <= c): 0 below the histogram, 1 at and above its max,
     linear interpolation within the containing bin otherwise.
@@ -96,17 +90,3 @@ def cdf(h: EquiDepthHistogram, c: float | np.ndarray) -> float | np.ndarray:
         f = (j + (x - bounds[j]) / (bounds[j + 1] - bounds[j])) / h.bin_count
     f = np.where(x < bounds[0], 0.0, np.where(x >= bounds[-1], 1.0, f))
     return float(f) if f.ndim == 0 else f
-
-
-def pdf(h: EquiDepthHistogram, c: float) -> float:
-    """Approximate density at c: (1/B) / bin_width inside [lo, hi), else 0.
-
-    Mass held by zero-width bins is a CDF step, not a finite density, so it
-    does not show up here.
-    """
-    bounds = h.bounds
-    if c < bounds[0] or c >= bounds[-1]:
-        return 0.0
-    j = _locate(bounds, c)
-    width = bounds[j + 1] - bounds[j]
-    return float(1.0 / (h.bin_count * width))

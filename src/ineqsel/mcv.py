@@ -93,16 +93,4 @@ def mcv_restriction_selectivity(m: MostCommonValues, c: float, op: ScalarOp) -> 
     The result is relative to the same base as the stored fractions (the
     non-null rows); it is exact for the rows the list covers.
     """
-    if len(m) == 0:
-        return 0.0
-    if op is ScalarOp.LT:
-        mask = m.values < c
-    elif op is ScalarOp.LE:
-        mask = m.values <= c
-    elif op is ScalarOp.GT:
-        mask = m.values > c
-    elif op is ScalarOp.GE:
-        mask = m.values >= c
-    else:
-        mask = m.values == c
-    return float(m.fractions[mask].sum())
+    return float(m.fractions[op.apply(m.values, c)].sum())

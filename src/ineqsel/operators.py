@@ -19,7 +19,8 @@ class ScalarOp(enum.Enum):
     GE = "ge"
     EQ = "eq"
 
-    def apply(self, a, b) -> bool:
+    def apply(self, a, b):
+        """``a <op> b``; elementwise when either side is a numpy array."""
         return _SCALAR_FN[self](a, b)
 
 
@@ -40,17 +41,3 @@ class RangeOp(enum.Enum):
     NO_EXTEND_RIGHT = "no-extend-right"    # &<  : X does not end after Y ends
     NO_EXTEND_LEFT = "no-extend-left"      # &>  : X does not start before Y starts
     OVERLAPS = "overlaps"                  # &&  : X and Y share at least one point
-
-
-def parse_scalar_op(text: str) -> ScalarOp:
-    try:
-        return ScalarOp(text.lower())
-    except ValueError:
-        raise ValueError(f"unknown scalar operator {text!r}") from None
-
-
-def parse_range_op(text: str) -> RangeOp:
-    try:
-        return RangeOp(text.lower())
-    except ValueError:
-        raise ValueError(f"unknown range operator {text!r}") from None

@@ -40,16 +40,7 @@ def exact_restriction(values, c: float, op: ScalarOp) -> ExactCount:
     if data.size == 0:
         raise ValueError("no data")
     with np.errstate(invalid="ignore"):
-        if op is ScalarOp.LT:
-            mask = data < c
-        elif op is ScalarOp.LE:
-            mask = data <= c
-        elif op is ScalarOp.GT:
-            mask = data > c
-        elif op is ScalarOp.GE:
-            mask = data >= c
-        else:
-            mask = data == c
+        mask = op.apply(data, c)
     return ExactCount(int(mask.sum()), int(data.size))
 
 

@@ -43,6 +43,7 @@ from .stats import (
     stats_from_dict,
     stats_to_dict,
     SAMPLE_ROWS_PER_TARGET,
+    _parse_json,
     _require,
     _require_fraction,
 )
@@ -372,7 +373,7 @@ _INFINITE_BOUND = {"lower": -math.inf, "upper": math.inf}
 # Statistics over a range column.
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RangeStats:
     """Bound statistics plus null / empty / infinite-bound fractions.
 
@@ -387,18 +388,6 @@ class RangeStats:
     upper_stats: AttributeStats | None
     lower_inf_frac: float
     upper_inf_frac: float
-
-    def __eq__(self, other):
-        if not isinstance(other, RangeStats):
-            return NotImplemented
-        return (
-            self.null_frac == other.null_frac
-            and self.empty_frac == other.empty_frac
-            and self.lower_stats == other.lower_stats
-            and self.upper_stats == other.upper_stats
-            and self.lower_inf_frac == other.lower_inf_frac
-            and self.upper_inf_frac == other.upper_inf_frac
-        )
 
 
 def analyze_range_column(
@@ -528,23 +517,12 @@ def range_stats_from_dict(doc: dict) -> RangeStats:
     }
     lower_doc = _require(doc, "lower_stats")
     upper_doc = _require(doc, "upper_stats")
-    lower = None if lower_doc is None else stats_from_dict(lower_doc)
-    upper = None if upper_doc is None else stats_from_dict(upper_doc)
     return RangeStats(
-        fracs["null_frac"],
-        fracs["empty_frac"],
-        lower,
-        upper,
-        fracs["lower_inf_frac"],
-        fracs["upper_inf_frac"],
+        lower_stats=None if lower_doc is None else stats_from_dict(lower_doc),
+        upper_stats=None if upper_doc is None else stats_from_dict(upper_doc),
+        **fracs,
     )
 
 
 def load_range_stats(data: bytes | str) -> RangeStats:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not valid JSON: {exc}") from None
-    return range_stats_from_dict(doc)
+    return range_stats_from_dict(_parse_json(data))

@@ -26,7 +26,7 @@ from .mcv import EMPTY_MCV, MostCommonValues, build_mcv
 SAMPLE_ROWS_PER_TARGET = 300
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AttributeStats:
     """Null fraction, MCV list and residual histogram for one column.
 
@@ -50,17 +50,6 @@ class AttributeStats:
     def hist_fraction(self) -> float:
         """Share of non-null rows covered by the histogram (p_hist)."""
         return 1.0 - self.mcv.total_fraction
-
-    def __eq__(self, other):
-        if not isinstance(other, AttributeStats):
-            return NotImplemented
-        return (
-            self.null_frac == other.null_frac
-            and self.mcv == other.mcv
-            and self.histogram == other.histogram
-            and self.row_count == other.row_count
-            and self.statistics_target == other.statistics_target
-        )
 
 
 def sample_rows(n: int, cap: int, seed: int) -> np.ndarray:
@@ -187,7 +176,10 @@ def _require_numbers(doc: dict, fld: str) -> np.ndarray:
     v = _require(doc, fld)
     if not isinstance(v, list) or not all(_is_number(x) for x in v):
         raise ValueError(f"{fld} must be an array of numbers")
-    return np.array(v, dtype=np.float64)
+    try:
+        return np.array(v, dtype=np.float64)
+    except OverflowError:       # a JSON integer beyond float range
+        raise ValueError(f"{fld} holds a number beyond float range") from None
 
 
 def _require_int(doc: dict, fld: str, minimum: int) -> int:
@@ -229,11 +221,13 @@ def stats_from_dict(doc: dict) -> AttributeStats:
     return AttributeStats(null_frac, mcv, histogram, row_count, target)
 
 
-def load_stats(data: bytes | str) -> AttributeStats:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+def _parse_json(data: bytes | str):
+    """The JSON value of a document's UTF-8 bytes or its text."""
     try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"not valid JSON: {exc}") from None
-    return stats_from_dict(doc)
+
+
+def load_stats(data: bytes | str) -> AttributeStats:
+    return stats_from_dict(_parse_json(data))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ineqsel import EquiDepthHistogram, build_equi_depth, cdf
+from ineqsel import EquiDepthHistogram, cdf
+from ineqsel.histogram import build_equi_depth
 from ineqsel.mcv import EMPTY_MCV, MostCommonValues
 from ineqsel.stats import SAMPLE_ROWS_PER_TARGET, AttributeStats, sample_rows
 

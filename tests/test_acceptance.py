@@ -15,7 +15,6 @@ from ineqsel import (
     ScalarOp,
     analyze_column,
     analyze_range_column,
-    build_equi_depth,
     exact_join,
     exact_restriction,
     generate_range_column,
@@ -28,6 +27,7 @@ from ineqsel import (
     save_stats,
 )
 from ineqsel.estimator import join_lt_hist
+from ineqsel.histogram import build_equi_depth
 from ineqsel.harness import run_sweep, write_range_column, write_results_csv
 from ineqsel.histogram import cdf
 from ineqsel.ranges import EMPTY_RANGE, RangeValue

@@ -7,13 +7,13 @@ from ineqsel import (
     MostCommonValues,
     ScalarOp,
     analyze_column,
-    build_equi_depth,
     cdf,
     exact_join,
     join_selectivity,
     restriction_selectivity,
 )
 from ineqsel.estimator import join_lt_hist, join_lt_hist_mcv, join_lt_mcv_hist, join_lt_mcv_mcv
+from ineqsel.histogram import build_equi_depth
 from ineqsel.mcv import EMPTY_MCV
 from ineqsel.stats import AttributeStats
 
@@ -304,6 +304,13 @@ class TestTieConventions:
         sx, sy = point_hist_stats([0, 5, 5]), point_hist_stats([5, 5, 10])
         assert join_selectivity(sx, sy, ScalarOp.LT) == pytest.approx(0.75, abs=1e-12)
         assert join_selectivity(sx, sy, ScalarOp.LE) == pytest.approx(0.75, abs=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="the trapezoid sum takes X's step at 5 as a ramp from 3")
+def test_histogram_point_mass_against_spread_histogram():
+    # X is a point mass at 5 and Y uniform over [3, 7], so P(X < Y) = P(Y > 5)
+    hx, hy = EquiDepthHistogram(np.array([5.0, 5.0])), EquiDepthHistogram(np.array([3.0, 7.0]))
+    assert join_lt_hist(hx, hy) == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.xfail(strict=True, reason="a hist x hist tie is counted by GE and by neither LE nor GT")

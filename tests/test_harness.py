@@ -18,7 +18,7 @@ from ineqsel.harness import (
     read_range_column,
     read_results_csv,
     read_scalar_column,
-    results_to_csv_text,
+    write_results_csv,
     run_sweep,
     write_range_column,
     write_scalar_column,
@@ -58,6 +58,12 @@ MALFORMED_STATS = [
     pytest.param(GOOD_RANGE_STATS, "overlaps", {"empty_frac": False}, id="range-frac-bool"),
     pytest.param(GOOD_RANGE_STATS, "overlaps", {"lower_stats": {**GOOD_STATS, "mcv": 5}},
                  id="range-nested-mcv-not-object"),
+    # JSON integers beyond float range, which float() cannot convert
+    pytest.param(GOOD_STATS, "lt", {"histogram": {"bounds": [1.0, 10**400]}},
+                 id="bound-beyond-float"),
+    pytest.param(GOOD_RANGE_STATS, "overlaps",
+                 {"upper_stats": {**GOOD_STATS, "mcv": {"values": [-10**400], "fractions": [0.25]}}},
+                 id="range-nested-mcv-value-beyond-float"),
 ]
 
 
@@ -207,8 +213,9 @@ class TestSweep:
     def test_csv_round_trip(self, tmp_path):
         fx, fy = self.write_examples(tmp_path)
         rows = run_sweep(fx, fy, ScalarOp.LT, [3, 6], seed=0)
-        text = results_to_csv_text(rows)
-        back = read_results_csv(io.StringIO(text))
+        buf = io.StringIO()
+        write_results_csv(rows, buf)
+        back = read_results_csv(io.StringIO(buf.getvalue()))
         assert back == rows
 
     def test_empty_targets(self, tmp_path):

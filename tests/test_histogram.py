@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ineqsel import EquiDepthHistogram, build_equi_depth, cdf, pdf
+from ineqsel import EquiDepthHistogram, cdf
+from ineqsel.histogram import build_equi_depth
 
 from conftest import R1_X, R2_Y
 
@@ -187,35 +188,3 @@ class TestCdf:
             for got in (np.array(scalar), array):
                 assert np.array_equal(got.view(np.int64), expected.view(np.int64)), b.tolist()
         assert duplicated >= 20
-
-
-class TestPdf:
-    @pytest.mark.parametrize(
-        "c,expected",
-        [
-            (22, 1 / 15),
-            (9, 0.0),
-            (30, 1 / 60),
-            (12, 1 / 30),
-            (45, 0.0),  # density is zero at and past the maximum
-        ],
-    )
-    def test_running_example_values(self, hist_x, c, expected):
-        assert pdf(hist_x, c) == pytest.approx(expected, abs=1e-12)
-
-    def test_integrates_to_one(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            bins = int(rng.integers(1, 30))
-            bounds = np.sort(rng.choice(10_000, size=bins + 1, replace=False)).astype(float)
-            h = EquiDepthHistogram(bounds)
-            total = sum(
-                pdf(h, (bounds[j] + bounds[j + 1]) / 2) * (bounds[j + 1] - bounds[j])
-                for j in range(bins)
-            )
-            assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_never_divides_by_zero_on_ties(self):
-        h = EquiDepthHistogram(np.array([0.0, 5.0, 5.0, 10.0]))
-        assert np.isfinite(pdf(h, 5.0))
-        assert np.isfinite(pdf(h, 0.0))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ineqsel import MostCommonValues, ScalarOp, build_mcv, mcv_restriction_selectivity
+from ineqsel import MostCommonValues, ScalarOp
+from ineqsel.mcv import build_mcv, mcv_restriction_selectivity
 
 
 def make_mcv(pairs):

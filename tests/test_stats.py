@@ -7,13 +7,13 @@ import pytest
 from ineqsel import (
     analyze_column,
     analyze_range_column,
-    build_equi_depth,
-    build_mcv,
     load_stats,
     save_range_stats,
     save_stats,
 )
 from ineqsel.harness import generate_range_column, generate_scalar_column
+from ineqsel.histogram import build_equi_depth
+from ineqsel.mcv import build_mcv
 from ineqsel.stats import stats_from_dict, stats_to_dict
 
 from conftest import R1_X, multipass_analyze_column
