@@ -27,7 +27,7 @@ from .ranges import (
     analyze_range_column,
     format_range_lines,
     parse_range,
-    parse_range_lines,
+    parse_range_bytes,
     range_join_selectivity,
     range_stats_from_dict,
     save_range_stats,
@@ -160,16 +160,23 @@ def write_range_column(path, values) -> None:
 
 
 def read_range_column(path) -> RangeColumn:
+    """One row per line of a range file, as file iteration splits it.
+
+    An ASCII file with no whitespace but its line breaks, such as
+    write_range_column writes, is parsed in bulk; any other file, or one
+    the bulk parser turns down, is parsed line by line, and the first bad
+    line raises its ``path:line`` error.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")     # the lines file iteration gives
-    if lines[-1] == "":
-        lines.pop()
-    if not lines:
+        text = fh.read()
+    if not text:
         raise ValueError(f"{path}: empty column file")
-    column = parse_range_lines(lines)
+    if text.endswith("\n"):
+        text = text[:-1]
+    column = parse_range_bytes(text.encode("ascii")) if text.isascii() else None
     if column is None:
         rows = []
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
             try:
                 rows.append(parse_range(line))
             except ValueError as exc:

@@ -32,7 +32,7 @@ class EquiDepthHistogram:
             raise ValueError("histogram needs at least two boundaries")
         if not np.all(np.isfinite(bounds)):
             raise ValueError("histogram boundaries must be finite")
-        if np.any(np.diff(bounds) < 0):
+        if np.any(bounds[1:] < bounds[:-1]):
             raise ValueError("bounds not sorted")
         bounds.setflags(write=False)
         object.__setattr__(self, "bounds", bounds)
@@ -86,7 +86,12 @@ def cdf(h: EquiDepthHistogram, c: float | np.ndarray) -> float | np.ndarray:
     # inside [lo, hi); points outside land in bin 0 or B-1, possibly of
     # zero width, and take their value from the np.where below.
     j = np.searchsorted(bounds[1:-1], x, side="right")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = (j + (x - bounds[j]) / (bounds[j + 1] - bounds[j])) / h.bin_count
+    lo, hi, at = bounds[j], bounds[j + 1], x
+    if h.hi - h.lo == np.inf:
+        # A span beyond the float range would overflow a bin's width;
+        # halving is exact for normal floats and keeps every width finite.
+        lo, hi, at = lo / 2, hi / 2, at / 2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f = (j + (at - lo) / (hi - lo)) / h.bin_count
     f = np.where(x < bounds[0], 0.0, np.where(x >= bounds[-1], 1.0, f))
     return float(f) if f.ndim == 0 else f

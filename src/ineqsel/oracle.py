@@ -86,12 +86,23 @@ def exact_join(xs, ys, op: ScalarOp) -> ExactCount:
 
 
 def _keys(column: RangeColumn, bound: str) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted values of one bound of the positioned rows, at offset 0 and at offset 1."""
-    positioned = column.positioned
-    values = getattr(column, bound)[positioned]
-    closed = getattr(column, f"{bound}_closed")[positioned]
-    late = closed if bound == "upper" else ~closed
-    return np.sort(values[~late]), np.sort(values[late])
+    """Sorted values of one bound of the positioned rows, at offset 0 and at offset 1.
+
+    A column's arrays are read-only, so each bound is sorted once per
+    column: the read-only result is kept in the column's private memo,
+    which neither equality nor slicing carries.
+    """
+    memo = vars(column).setdefault("_sorted_keys", {})
+    if bound not in memo:
+        positioned = column.positioned
+        values = getattr(column, bound)[positioned]
+        closed = getattr(column, f"{bound}_closed")[positioned]
+        late = closed if bound == "upper" else ~closed
+        keys = np.sort(values[~late]), np.sort(values[late])
+        for k in keys:
+            k.flags.writeable = False
+        memo[bound] = keys
+    return memo[bound]
 
 
 def _count_le(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> int:

@@ -209,8 +209,14 @@ class RangeColumn:
 
 
 _RANGE_RE = re.compile(r"^([\[\(])([^,]*),([^,]*)([\]\)])$")
-_OPENING = (ord("["), ord("("))
-_CLOSING = (ord("]"), ord(")"))
+
+_EMPTY_WORD = np.frombuffer(b"empty", dtype=np.uint8)
+_BREAKS_TO_COMMAS = bytes.maketrans(b"\n", b",")
+
+
+def _count(codes: np.ndarray, chars: bytes) -> int:
+    """Number of bytes in codes that are any of chars."""
+    return sum(np.count_nonzero(codes == ch) for ch in chars)
 
 
 def parse_range(text: str) -> RangeValue | None:
@@ -241,48 +247,56 @@ def parse_range(text: str) -> RangeValue | None:
         raise ValueError(f"invalid range {text!r}: {exc}") from None
 
 
-def parse_range_lines(lines: list[str]) -> RangeColumn | None:
-    """Parse a list of range-file lines in bulk, as parse_range would each.
+def parse_range_bytes(data: bytes) -> RangeColumn | None:
+    """Parse the lines of an ASCII range file in bulk, as parse_range would each.
 
-    Every line must be a range literal, "empty" or blank (null); on the
-    first line that is not, or whose range is invalid, the result is None,
-    and the caller finds and reports that line with parse_range.
+    ``data`` is the file's text without its final newline.  Every line must
+    be a range literal, "empty" in any case, or blank (null), and the text
+    may hold no whitespace but the line breaks and no byte outside ASCII.
+    Otherwise, or when a range is invalid, the result is None, and the
+    caller reads the lines one by one with parse_range, which finds and
+    reports the line.
     """
-    text = list(map(str.strip, lines))
-    n = len(text)
-    lengths = np.fromiter(map(len, text), np.intp, n)
-    null = lengths == 0
-    empty = np.zeros(n, dtype=bool)
-    five = np.flatnonzero(lengths == 5)
-    empty[five] = [text[i].lower() == "empty" for i in five.tolist()]
+    codes = np.frombuffer(data, dtype=np.uint8)
+    breaks = np.flatnonzero(codes == ord("\n"))
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.append(breaks, codes.size)
+    null = starts == ends
+    empty = ends - starts == 5
+    # "empty" in any case: setting bit 0x20 lowercases exactly its letters
+    word = codes[starts[empty][:, None] + np.arange(5)] | 0x20
+    empty[empty] = (word == _EMPTY_WORD).all(axis=1)
     literal = ~(null | empty)
-    size = lengths[literal]
-    lower, upper = np.zeros(n), np.zeros(n)
-    lower_closed, upper_closed = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    if size.size:
-        # Literals joined by commas: each holds exactly one comma when the
-        # commas alternate between the literals' own and the separators.
-        codes = np.frombuffer(",".join(compress(text, literal)).encode("utf-32-le"),
-                              dtype=np.uint32).copy()
-        first = np.cumsum(size + 1) - (size + 1)
-        last = first + size - 1
-        commas = np.flatnonzero(codes == ord(","))
-        if commas.size != 2 * size.size - 1 or not np.array_equal(commas[1::2], first[1:] - 1):
-            return None
-        opening, closing = codes[first], codes[last]
-        if not (np.isin(opening, _OPENING).all() and np.isin(closing, _CLOSING).all()):
-            return None
-        # with the brackets blanked out, every comma-separated piece is one
-        # bound, which float() reads with its surrounding spaces
-        codes[first] = codes[last] = ord(" ")
-        pieces = codes.tobytes().decode("utf-32-le").split(",")
-        try:
-            bounds = np.fromiter(map(float, pieces), np.float64, len(pieces))
-        except ValueError:
-            return None
-        lower[literal], upper[literal] = bounds[0::2], bounds[1::2]
-        lower_closed[literal] = opening == ord("[")
-        upper_closed[literal] = closing == ord("]")
+    first, last = starts[literal], ends[literal] - 1
+    n = first.size
+    commas = np.flatnonzero(codes == ord(","))
+    # Every byte but the line breaks must be printable ASCII and not a
+    # space, which leaves to parse_range the lines it strips and the
+    # non-ASCII digits float() reads.  Each literal opens at its first
+    # byte, closes at its last and holds one comma, and the counts leave no
+    # bracket or comma anywhere else.
+    printable = codes - np.uint8(ord("!")) <= ord("~") - ord("!")     # "!" to "~"
+    if (
+        np.count_nonzero(printable) != codes.size - breaks.size
+        or not _count(codes, b"[(") == _count(codes[first], b"[(") == n
+        or not _count(codes, b"])") == _count(codes[last], b"])") == n
+        or commas.size != n
+        or not ((first < commas) & (commas < last)).all()
+    ):
+        return None
+    # with the brackets gone and the line breaks made commas, a literal line
+    # is two comma-separated pieces, its bounds, and any other line one
+    pieces = data.translate(_BREAKS_TO_COMMAS, b"[]()").split(b",")
+    keep = np.repeat(literal, literal + 1).tolist()
+    try:
+        bounds = np.fromiter(map(float, compress(pieces, keep)), np.float64, 2 * n)
+    except ValueError:
+        return None
+    lower, upper = np.zeros(null.size), np.zeros(null.size)
+    lower[literal], upper[literal] = bounds[0::2], bounds[1::2]
+    lower_closed, upper_closed = np.zeros(null.size, dtype=bool), np.zeros(null.size, dtype=bool)
+    lower_closed[literal] = codes[first] == ord("[")
+    upper_closed[literal] = codes[last] == ord("]")
     try:
         return RangeColumn(lower, upper, lower_closed, upper_closed, null, empty)
     except ValueError:      # NaN or out-of-order bounds

@@ -2,9 +2,11 @@
 
 Lines of a valid range file are broken the ways hand-edited or truncated
 files go wrong.  ``read_range_column`` must return the rows that a loop of
-``parse_range`` over the file's lines returns, or raise the same error,
-which names the same ``path:line``.  The CLI must end every malformed
-column file, range or scalar, with exit status 1 and one ``error:`` line.
+``parse_range`` over the file's lines returns, down to the bytes of its
+arrays, or raise the same error, which names the same ``path:line``.
+Files the writer produces must be read in bulk, without ``parse_range``.
+The CLI must end every malformed column file, range or scalar, with exit
+status 1 and one ``error:`` line.
 """
 
 import subprocess
@@ -13,9 +15,10 @@ import sys
 import numpy as np
 import pytest
 
+from ineqsel import harness
 from ineqsel.cli import main
 from ineqsel.harness import generate_range_column, read_range_column, write_range_column
-from ineqsel.ranges import format_range, parse_range
+from ineqsel.ranges import RangeColumn, RangeValue, format_range, parse_range
 
 SEEDS = range(200)
 ROWS = 30
@@ -33,6 +36,17 @@ def reference_read(path):
     if not rows:
         raise ValueError(f"{path}: empty column file")
     return rows
+
+
+FIELDS = ("lower", "upper", "lower_closed", "upper_closed", "null", "empty")
+
+
+def assert_same_bytes(got, want_rows):
+    """Every array of the column holds the bytes of the reference rows' column,
+    so the sign of a zero bound counts."""
+    want = RangeColumn.from_values(want_rows)
+    for name in FIELDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def _parts(line):
@@ -66,6 +80,13 @@ def _mutate(kind, line):
         "crlf": line + "\r",
         "inner-whitespace": f" {op} {lo}\t, {hi} {cl}\t",
         "blank": "  \t",
+        # float() reads these, which a byte scan could get wrong
+        "arabic-indic-digits": "[\u0661,\u0662)",
+        "underscore-digits": f"{op}-1_000,{hi}{cl}",
+        "leading-plus": f"{op}+{lo},+{hi}{cl}",
+        "exponent": f"{op}-1.5e3,2.5E+6{cl}",
+        "infinity-word": f"{op}-Infinity,INFINITY{cl}",
+        "negative-zero": f"{op}-0.0,{hi}{cl}",
     }[kind]
 
 
@@ -73,7 +94,8 @@ MUTATIONS = [
     "drop-comma", "extra-comma", "comma-in-bound", "swap-brackets", "drop-open", "drop-close",
     "bracket-in-bound", "nan-lower", "nan-upper", "inf-lower", "minus-inf-upper", "reversed",
     "degenerate", "degenerate-closed", "upper-empty", "not-a-number", "no-bounds", "crlf",
-    "inner-whitespace", "blank",
+    "inner-whitespace", "blank", "arabic-indic-digits", "underscore-digits", "leading-plus",
+    "exponent", "infinity-word", "negative-zero",
 ]
 
 
@@ -96,7 +118,7 @@ def assert_reads_as_reference(path):
             read_range_column(path)
         assert str(got.value) == str(exc)
         return True
-    assert read_range_column(path) == want
+    assert_same_bytes(read_range_column(path), want)
     return False
 
 
@@ -137,6 +159,59 @@ def test_whole_file_cases(tmp_path, text):
     path = tmp_path / "w.col"
     path.write_bytes(text.encode("utf-8"))
     assert_reads_as_reference(path)
+
+
+@pytest.fixture
+def bulk_only(monkeypatch):
+    """Fail the test if read_range_column falls back to the per-line parser."""
+    def per_line(text):
+        raise AssertionError(f"parse_range called on {text!r}")
+    monkeypatch.setattr(harness, "parse_range", per_line)
+
+
+def _random_bounds_column(rows, seed):
+    # doubles from 1e-300 to 1e300 of either sign, whose repr needs an exponent
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((2, rows)) * 10.0 ** rng.integers(-300, 300, size=(2, rows))
+    lower, upper = np.minimum(*a), np.maximum(*a)
+    closed = rng.random((2, rows)) < 0.5
+    return RangeColumn(lower, upper, closed[0], closed[1], rng.random(rows) < 0.05,
+                       rng.random(rows) < 0.05)
+
+
+@pytest.mark.parametrize("rows", [1, 100, 20_000])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_writer_files_read_in_bulk_as_reference(tmp_path, bulk_only, rows, seed):
+    for name, column in (("g.col", generate_range_column(rows, seed)),
+                         ("s.col", _random_bounds_column(rows, seed))):
+        path = tmp_path / name
+        write_range_column(path, column)
+        got = read_range_column(path)
+        assert_same_bytes(got, reference_read(path))
+        assert got == column
+
+
+def test_hand_written_file_reads_as_reference(tmp_path, bulk_only):
+    path = tmp_path / "h.col"
+    lines = ["[-0.0,0.0]", "(0.0,-0.0]", "[0.0,-0.0]", "(-0.0,5]", "[-inf,0.0)", "(-inf,inf)",
+             "EMPTY", "", "[-5e-324,5e-324]", "", "empty", "(0.0,inf]", "[-0.0,-0.0)"]
+    path.write_bytes("\r\n".join(lines).encode("ascii"))      # CRLF, no final newline
+    want = reference_read(path)
+    assert want[0] == RangeValue(-0.0, 0.0, True, True) and want[7] is None
+    got = read_range_column(path)
+    assert_same_bytes(got, want)
+    assert got.lower.tobytes()[:8] == np.float64(-0.0).tobytes()
+
+
+@pytest.mark.parametrize("text", ["[ 1,2]\n", "[1,2 ]\n", "[1, 2]\n", "[1,2]\t\n", " \n",
+                                  "empty \n", "[1\x0b,2]\n", "[1,2\x1c]\n", "[1,\u0662]\n"])
+def test_whitespace_and_non_ascii_read_per_line(tmp_path, monkeypatch, text):
+    path = tmp_path / "p.col"
+    path.write_bytes(text.encode("utf-8"))
+    calls = []
+    monkeypatch.setattr(harness, "parse_range", lambda line: calls.append(line) or parse_range(line))
+    assert_reads_as_reference(path)
+    assert calls
 
 
 MALFORMED_COLUMNS = [

@@ -253,6 +253,20 @@ class TestJoinSelectivity:
             for op in (ScalarOp.LT, ScalarOp.LE, ScalarOp.GT, ScalarOp.GE):
                 assert 0.0 <= join_selectivity(sx, sy, op) <= 1.0
 
+    def test_span_beyond_float_range_bounded(self):
+        # histograms whose spans overflow a float, with MCV entries near the
+        # ends of the float range on both sides
+        wide = AttributeStats(0.1, make_mcv([(1.6e308, 0.25)]),
+                              EquiDepthHistogram([-1.7e308, -1e300, 0.0, 1e300, 1.7e308]), 100, 4)
+        spread = AttributeStats(0.0, make_mcv([(-1.6e308, 0.2), (5.0, 0.2)]),
+                                EquiDepthHistogram([-1.7e308, 1.7e308]), 100, 4)
+        for sx, sy in ((wide, spread), (spread, wide), (wide, wide), (spread, spread)):
+            for op in (ScalarOp.LT, ScalarOp.LE, ScalarOp.GT, ScalarOp.GE):
+                assert 0.0 <= join_selectivity(sx, sy, op) <= 1.0, (op, sx, sy)
+            for c in (-1.7e308, 1.6e308):
+                for op in (ScalarOp.LT, ScalarOp.LE, ScalarOp.GT, ScalarOp.GE):
+                    assert 0.0 <= restriction_selectivity(sx, c, op) <= 1.0, (op, c, sx)
+
     def test_insufficient_statistics_propagates(self, r2_y):
         bad = AttributeStats(0.2, EMPTY_MCV, None, 10, 3)
         sy = analyze_column(r2_y, 3)

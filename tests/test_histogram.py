@@ -188,3 +188,20 @@ class TestCdf:
             for got in (np.array(scalar), array):
                 assert np.array_equal(got.view(np.int64), expected.view(np.int64)), b.tolist()
         assert duplicated >= 20
+
+    def test_span_beyond_float_range(self):
+        # the one bin's width, 3.4e308, overflows a float
+        h = EquiDepthHistogram([-1.7e308, 1.7e308])
+        assert cdf(h, 1.6e308) == pytest.approx(33 / 34, abs=1e-12)
+        assert cdf(h, 0.0) == 0.5
+        points = np.array([-np.inf, -1.7e308, -1.6e308, 0.0, 1.6e308, 1.7e308, np.inf])
+        got = cdf(h, points)
+        assert got.tolist() == [cdf(h, p) for p in points.tolist()]
+        assert got.tolist() == pytest.approx([0.0, 0.0, 1 / 34, 0.5, 33 / 34, 1.0, 1.0],
+                                             abs=1e-12)
+
+    def test_points_far_outside_a_narrow_histogram(self):
+        # x - lo overflows for the first point, which the support check
+        # then sends to 0 anyway
+        h = EquiDepthHistogram([1.7e308, 1.75e308])
+        assert cdf(h, np.array([-1.7e308, -np.inf, 1.725e308])).tolist() == [0.0, 0.0, 0.5]

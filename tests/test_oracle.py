@@ -13,7 +13,8 @@ from ineqsel import (
     exact_restriction,
     range_op_holds,
 )
-from ineqsel.ranges import EMPTY_RANGE
+from ineqsel.oracle import _keys
+from ineqsel.ranges import EMPTY_RANGE, RangeColumn
 
 from conftest import R1_X, R2_Y
 
@@ -166,3 +167,73 @@ def random_range(rng):
     if rng.random() < 0.1:
         hi = math.inf
     return RangeValue(lo, hi, lc, uc)
+
+
+def tie_heavy_range(rng):
+    """Bounds from {0, 1, 2, 3} and the infinities, so most pairs tie somewhere."""
+    u = rng.random()
+    if u < 0.1:
+        return None
+    if u < 0.2:
+        return EMPTY_RANGE
+    lo = float(rng.integers(0, 4))
+    hi = lo + float(rng.integers(0, 3))
+    lc, uc = (bool(f) for f in rng.random(2) < 0.5)
+    if lo == hi:
+        lc = uc = True
+    if rng.random() < 0.15:
+        lo = -math.inf
+    if rng.random() < 0.15:
+        hi = math.inf
+    return RangeValue(lo, hi, lc, uc)
+
+
+class TestRangeJoinSortedKeys:
+    """A column's bound keys are sorted once; every later count reuses them."""
+
+    def test_warm_columns_count_as_fresh_and_pairwise(self):
+        rng = np.random.default_rng(12)
+        for _ in range(25):
+            n, m = rng.integers(1, 30, size=2)
+            xs = [tie_heavy_range(rng) for _ in range(n)]
+            ys = [tie_heavy_range(rng) for _ in range(m)]
+            wx, wy = RangeColumn.from_values(xs), RangeColumn.from_values(ys)
+            ops = list(rng.permutation(list(RangeOp))) + list(rng.permutation(list(RangeOp)))
+            for op in ops:
+                for (a, av), (b, bv) in (((wx, xs), (wy, ys)), ((wy, ys), (wx, xs)),
+                                         ((wx, xs), (wx, xs))):
+                    got = exact_range_join(a, b, op)
+                    fresh = exact_range_join(RangeColumn.from_values(av),
+                                             RangeColumn.from_values(bv), op)
+                    naive = sum(range_op_holds(op, x, y) for x in av for y in bv)
+                    assert got == fresh, op
+                    assert got.qualifying == naive, op
+            assert wx == RangeColumn.from_values(xs) and wx == xs
+            assert wy == RangeColumn.from_values(ys) and wy == ys
+
+    def test_sorted_once_read_only(self):
+        rng = np.random.default_rng(13)
+        column = RangeColumn.from_values([tie_heavy_range(rng) for _ in range(40)])
+        for bound in ("lower", "upper"):
+            keys = _keys(column, bound)
+            assert _keys(column, bound) is keys
+            for k in keys:
+                assert not k.flags.writeable
+                assert np.array_equal(k, np.sort(k))
+
+    def test_slices_sort_their_own_rows(self):
+        rng = np.random.default_rng(14)
+        rows = [tie_heavy_range(rng) for _ in range(40)]
+        other = [tie_heavy_range(rng) for _ in range(25)]
+        column, ys = RangeColumn.from_values(rows), RangeColumn.from_values(other)
+        for op in RangeOp:
+            exact_range_join(column, ys, op)
+            exact_range_join(ys, column, op)
+        for key in (slice(5, 30), slice(None, None, 3), slice(20, None)):
+            part = column[key]
+            assert part == rows[key]
+            for op in RangeOp:
+                naive = sum(range_op_holds(op, x, y) for x in rows[key] for y in other)
+                assert exact_range_join(part, ys, op).qualifying == naive, (op, key)
+                naive = sum(range_op_holds(op, y, x) for x in rows[key] for y in other)
+                assert exact_range_join(ys, part, op).qualifying == naive, (op, key)
