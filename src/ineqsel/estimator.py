@@ -93,7 +93,10 @@ def join_lt_hist(hx: EquiDepthHistogram, hy: EquiDepthHistogram) -> float:
     add nothing (a tie between histograms does not count); past X's
     support F_X is 1, so the remaining mass of Y counts in full.
     """
-    knots = np.union1d(hx.bounds, hy.bounds)
+    # np.union1d, without the numpy.ma import it brings
+    knots = np.concatenate((hx.bounds, hy.bounds))
+    knots.sort()
+    knots = knots[np.concatenate(([True], knots[1:] != knots[:-1]))]
     fx = cdf(hx, knots)
     fy = cdf(hy, knots)
     return clamp01(float(np.dot(fx[:-1] + fx[1:], np.diff(fy))) / 2.0)

@@ -26,7 +26,10 @@ class MostCommonValues:
         fractions = np.asarray(self.fractions, dtype=np.float64)
         if values.shape != fractions.shape or values.ndim != 1:
             raise ValueError("values and fractions must be 1-d arrays of equal length")
-        if np.unique(values).size != values.size:
+        # sorted, equal values are adjacent and NaNs come last; several NaNs
+        # are a repeat too, as np.unique (which imports numpy.ma) counted them
+        ordered = np.sort(values)
+        if np.any(ordered[1:] == ordered[:-1]) or np.count_nonzero(np.isnan(ordered[-2:])) == 2:
             raise ValueError("MCV values must be distinct")
         if not np.all(np.isfinite(values)):
             raise ValueError("MCV values must be finite")

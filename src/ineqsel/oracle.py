@@ -9,6 +9,7 @@ never qualify but still count toward the totals.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,12 +118,32 @@ def _count_le(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
     )
 
 
+def _pair_counts(xs: RangeColumn, ys: RangeColumn) -> dict[RangeOp, int]:
+    """The bound-inequality counts made so far for the pair (xs, ys).
+
+    They are kept in xs's private memo, beside its sorted keys, for the
+    last ys counted against it.  A column defines ``__eq__`` and so cannot
+    be hashed: the memo holds a weak reference to ys and checks identity,
+    so it never keeps ys alive and no other column reads its counts.
+    """
+    memo = vars(xs)
+    ref, counts = memo.get("_pair_counts", (None, None))
+    if ref is None or ref() is not ys:
+        counts = {}
+        memo["_pair_counts"] = (weakref.ref(ys), counts)
+    return counts
+
+
 def _count_bound_inequality(xs: RangeColumn, ys: RangeColumn, op: RangeOp) -> int:
-    x_bound, scalar_op, y_bound = BOUND_INEQUALITY[op]
-    x_keys, y_keys = _keys(xs, x_bound), _keys(ys, y_bound)
-    if scalar_op in (ScalarOp.LT, ScalarOp.LE):
-        return _count_le(x_keys, y_keys)
-    return _count_le(y_keys, x_keys)
+    counts = _pair_counts(xs, ys)
+    if op not in counts:
+        x_bound, scalar_op, y_bound = BOUND_INEQUALITY[op]
+        x_keys, y_keys = _keys(xs, x_bound), _keys(ys, y_bound)
+        if scalar_op in (ScalarOp.LT, ScalarOp.LE):
+            counts[op] = _count_le(x_keys, y_keys)
+        else:
+            counts[op] = _count_le(y_keys, x_keys)
+    return counts[op]
 
 
 def exact_range_join(xs, ys, op: RangeOp) -> ExactCount:
@@ -141,7 +162,8 @@ def exact_range_join(xs, ys, op: RangeOp) -> ExactCount:
         return ExactCount(0, total)
 
     if op is RangeOp.OVERLAPS:
-        # each non-empty pair is strictly left, strictly right, or overlapping
+        # each non-empty pair is strictly left, strictly right, or
+        # overlapping; the two strict counts are reused when already made
         count = (
             nx * ny
             - _count_bound_inequality(xs, ys, RangeOp.STRICTLY_LEFT)

@@ -199,6 +199,11 @@ class RangeColumn:
         return RangeValue(float(self.lower[k]), float(self.upper[k]),
                           bool(self.lower_closed[k]), bool(self.upper_closed[k]))
 
+    def __reduce__(self):
+        # rebuilt by the constructor: read-only arrays, and none of the
+        # oracle's memo, whose weak reference could not be pickled
+        return RangeColumn, tuple(getattr(self, name) for name in _COLUMN_FIELDS)
+
     def __eq__(self, other) -> bool:
         if isinstance(other, RangeColumn):
             return all(np.array_equal(getattr(self, name), getattr(other, name))

@@ -6,8 +6,11 @@ selectivity estimates.
 
 ANALYZE sorts the non-null sample once, as PostgreSQL's
 ``compute_scalar_stats`` (``src/backend/commands/analyze.c``) does, and
-builds the MCV list, the residual and the histogram from that one sorted
-array.
+builds the MCV list and the histogram from that one sorted array: the
+histogram boundaries are read from it by rank, past the MCV runs.  The
+residual is copied out and sorted on its own only when the sample mixes
+-0.0 and 0.0 and a boundary is zero, so that the boundaries keep the zero
+signs the residual's own sort gives them.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import as_float_column
-from .histogram import EquiDepthHistogram, build_equi_depth
+from .histogram import EquiDepthHistogram
 from .mcv import EMPTY_MCV, MostCommonValues, build_mcv
 
 # Sample size grows with the requested resolution, as statistics collectors
 # commonly do; pass an explicit cap >= N to analyze the full column.
 SAMPLE_ROWS_PER_TARGET = 300
+
+_NEGATIVE_ZERO_BITS = np.array(-0.0).view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -77,9 +82,10 @@ def analyze_column(
 
     The non-null sample is sorted once, as ``compute_scalar_stats`` does.
     ``build_mcv`` reads the runs of equal values in it.  The residual is the
-    sorted sample with the MCV runs cut out, so it is sorted too; its
-    distinct count is the number of runs left, and ``build_equi_depth``
-    picks the boundaries from it without sorting again.
+    sorted sample with the MCV runs cut out, but it is not copied out: its
+    distinct count is the sample's less the MCV entries, and boundary j, at
+    residual rank floor(j * (N-1) / B) as in ``build_equi_depth``, is read
+    from the sorted sample past the MCV runs before that rank.
     """
     if statistics_target < 1:
         raise ValueError("statistics target must be at least 1")
@@ -91,44 +97,55 @@ def analyze_column(
     if data.size == 0:
         raise ValueError("no data")
 
-    rows = sample_rows(data.size, sample_cap, sample_seed)
-    sample = data[rows] if rows.size < data.size else data
+    sample = data
+    if sample_cap < data.size:
+        sample = data[sample_rows(data.size, sample_cap, sample_seed)]
     nulls = np.isnan(sample)
-    null_frac = float(nulls.sum() / sample.size)
-    nonnull = sample[~nulls]
-
-    if nonnull.size == 0:
+    null_count = int(np.count_nonzero(nulls))
+    null_frac = null_count / sample.size
+    if null_count == sample.size:
         return AttributeStats(null_frac, EMPTY_MCV, None, int(sample.size), statistics_target)
+    ordered = sample[~nulls] if null_count else sample.copy()
+    ordered.sort()
 
-    ordered = np.sort(nonnull)
     mcv = build_mcv(ordered, max_entries=statistics_target)
-    residual = ordered
-    if len(mcv):
-        # the edges cut the sorted sample into kept stretches (possibly
-        # empty) and MCV runs, alternately, starting with a kept stretch
-        cuts = np.sort(mcv.values)
-        edges = np.empty(2 * cuts.size + 2, dtype=np.intp)
-        edges[0], edges[-1] = 0, ordered.size
-        edges[1:-1:2] = np.searchsorted(ordered, cuts, side="left")
-        edges[2:-1:2] = np.searchsorted(ordered, cuts, side="right")
-        kept = np.arange(edges.size - 1) % 2 == 0
-        residual = ordered[np.repeat(kept, np.diff(edges))]
-        zeros = np.searchsorted(residual, 0.0, "right") - np.searchsorted(residual, 0.0, "left")
-        if zeros and 0 < np.count_nonzero(np.signbit(nonnull) & (nonnull == 0)) < zeros:
-            # numpy's sort may hand back either sign for each element of a
-            # run that mixes -0.0 and 0.0, so the signs of zero boundaries
-            # depend on which array was sorted.  Sort the residual in sample
-            # order, as the boundaries have always been taken, to keep them.
-            in_mcv = cuts[np.searchsorted(cuts, nonnull).clip(max=cuts.size - 1)] == nonnull
-            residual = np.sort(nonnull[~in_mcv])
+    # The MCV runs cut the sorted sample into kept stretches (possibly
+    # empty), one more than there are runs; the residual is their
+    # concatenation.  skipped[k] counts the MCV rows before stretch k and
+    # ends[k] is the residual rank one past it.
+    cuts = np.sort(mcv.values)
+    lefts = np.searchsorted(ordered, cuts, side="left")
+    skipped = np.concatenate(([0], np.cumsum(np.searchsorted(ordered, cuts, "right") - lefts)))
+    ends = np.append(lefts, ordered.size) - skipped
+    size = int(ends[-1])
 
     histogram = None
-    if residual.size:
-        distinct = 1 + np.count_nonzero(residual[1:] != residual[:-1])
+    if size:
+        distinct = 1 + np.count_nonzero(ordered[1:] != ordered[:-1]) - len(mcv)
         bins = min(statistics_target, max(distinct - 1, 1))
-        histogram = build_equi_depth(residual, bins)
+        ranks = np.arange(bins + 1) * (size - 1) // bins
+        bounds = ordered[ranks + skipped[np.searchsorted(ends, ranks, side="right")]]
+        if np.any(bounds == 0) and _zeros_mix_signs(sample, ordered):
+            # numpy's sort may hand back either sign for each element of a
+            # run that mixes -0.0 and 0.0, so the signs of zero boundaries
+            # depend on which array was sorted.  Sort the residual alone, in
+            # sample order, as the boundaries have always been taken.
+            nonnull = sample[~nulls]
+            in_mcv = cuts[np.searchsorted(cuts, nonnull).clip(max=cuts.size - 1)] == nonnull
+            bounds = np.sort(nonnull[~in_mcv])[ranks]
+        histogram = EquiDepthHistogram(bounds)
 
     return AttributeStats(null_frac, mcv, histogram, int(sample.size), statistics_target)
+
+
+def _zeros_mix_signs(sample: np.ndarray, ordered: np.ndarray) -> bool:
+    """Whether the sample holds both -0.0 and 0.0.
+
+    The signs are counted in the sample itself, by bit pattern: the sort may
+    change them within a run of zeros, and a mixed run can come back all -0.0.
+    """
+    zeros = np.searchsorted(ordered, 0.0, "right") - np.searchsorted(ordered, 0.0, "left")
+    return 0 < np.count_nonzero(sample.view(np.int64) == _NEGATIVE_ZERO_BITS) < zeros
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="distinct"):
             make_mcv([(1, 0.2), (1, 0.1)])
 
+    @pytest.mark.parametrize("values,message", [
+        ([np.nan, np.nan], "distinct"),
+        ([1.0, np.nan, 2.0, np.nan], "distinct"),
+        ([0.0, -0.0], "distinct"),
+        ([np.inf, 1.0, np.inf], "distinct"),
+        ([np.nan], "finite"),
+        ([2.0, np.nan, 1.0], "finite"),
+        ([np.inf, -np.inf], "finite"),
+    ])
+    def test_repeats_then_non_finite(self, values, message):
+        # as np.unique counts them: several NaNs are a repeat, one is not
+        with pytest.raises(ValueError, match=message):
+            MostCommonValues(np.array(values), np.full(len(values), 0.1))
+
     def test_fraction_sum_capped(self):
         with pytest.raises(ValueError, match="sum"):
             make_mcv([(1, 0.7), (2, 0.7)])

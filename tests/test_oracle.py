@@ -1,4 +1,6 @@
+import gc
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from ineqsel import (
     exact_restriction,
     range_op_holds,
 )
-from ineqsel.oracle import _keys
+from ineqsel.oracle import _keys, _pair_counts
 from ineqsel.ranges import EMPTY_RANGE, RangeColumn
 
 from conftest import R1_X, R2_Y
@@ -237,3 +239,77 @@ class TestRangeJoinSortedKeys:
                 assert exact_range_join(part, ys, op).qualifying == naive, (op, key)
                 naive = sum(range_op_holds(op, y, x) for x in rows[key] for y in other)
                 assert exact_range_join(ys, part, op).qualifying == naive, (op, key)
+
+
+class TestRangeJoinPairCounts:
+    """The strict counts of a pair (xs, ys) are made once; overlaps reuses them."""
+
+    STRICT = (RangeOp.STRICTLY_LEFT, RangeOp.STRICTLY_RIGHT)
+
+    def test_counts_independent_of_call_order(self):
+        rng = np.random.default_rng(15)
+        xs = [tie_heavy_range(rng) for _ in range(30)]
+        ys = [tie_heavy_range(rng) for _ in range(25)]
+        want = {op: sum(range_op_holds(op, x, y) for x in xs for y in ys) for op in RangeOp}
+        orders = [list(RangeOp), list(reversed(list(RangeOp)))]
+        orders += [list(rng.permutation(list(RangeOp))) for _ in range(4)]
+        for order in orders:
+            wx, wy = RangeColumn.from_values(xs), RangeColumn.from_values(ys)
+            for op in order + order:
+                assert exact_range_join(wx, wy, op).qualifying == want[op], (order, op)
+
+    def test_overlaps_reads_the_strict_counts(self):
+        rng = np.random.default_rng(16)
+        xs = RangeColumn.from_values([tie_heavy_range(rng) for _ in range(30)])
+        ys = RangeColumn.from_values([tie_heavy_range(rng) for _ in range(25)])
+        overlaps = exact_range_join(xs, ys, RangeOp.OVERLAPS).qualifying
+        counts = _pair_counts(xs, ys)
+        assert set(counts) == set(self.STRICT)
+        for op in self.STRICT:
+            assert counts[op] == exact_range_join(xs, ys, op).qualifying
+        # a planted count shows that overlaps takes the memo's values
+        counts[RangeOp.STRICTLY_LEFT] += 1
+        assert exact_range_join(xs, ys, RangeOp.OVERLAPS).qualifying == overlaps - 1
+
+    def test_another_column_never_hits_the_memo(self):
+        rng = np.random.default_rng(17)
+        rows = [tie_heavy_range(rng) for _ in range(30)]
+        xs = RangeColumn.from_values(rows)
+        ys = [RangeColumn.from_values([tie_heavy_range(rng) for _ in range(20)])
+              for _ in range(3)]
+        # an equal column that is not ys is a different pair too
+        ys.append(RangeColumn.from_values(list(ys[0])))
+        for _ in range(2):
+            for y in ys:
+                for op in RangeOp:
+                    naive = sum(range_op_holds(op, x, v) for x in rows for v in y)
+                    assert exact_range_join(xs, y, op).qualifying == naive, op
+                    assert _pair_counts(xs, y) is _pair_counts(xs, y)
+        # a self-join counts against itself
+        for op in RangeOp:
+            naive = sum(range_op_holds(op, a, b) for a in rows for b in rows)
+            assert exact_range_join(xs, xs, op).qualifying == naive, op
+
+    def test_memo_does_not_keep_ys_alive(self):
+        rng = np.random.default_rng(18)
+        xs = RangeColumn.from_values([tie_heavy_range(rng) for _ in range(30)])
+        ys = RangeColumn.from_values([tie_heavy_range(rng) for _ in range(20)])
+        exact_range_join(xs, ys, RangeOp.OVERLAPS)
+        ref, _ = vars(xs)["_pair_counts"]
+        assert ref() is ys
+        del ys
+        gc.collect()
+        assert ref() is None
+
+    def test_warm_column_pickles_as_a_fresh_one(self):
+        rng = np.random.default_rng(19)
+        rows = [tie_heavy_range(rng) for _ in range(30)]
+        xs = RangeColumn.from_values(rows)
+        for op in RangeOp:
+            exact_range_join(xs, xs, op)
+        copy = pickle.loads(pickle.dumps(xs))
+        assert copy == xs and copy == rows
+        assert "_pair_counts" not in vars(copy) and "_sorted_keys" not in vars(copy)
+        assert not copy.lower.flags.writeable
+        for op in RangeOp:
+            assert exact_range_join(copy, copy, op) == exact_range_join(xs, xs, op)

@@ -137,6 +137,73 @@ def _one_sort_columns() -> dict[str, np.ndarray]:
 ONE_SORT_COLUMNS = _one_sort_columns()
 
 
+def _rank_mapping_columns() -> dict[str, np.ndarray]:
+    """Columns that put the MCV runs where the rank mapping has edge cases."""
+    rng = np.random.default_rng(21)
+    nulls_full = rng.integers(0, 20, size=400).astype(float)
+    nulls_full[rng.random(400) < 0.25] = np.nan
+    zeros_mcv = np.concatenate((np.zeros(60), rng.permutation(200).astype(float) + 1))
+    zeros_mcv[:30] = -0.0
+    zeros_boundary = np.concatenate((
+        np.repeat(np.arange(100.0, 110.0), 20), np.arange(-40.0, 0.0), np.zeros(12),
+        np.arange(6.0, 46.0),
+    ))
+    zeros_boundary[200 + 40:200 + 46] = -0.0
+    columns = {
+        # the smallest and the largest values are MCV runs: the first and
+        # the last kept stretches are empty
+        "mcv-first-and-last": np.concatenate(
+            (np.full(40, -5.0), np.full(40, 90.0), np.arange(100.0) / 2)),
+        # three MCV runs side by side: the stretches between them are empty
+        "adjacent-mcv-runs": np.concatenate(
+            (np.repeat([3.0, 4.0, 5.0], 30), np.arange(100.0) + 10, np.arange(50.0) - 60)),
+        # from target 3 on the residual is one row
+        "one-row-residual": np.concatenate((np.repeat([1.0, 2.0, 3.0], 10), [7.5])),
+        # at target 3 the residual is four rows of one value
+        "one-value-residual": np.concatenate((np.repeat([1.0, 2.0, 3.0], 10), np.full(4, 6.0))),
+        # default sampling takes every row from target 2 on
+        "full-column-nulls": nulls_full,
+        # -0.0 and 0.0 together make the most common value
+        "mixed-zeros-in-mcv": zeros_mcv,
+        # mixed zeros stay in the residual, and boundaries land on them
+        "mixed-zeros-at-boundary": zeros_boundary,
+        "all-null": np.full(10, np.nan),
+        "nulls-and-one-value": np.array([np.nan] * 5 + [3.0]),
+    }
+    return {name: rng.permutation(col) for name, col in columns.items()}
+
+
+RANK_MAPPING_COLUMNS = _rank_mapping_columns()
+
+
+def _random_column(rng: np.random.Generator) -> np.ndarray:
+    n = int(rng.integers(1, 400))
+    kind = int(rng.integers(4))
+    if kind == 0:
+        col = rng.integers(-5, 6, size=n).astype(float)
+    elif kind == 1:
+        col = rng.integers(-1000, 1000, size=n).astype(float)
+    elif kind == 2:
+        col = rng.normal(size=n)
+    else:
+        col = rng.integers(-50, 50, size=n).astype(float)
+        hot = rng.random(n) < rng.random()
+        col[hot] = rng.choice(rng.integers(-60, 60, size=4), size=int(hot.sum())).astype(float)
+    if rng.random() < 0.5:
+        col[(col == 0) & (rng.random(n) < 0.5)] = -0.0
+    if rng.random() < 0.5:
+        col[rng.random(n) < rng.random() / 2] = np.nan
+    return col
+
+
+def _assert_matches_multipass(col, targets=(1, 2, 3, 10, 100, 1000), seed=0, label=""):
+    for target in targets:
+        for cap in (None, 50, col.size, col.size + 1):
+            got = save_stats(analyze_column(col, target, seed, cap))
+            want = save_stats(multipass_analyze_column(col, target, seed, cap))
+            assert got == want, (label, target, cap)
+
+
 class TestOneSortAnalyze:
     """The one-sort ANALYZE writes the same bytes as the multi-pass build."""
 
@@ -157,6 +224,36 @@ class TestOneSortAnalyze:
         for target in (1, 2, 10, 100, 1000):
             assert build_mcv(ordered, target) == build_mcv(shuffled, target)
             assert build_equi_depth(ordered, target) == build_equi_depth(shuffled, target)
+
+    @pytest.mark.parametrize("name", sorted(RANK_MAPPING_COLUMNS))
+    def test_edge_columns_match_multipass_reference(self, name):
+        _assert_matches_multipass(RANK_MAPPING_COLUMNS[name], label=name)
+
+    def test_edge_columns_cover_their_cases(self):
+        cols = RANK_MAPPING_COLUMNS
+        s = analyze_column(cols["mcv-first-and-last"], 2)
+        assert sorted(s.mcv.values) == [-5.0, 90.0]
+        assert s.histogram.lo == 0.0 and s.histogram.hi == 49.5
+        s = analyze_column(cols["adjacent-mcv-runs"], 3)
+        assert sorted(s.mcv.values) == [3.0, 4.0, 5.0]
+        s = analyze_column(cols["one-row-residual"], 3)
+        assert s.histogram.bounds.tolist() == [7.5, 7.5]
+        s = analyze_column(cols["one-value-residual"], 3)
+        assert s.histogram.bounds.tolist() == [6.0, 6.0]
+        s = analyze_column(cols["full-column-nulls"], 2)
+        assert s.row_count == 400 and 0 < s.null_frac < 1
+        s = analyze_column(cols["mixed-zeros-in-mcv"], 1)
+        assert s.mcv.values.tolist() == [0.0]
+        s = analyze_column(cols["mixed-zeros-at-boundary"], 10)
+        assert sorted(s.mcv.values) == list(range(100, 110))
+        assert np.any(s.histogram.bounds == 0)
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_random_columns_match_multipass_reference(self, chunk):
+        rng = np.random.default_rng(100 + chunk)
+        for k in range(50):
+            col = _random_column(rng)
+            _assert_matches_multipass(col, seed=k, label=(chunk, k))
 
 
 class TestPinnedStatistics:
