@@ -9,13 +9,14 @@ The CLI must end every malformed column file, range or scalar, with exit
 status 1 and one ``error:`` line.
 """
 
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from ineqsel import harness
+from ineqsel import harness, ranges
 from ineqsel.cli import main
 from ineqsel.harness import generate_range_column, read_range_column, write_range_column
 from ineqsel.ranges import RangeColumn, RangeValue, format_range, parse_range
@@ -87,6 +88,14 @@ def _mutate(kind, line):
         "exponent": f"{op}-1.5e3,2.5E+6{cl}",
         "infinity-word": f"{op}-Infinity,INFINITY{cl}",
         "negative-zero": f"{op}-0.0,{hi}{cl}",
+        # edges of the bulk reader's decimal kernel
+        "sixteen-digits": f"{op}-1234567890123456,{hi}{cl}",
+        "double-minus": f"{op}--1,{hi}{cl}",
+        "two-dots": f"{op}1.2.3,{hi}{cl}",
+        "lone-dot": f"{op}.,{hi}{cl}",
+        "minus-dot-five": f"{op}-.5,{hi}{cl}",
+        "trailing-dot": f"{op}-5,5.{cl}",
+        "leading-zeros": f"{op}-0000000000000000012.5,007.50{cl}",
     }[kind]
 
 
@@ -95,7 +104,8 @@ MUTATIONS = [
     "bracket-in-bound", "nan-lower", "nan-upper", "inf-lower", "minus-inf-upper", "reversed",
     "degenerate", "degenerate-closed", "upper-empty", "not-a-number", "no-bounds", "crlf",
     "inner-whitespace", "blank", "arabic-indic-digits", "underscore-digits", "leading-plus",
-    "exponent", "infinity-word", "negative-zero",
+    "exponent", "infinity-word", "negative-zero", "sixteen-digits", "double-minus", "two-dots",
+    "lone-dot", "minus-dot-five", "trailing-dot", "leading-zeros",
 ]
 
 
@@ -240,3 +250,84 @@ def test_cli_malformed_column_exit_1(tmp_path, op, content):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+# The bulk reader's decimal kernel against float(), bit for bit.
+
+NUMBER_TOKENS = [
+    "0", "-0", "-0.0", "0.", ".5", "-.5", "5.", "007.50", "-000000000000000",
+    # 15 digits, the most the kernel reads itself, and 16
+    "123456789012345", "-123456789012345", "12345678901234.5", "-12345678901234.5",
+    "-.123456789012345", "999999999999999", "0.000000000000001", "1234567890123456",
+    "-1234567890123456", "9007199254740991", "9007199254740993", "-9007199254740993",
+    # leading zeros past 15 digits
+    "0000000000000001", "0000000000000000001.5", "-0000000000000000000",
+    # tokens over 17 bytes
+    "12345678.123456789", "0.00000000000000000001", "-1234567890123456789012345",
+    "inf", "-inf", "Infinity", "nan", "1e5", "-1.5E-3", "1_000", "+1", "+.5",
+]
+NOT_NUMBER_TOKENS = ["--1", "1-2", "1.2.3", ".", "-", "", "-.", "1..2", "5-", "x", "1e"]
+
+
+def read_tokens(tokens):
+    """_read_decimals over the tokens, each followed by a comma, so each one's
+    16-byte window also holds the bytes of those before it."""
+    data = "".join(f"{t}," for t in tokens).encode("ascii")
+    ends = np.cumsum([len(t) + 1 for t in tokens]) - 1
+    return ranges._read_decimals(data, ends - [len(t) for t in tokens], ends)
+
+
+def _fast_token(token):
+    # the form the kernel reads without float()
+    return (re.fullmatch(r"-?[0-9]*\.?[0-9]*", token) is not None
+            and 1 <= sum(ch.isdigit() for ch in token) <= 15)
+
+
+@pytest.fixture
+def float_calls(monkeypatch):
+    """The tokens ranges passes to float() while the test runs."""
+    calls = []
+    monkeypatch.setattr(ranges, "float", lambda text: calls.append(text) or float(text),
+                        raising=False)
+    return calls
+
+
+def test_kernel_reads_tokens_as_float(float_calls):
+    rng = np.random.default_rng(0)
+    tokens = list(NUMBER_TOKENS)
+    # doubles of either sign over exponents -300 to 300, as repr writes them
+    tokens += map(repr, (rng.standard_normal(3000) * 10.0 ** rng.integers(-300, 300, 3000)).tolist())
+    # 1 to 17 digits, with or without a dot anywhere and a leading minus
+    for _ in range(3000):
+        digits = "".join(rng.choice(list("0123456789"), size=int(rng.integers(1, 18))))
+        dot = int(rng.integers(len(digits) + 2))
+        token = digits if dot > len(digits) else f"{digits[:dot]}.{digits[dot:]}"
+        tokens.append(("-" if rng.random() < 0.5 else "") + token)
+    got = read_tokens(tokens)
+    want = np.array([float(t) for t in tokens])
+    assert got.tobytes() == want.tobytes()
+    assert float_calls == [t.encode() for t in tokens if not _fast_token(t)]
+    assert sum(map(_fast_token, tokens)) > 2000
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBER_TOKENS)
+def test_kernel_turns_down_tokens_float_cannot_read(bad):
+    tokens = ["12.5", "-3", bad, "inf", "7."]
+    with pytest.raises(ValueError):
+        float(bad)
+    assert read_tokens(tokens) is None
+    assert read_tokens([t for t in tokens if t != bad]) is not None
+
+
+@pytest.mark.parametrize("rows", [1, 100, 20_000])
+def test_writer_files_call_float_only_for_infinite_bounds(tmp_path, bulk_only, float_calls, rows):
+    # a kernel that gave every bound to float() would make 2 calls a row
+    for seed in (0, 1, 2):
+        column = generate_range_column(rows, seed)
+        path = tmp_path / f"{seed}.col"
+        write_range_column(path, column)
+        del float_calls[:]
+        got = read_range_column(path)
+        assert len(float_calls) == np.isinf(column.lower).sum() + np.isinf(column.upper).sum()
+        assert set(float_calls) <= {b"inf", b"-inf"}
+        assert got == column

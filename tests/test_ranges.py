@@ -20,6 +20,7 @@ from ineqsel import (
     range_op_holds,
     save_range_stats,
 )
+from ineqsel.harness import generate_range_column
 from ineqsel.ranges import EMPTY_RANGE, range_stats_from_dict, range_stats_to_dict
 
 
@@ -113,6 +114,37 @@ class TestRangeColumn:
             col[4]
         with pytest.raises(ValueError):
             col.lower[0] = 7.0
+
+    @pytest.mark.parametrize("kind", ["generated", "tie-heavy", "null-empty", "infinite"])
+    def test_rows_are_the_public_range_values(self, kind):
+        # rows are built without RangeValue's checks; each must still be the
+        # RangeValue the public constructor makes of the row's fields
+        rng = np.random.default_rng(7)
+        n = 400
+        if kind == "generated":
+            col = generate_range_column(n, 5)
+        else:
+            lo, hi, lc, uc = self.raw_rows(rng, n)
+            if kind == "infinite":
+                lo[rng.random(n) < 0.4], hi[rng.random(n) < 0.4] = -math.inf, math.inf
+            blank = rng.random(n) < (0.5 if kind == "null-empty" else 0.0)
+            col = RangeColumn(lo, hi, lc, uc, blank & (rng.random(n) < 0.5), blank)
+        fields = ("lower", "upper", "lower_closed", "upper_closed", "empty")
+        want = [None if null else RangeValue(lo, hi, lc, uc, empty=e) for lo, hi, lc, uc, null, e in
+                zip(*(getattr(col, f).tolist() for f in (*fields[:4], "null", "empty")))]
+        rows = list(col)
+        assert col == rows and col == want
+        for k, w in enumerate(want):
+            for got in (rows[k], col[k]):
+                if w is None:
+                    assert got is None
+                    continue
+                assert got == w and hash(got) == hash(w) and repr(got) == repr(w)
+                assert [type(getattr(got, f)) for f in fields] == [float, float, bool, bool, bool]
+        if kind == "infinite":
+            assert np.isinf(col.lower).any() and np.isinf(col.upper).any()
+        if kind == "tie-heavy":
+            assert (col.lower[col.positioned] == col.upper[col.positioned]).any()
 
     def test_columns_and_lists_give_the_same_results(self):
         rng = np.random.default_rng(1)
