@@ -25,7 +25,7 @@ stats = analyze_column(values, statistics_target=10, sample_seed=0, sample_cap=n
 
 print(f"null fraction      : {stats.null_frac:.4f}")
 print(f"MCV entries        : {list(zip(stats.mcv.values.tolist(), np.round(stats.mcv.fractions, 4).tolist()))}")
-print(f"MCV covered share  : {stats.mcv_fraction:.4f} of non-null rows")
+print(f"MCV covered share  : {stats.mcv.total_fraction:.4f} of non-null rows")
 print(f"histogram bins     : {stats.histogram.bin_count}")
 print()
 

@@ -20,7 +20,6 @@ from .ranges import (
     RangeStats,
     RangeValue,
     analyze_range_column,
-    format_range,
     load_range_stats,
     parse_range,
     range_join_selectivity,
@@ -32,7 +31,6 @@ from .harness import (
     ExperimentRow,
     generate_range_column,
     generate_scalar_column,
-    read_results_csv,
     run_sweep,
     write_results_csv,
 )
@@ -55,7 +53,6 @@ __all__ = [
     "exact_join",
     "exact_range_join",
     "exact_restriction",
-    "format_range",
     "generate_range_column",
     "generate_scalar_column",
     "join_selectivity",
@@ -64,7 +61,6 @@ __all__ = [
     "parse_range",
     "range_join_selectivity",
     "range_op_holds",
-    "read_results_csv",
     "restriction_selectivity",
     "run_sweep",
     "save_range_stats",

@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from . import harness
+from .columnfile import looks_like_range_file
 from .operators import RangeOp, ScalarOp
 from .stats import _parse_json
 
@@ -92,7 +93,7 @@ def _cmd_gen(args, parser) -> int:
 def _cmd_analyze(args) -> int:
     if args.target < 1:
         raise ValueError("statistics target must be at least 1")
-    kind = harness.RANGE if harness.looks_like_range_file(args.infile) else harness.SCALAR
+    kind = harness.RANGE if looks_like_range_file(args.infile) else harness.SCALAR
     doc = kind.save(kind.analyze(kind.read(args.infile), args.target, args.seed))
     with open(args.out, "wb") as fh:
         fh.write(doc)

@@ -1,0 +1,276 @@
+"""Column files: one value per line, an empty line a null.
+
+Scalar files hold decimal numbers, range files range literals.  Both kinds
+are read by one reader.  ASCII text with no whitespace but its line breaks,
+as the writers write, is scanned in bulk: numpy finds the lines (and, in a
+range file, each literal's brackets and commas), and the decimal kernel
+reads every number of the form ``-?digits[.digits]`` with at most 15 digits
+from its bytes, bit-identical to float(); float() reads the other numbers.
+Any other file, or one the bulk scan turns down, is read by one per-line
+loop, whose first bad line raises its ``path:line`` error.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .ranges import _COLUMN_FIELDS, RangeColumn, parse_range
+
+
+def _read_text(path) -> str:
+    """The text of a column file; a file that is not UTF-8 raises a ValueError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_column(path, scan, parse_line, collect):
+    """The column of a file: ``scan`` of its ASCII bytes, or else ``collect``
+    of ``parse_line`` of each line, as file iteration splits them."""
+    text = _read_text(path)
+    if not text:
+        raise ValueError(f"{path}: empty column file")
+    if text.endswith("\n"):
+        text = text[:-1]
+    column = scan(text.encode("ascii")) if text.isascii() else None
+    if column is None:
+        rows = []
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            try:
+                rows.append(parse_line(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+        column = collect(rows)
+    return column
+
+
+def _lines(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Start and end offsets of the lines, or None when a byte but the line
+    breaks is a space or is no printable ASCII, which leaves to the per-line
+    loop the lines it strips and the non-ASCII digits float() reads."""
+    breaks = np.flatnonzero(codes == ord("\n"))
+    printable = codes - np.uint8(ord("!")) <= ord("~") - ord("!")     # "!" to "~"
+    if np.count_nonzero(printable) != codes.size - breaks.size:
+        return None
+    return np.concatenate(([0], breaks + 1)), np.append(breaks, codes.size)
+
+
+def format_scalar(v: float) -> str:
+    if math.isnan(v):
+        return ""
+    if float(v).is_integer():
+        return str(int(v))
+    return repr(float(v))
+
+
+def write_scalar_column(path, values) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for v in values:
+            fh.write(format_scalar(float(v)) + "\n")
+
+
+def _parse_scalar(line: str) -> float:
+    text = line.strip()
+    if not text:
+        return math.nan
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if math.isnan(v):
+        raise ValueError(f"not a number: {text!r}")
+    return v
+
+
+def parse_scalar_bytes(data: bytes) -> np.ndarray | None:
+    """A scalar file's text without its final newline, read in bulk as
+    _parse_scalar reads each line, or None when it holds whitespace, a byte
+    outside printable ASCII, or a line that is no number or is NaN."""
+    codes = np.frombuffer(data, dtype=np.uint8)
+    lines = _lines(codes)
+    if lines is None:
+        return None
+    starts, ends = lines
+    null = starts == ends
+    values = _read_decimals(data, starts[~null], ends[~null])
+    if values is None or np.isnan(values).any():
+        return None
+    out = np.full(null.size, np.nan)
+    out[~null] = values
+    return out
+
+
+def read_scalar_column(path) -> np.ndarray:
+    return _read_column(path, parse_scalar_bytes, _parse_scalar, np.array)
+
+
+def _literal(lower: float, upper: float, lower_closed: bool, upper_closed: bool) -> str:
+    # repr gives a float's shortest round-trip text, and "inf" / "-inf"
+    lb = "[" if lower_closed else "("
+    rb = "]" if upper_closed else ")"
+    return f"{lb}{lower!r},{upper!r}{rb}"
+
+
+def format_range_lines(column: RangeColumn) -> list[str]:
+    """The line of every row of the column: a literal, "empty", or "" for a null."""
+    rows = zip(*(getattr(column, name).tolist() for name in _COLUMN_FIELDS))
+    return ["" if null else "empty" if empty else _literal(lower, upper, lower_closed, upper_closed)
+            for lower, upper, lower_closed, upper_closed, null, empty in rows]
+
+
+def write_range_column(path, values) -> None:
+    lines = format_range_lines(RangeColumn.from_values(values))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
+
+
+_EMPTY_WORD = np.frombuffer(b"empty", dtype=np.uint8)
+
+
+def _count(codes: np.ndarray, chars: bytes) -> int:
+    """Number of bytes in codes that are any of chars."""
+    return sum(np.count_nonzero(codes == ch) for ch in chars)
+
+
+def parse_range_bytes(data: bytes) -> RangeColumn | None:
+    """Parse the lines of an ASCII range file in bulk, as parse_range would each.
+
+    ``data`` is the file's text without its final newline.  Every line must
+    be a range literal, "empty" in any case, or blank (null), and the text
+    may hold no whitespace but the line breaks and no byte outside ASCII.
+    Otherwise, or when a bound is no number or a range is invalid, the
+    result is None, and the caller reads the lines one by one with
+    parse_range, which finds and reports the line.
+    """
+    codes = np.frombuffer(data, dtype=np.uint8)
+    lines = _lines(codes)
+    if lines is None:
+        return None
+    starts, ends = lines
+    null = starts == ends
+    empty = ends - starts == 5
+    # "empty" in any case: setting bit 0x20 lowercases exactly its letters
+    word = codes[starts[empty][:, None] + np.arange(5)] | 0x20
+    empty[empty] = (word == _EMPTY_WORD).all(axis=1)
+    literal = ~(null | empty)
+    first, last = starts[literal], ends[literal] - 1
+    n = first.size
+    commas = np.flatnonzero(codes == ord(","))
+    # Each literal opens at its first byte, closes at its last and holds one
+    # comma, and the counts leave no bracket or comma anywhere else.
+    if (
+        not _count(codes, b"[(") == _count(codes[first], b"[(") == n
+        or not _count(codes, b"])") == _count(codes[last], b"])") == n
+        or commas.size != n
+        or not ((first < commas) & (commas < last)).all()
+    ):
+        return None
+    # a literal's lower bound runs from after its bracket to its comma, its
+    # upper bound from after its comma to its closing bracket
+    bounds = _read_decimals(data, np.concatenate((first + 1, commas + 1)),
+                            np.concatenate((commas, last)))
+    if bounds is None:
+        return None
+    lower, upper = np.zeros(null.size), np.zeros(null.size)
+    lower[literal], upper[literal] = bounds[:n], bounds[n:]
+    lower_closed, upper_closed = np.zeros(null.size, dtype=bool), np.zeros(null.size, dtype=bool)
+    lower_closed[literal] = codes[first] == ord("[")
+    upper_closed[literal] = codes[last] == ord("]")
+    try:
+        return RangeColumn(lower, upper, lower_closed, upper_closed, null, empty)
+    except ValueError:      # NaN or out-of-order bounds
+        return None
+
+
+def read_range_column(path) -> RangeColumn:
+    return _read_column(path, parse_range_bytes, parse_range, RangeColumn.from_values)
+
+
+def looks_like_range_file(path) -> bool:
+    """Sniff a column file: range literals start with a bracket or 'empty'."""
+    line = _read_text(path).lstrip().partition("\n")[0].rstrip()
+    return bool(line) and (line[0] in "[(" or line.lower() == "empty")
+
+
+# ---------------------------------------------------------------------------
+# The decimal kernel.
+
+# The kernel reads the last _TAIL bytes of each token.  A token it reads
+# itself has at most 15 digits, a dot and a leading minus: 17 bytes, of
+# which the first, the minus, adds no digit.
+_TAIL = 16
+_TAIL_ROWS = np.arange(_TAIL, dtype=np.uint8)[:, None]
+_BYTES_RIGHT = _TAIL_ROWS[::-1]
+_POW10 = np.array([float(10**k) for k in range(_TAIL)])     # exact doubles
+_CHUNK = 4096       # tokens per kernel call, whose arrays then stay in the cache
+
+
+def _read_decimals(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """float() of every token ``data[starts[i]:ends[i]]``, or None when one is no number.
+
+    A token ``-?digits[.digits]`` with 1 to 15 digits is read from its
+    bytes: its digits make an integer mantissa m below 10**15 and its
+    fractional digits a count k.  Then m / 10.0**k, negated after a minus,
+    is bit for bit float()'s correctly rounded result, because m and 10**k
+    are exact doubles and the division rounds once (Clinger's fast path).
+    float() reads every other token: "inf", exponents, underscores, a plus
+    sign, 16 or more digits, and the tokens that are no number.  Every
+    start indexes data: a token is not empty, or a byte follows it.
+    """
+    codes = np.frombuffer(data, dtype=np.uint8)
+    # a 16-byte view at every offset of the zero-padded bytes, so that one
+    # gather copies the last 16 bytes of every token
+    padded = np.concatenate((np.zeros(_TAIL, dtype=np.uint8), codes))
+    windows = np.ndarray((codes.size + 1,), dtype=f"V{_TAIL}", buffer=padded, strides=(1,))
+    out, fast = np.empty(ends.size), np.empty(ends.size, dtype=bool)
+    for lo in range(0, ends.size, _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        out[part], fast[part] = _decimal_kernel(windows[ends[part]], codes[starts[part]] == ord("-"),
+                                                ends[part] - starts[part])
+    slow = np.flatnonzero(~fast).tolist()
+    try:
+        for i, start, end in zip(slow, starts[slow].tolist(), ends[slow].tolist()):
+            out[i] = float(data[start:end])
+    except ValueError:
+        return None
+    return out
+
+
+def _decimal_kernel(tails: np.ndarray, minus: np.ndarray,
+                    length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fast-path value of each token, and whether the token has the fast form.
+
+    ``tails`` holds each token's last 16 bytes, ``minus`` whether it opens
+    with a minus and ``length`` its length in bytes.
+    """
+    # one row per byte position; bytes before a token's start become 0,
+    # which is no digit and no dot
+    digit = tails.view(np.uint8).reshape(-1, _TAIL).T.copy()
+    digit *= _TAIL_ROWS + np.minimum(length, _TAIL).astype(np.uint8) >= _TAIL
+    is_dot = digit == ord(".")
+    digit -= np.uint8(ord("0"))               # above 9 for every other byte
+    is_digit = digit <= 9
+    digits = is_digit.sum(axis=0, dtype=np.uint8)
+    dots = is_dot.sum(axis=0, dtype=np.uint8)
+    # every byte a digit or the one dot but a leading minus; a longer token
+    # has more bytes than the window and the minus can hold
+    fast = (digits >= 1) & (digits <= 15) & (dots <= 1) & (digits + dots + minus == length)
+    # k: the bytes after the dot, all digits in a fast token
+    k = (is_dot * _BYTES_RIGHT).sum(axis=0, dtype=np.uint8) * fast
+    # Horner's rule as a pairwise tree over the rows: a run of bytes is
+    # (10**its digits, their value), two adjacent runs (sa, va) and (sb, vb)
+    # join as (sa * sb, va * sb + vb), and a byte that is no digit is (1, 0).
+    # Each level's dtype holds its scales: 10**2, 10**4, 10**8, 10**16.
+    value = digit * is_digit
+    scale = is_digit * np.uint8(9) + np.uint8(1)
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        value, scale = value.astype(dtype, copy=False), scale.astype(dtype, copy=False)
+        value = value[0::2] * scale[1::2] + value[1::2]
+        scale = scale[0::2] * scale[1::2]
+    out = value[0] / _POW10[k]
+    np.negative(out, out=out, where=minus)
+    return out, fast

@@ -1,8 +1,8 @@
-"""Experiment harness: dataset generation, column files, and the
-error-versus-resolution sweep.
+"""Experiment harness: dataset generation, the per-kind dispatch table, and
+the error-versus-resolution sweep.
 
-Column files hold one value per line; an empty line is a null.  Scalar
-files contain decimal numbers, range files the range literal format.  The
+Column files are read and written by the columnfile module; its four
+read_*/write_*_column functions are this module's names for them.  The
 sweep rebuilds statistics at each requested target, estimates the join
 selectivity, and compares against the exact oracle (computed once), so the
 resulting CSV traces how estimation error shrinks as histograms grow.
@@ -18,6 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .columnfile import (
+    read_range_column, read_scalar_column, write_range_column, write_scalar_column,
+)
 from .estimator import join_selectivity
 from .operators import RangeOp, ScalarOp
 from .oracle import exact_join, exact_range_join
@@ -25,9 +28,6 @@ from .ranges import (
     RangeColumn,
     RangeStats,
     analyze_range_column,
-    format_range_lines,
-    parse_range,
-    parse_range_bytes,
     range_join_selectivity,
     range_stats_from_dict,
     save_range_stats,
@@ -113,87 +113,6 @@ def generate_range_column(
     null = u < null_frac
     return RangeColumn(lower, upper, d[p + 4] < 0.5, d[p + 5] < 0.5, null,
                        ~null & (u < null_frac + empty_frac))
-
-
-# ---------------------------------------------------------------------------
-# Column files.
-
-
-def format_scalar(v: float) -> str:
-    if math.isnan(v):
-        return ""
-    if float(v).is_integer():
-        return str(int(v))
-    return repr(float(v))
-
-
-def write_scalar_column(path, values) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in values:
-            fh.write(format_scalar(float(v)) + "\n")
-
-
-def read_scalar_column(path) -> np.ndarray:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                out.append(np.nan)
-                continue
-            try:
-                v = float(text)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
-            if math.isnan(v):
-                raise ValueError(f"{path}:{lineno}: not a number: {text!r}")
-            out.append(v)
-    if not out:
-        raise ValueError(f"{path}: empty column file")
-    return np.array(out, dtype=np.float64)
-
-
-def write_range_column(path, values) -> None:
-    lines = format_range_lines(RangeColumn.from_values(values))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{line}\n" for line in lines)
-
-
-def read_range_column(path) -> RangeColumn:
-    """One row per line of a range file, as file iteration splits it.
-
-    An ASCII file with no whitespace but its line breaks, such as
-    write_range_column writes, is parsed in bulk; any other file, or one
-    the bulk parser turns down, is parsed line by line, and the first bad
-    line raises its ``path:line`` error.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if not text:
-        raise ValueError(f"{path}: empty column file")
-    if text.endswith("\n"):
-        text = text[:-1]
-    column = parse_range_bytes(text.encode("ascii")) if text.isascii() else None
-    if column is None:
-        rows = []
-        for lineno, line in enumerate(text.split("\n"), start=1):
-            try:
-                rows.append(parse_range(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-        column = RangeColumn.from_values(rows)
-    return column
-
-
-def looks_like_range_file(path) -> bool:
-    """Sniff a column file: range literals start with a bracket or 'empty'."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            text = line.strip()
-            if not text:
-                continue
-            return text[0] in "[(" or text.lower() == "empty"
-    return False
 
 
 @dataclass(frozen=True)
@@ -324,32 +243,3 @@ def _write_csv(rows, fh) -> None:
             [r.statistics_target, repr(float(r.estimate)), repr(float(r.exact)),
              repr(float(r.error)), repr(float(r.est_time_us)), repr(float(r.build_time_us))]
         )
-
-
-def read_results_csv(path_or_file) -> list[ExperimentRow]:
-    if hasattr(path_or_file, "read"):
-        return _read_csv(path_or_file)
-    with open(path_or_file, "r", encoding="utf-8", newline="") as fh:
-        return _read_csv(fh)
-
-
-def _read_csv(fh) -> list[ExperimentRow]:
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header {header!r}")
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        rows.append(
-            ExperimentRow(
-                statistics_target=int(rec[0]),
-                estimate=float(rec[1]),
-                exact=float(rec[2]),
-                error=float(rec[3]),
-                est_time_us=float(rec[4]),
-                build_time_us=float(rec[5]),
-            )
-        )
-    return rows

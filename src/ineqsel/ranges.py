@@ -19,6 +19,9 @@ is rejected rather than guessed.
 
 Empty ranges have no position, so they satisfy none of the operators, on
 either side; their share is tracked and factored out, like nulls.
+
+parse_range reads one range literal; whole range files are read and
+written by the columnfile module.
 """
 
 from __future__ import annotations
@@ -223,89 +226,6 @@ class RangeColumn:
 
 _RANGE_RE = re.compile(r"^([\[\(])([^,]*),([^,]*)([\]\)])$")
 
-_EMPTY_WORD = np.frombuffer(b"empty", dtype=np.uint8)
-
-# The decimal kernel reads the last _TAIL bytes of each token.  A token it
-# reads itself has at most 15 digits, a dot and a leading minus: 17 bytes,
-# of which the first, the minus, adds no digit.
-_TAIL = 16
-_TAIL_ROWS = np.arange(_TAIL, dtype=np.uint8)[:, None]
-_BYTES_RIGHT = _TAIL_ROWS[::-1]
-_POW10 = np.array([float(10**k) for k in range(_TAIL)])     # exact doubles
-_CHUNK = 4096       # tokens per kernel call, whose arrays then stay in the cache
-
-
-def _count(codes: np.ndarray, chars: bytes) -> int:
-    """Number of bytes in codes that are any of chars."""
-    return sum(np.count_nonzero(codes == ch) for ch in chars)
-
-
-def _read_decimals(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """float() of every token ``data[starts[i]:ends[i]]``, or None when one is no number.
-
-    A token ``-?digits[.digits]`` with 1 to 15 digits is read from its
-    bytes: its digits make an integer mantissa m below 10**15 and its
-    fractional digits a count k.  Then m / 10.0**k, negated after a minus,
-    is bit for bit float()'s correctly rounded result, because m and 10**k
-    are exact doubles and the division rounds once (Clinger's fast path).
-    float() reads every other token: "inf", exponents, underscores, a plus
-    sign, 16 or more digits, and the tokens that are no number.  A byte
-    follows every token, so each start indexes data.
-    """
-    codes = np.frombuffer(data, dtype=np.uint8)
-    # a 16-byte view at every offset of the zero-padded bytes, so that one
-    # gather copies the last 16 bytes of every token
-    padded = np.concatenate((np.zeros(_TAIL, dtype=np.uint8), codes))
-    windows = np.ndarray((codes.size + 1,), dtype=f"V{_TAIL}", buffer=padded, strides=(1,))
-    out, fast = np.empty(ends.size), np.empty(ends.size, dtype=bool)
-    for lo in range(0, ends.size, _CHUNK):
-        part = slice(lo, lo + _CHUNK)
-        out[part], fast[part] = _decimal_kernel(windows[ends[part]], codes[starts[part]] == ord("-"),
-                                                ends[part] - starts[part])
-    slow = np.flatnonzero(~fast).tolist()
-    try:
-        for i, start, end in zip(slow, starts[slow].tolist(), ends[slow].tolist()):
-            out[i] = float(data[start:end])
-    except ValueError:
-        return None
-    return out
-
-
-def _decimal_kernel(tails: np.ndarray, minus: np.ndarray,
-                    length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The fast-path value of each token, and whether the token has the fast form.
-
-    ``tails`` holds each token's last 16 bytes, ``minus`` whether it opens
-    with a minus and ``length`` its length in bytes.
-    """
-    # one row per byte position; bytes before a token's start become 0,
-    # which is no digit and no dot
-    digit = tails.view(np.uint8).reshape(-1, _TAIL).T.copy()
-    digit *= _TAIL_ROWS + np.minimum(length, _TAIL).astype(np.uint8) >= _TAIL
-    is_dot = digit == ord(".")
-    digit -= np.uint8(ord("0"))               # above 9 for every other byte
-    is_digit = digit <= 9
-    digits = is_digit.sum(axis=0, dtype=np.uint8)
-    dots = is_dot.sum(axis=0, dtype=np.uint8)
-    # every byte a digit or the one dot but a leading minus; a longer token
-    # has more bytes than the window and the minus can hold
-    fast = (digits >= 1) & (digits <= 15) & (dots <= 1) & (digits + dots + minus == length)
-    # k: the bytes after the dot, all digits in a fast token
-    k = (is_dot * _BYTES_RIGHT).sum(axis=0, dtype=np.uint8) * fast
-    # Horner's rule as a pairwise tree over the rows: a run of bytes is
-    # (10**its digits, their value), two adjacent runs (sa, va) and (sb, vb)
-    # join as (sa * sb, va * sb + vb), and a byte that is no digit is (1, 0).
-    # Each level's dtype holds its scales: 10**2, 10**4, 10**8, 10**16.
-    value = digit * is_digit
-    scale = is_digit * np.uint8(9) + np.uint8(1)
-    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
-        value, scale = value.astype(dtype, copy=False), scale.astype(dtype, copy=False)
-        value = value[0::2] * scale[1::2] + value[1::2]
-        scale = scale[0::2] * scale[1::2]
-    out = value[0] / _POW10[k]
-    np.negative(out, out=out, where=minus)
-    return out, fast
-
 
 def parse_range(text: str) -> RangeValue | None:
     """Parse a range literal; an empty string denotes null.
@@ -333,90 +253,6 @@ def parse_range(text: str) -> RangeValue | None:
         return RangeValue(lower, upper, open_br == "[", close_br == "]")
     except ValueError as exc:
         raise ValueError(f"invalid range {text!r}: {exc}") from None
-
-
-def parse_range_bytes(data: bytes) -> RangeColumn | None:
-    """Parse the lines of an ASCII range file in bulk, as parse_range would each.
-
-    ``data`` is the file's text without its final newline.  Every line must
-    be a range literal, "empty" in any case, or blank (null), and the text
-    may hold no whitespace but the line breaks and no byte outside ASCII.
-    Otherwise, or when a bound is no number or a range is invalid, the
-    result is None, and the caller reads the lines one by one with
-    parse_range, which finds and reports the line.
-
-    numpy finds the lines, the literals' brackets and commas, and so every
-    bound's bytes.  A plain decimal bound of at most 15 digits, such as the
-    writer writes for the generated columns, is read from its bytes by
-    exact integer arithmetic and one division, which gives float()'s
-    result bit for bit; float() reads the others ("inf", exponents, longer
-    mantissas).  The arrays therefore hold the bytes parse_range's rows
-    would give.
-    """
-    codes = np.frombuffer(data, dtype=np.uint8)
-    breaks = np.flatnonzero(codes == ord("\n"))
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.append(breaks, codes.size)
-    null = starts == ends
-    empty = ends - starts == 5
-    # "empty" in any case: setting bit 0x20 lowercases exactly its letters
-    word = codes[starts[empty][:, None] + np.arange(5)] | 0x20
-    empty[empty] = (word == _EMPTY_WORD).all(axis=1)
-    literal = ~(null | empty)
-    first, last = starts[literal], ends[literal] - 1
-    n = first.size
-    commas = np.flatnonzero(codes == ord(","))
-    # Every byte but the line breaks must be printable ASCII and not a
-    # space, which leaves to parse_range the lines it strips and the
-    # non-ASCII digits float() reads.  Each literal opens at its first
-    # byte, closes at its last and holds one comma, and the counts leave no
-    # bracket or comma anywhere else.
-    printable = codes - np.uint8(ord("!")) <= ord("~") - ord("!")     # "!" to "~"
-    if (
-        np.count_nonzero(printable) != codes.size - breaks.size
-        or not _count(codes, b"[(") == _count(codes[first], b"[(") == n
-        or not _count(codes, b"])") == _count(codes[last], b"])") == n
-        or commas.size != n
-        or not ((first < commas) & (commas < last)).all()
-    ):
-        return None
-    # a literal's lower bound runs from after its bracket to its comma, its
-    # upper bound from after its comma to its closing bracket
-    bounds = _read_decimals(data, np.concatenate((first + 1, commas + 1)),
-                            np.concatenate((commas, last)))
-    if bounds is None:
-        return None
-    lower, upper = np.zeros(null.size), np.zeros(null.size)
-    lower[literal], upper[literal] = bounds[:n], bounds[n:]
-    lower_closed, upper_closed = np.zeros(null.size, dtype=bool), np.zeros(null.size, dtype=bool)
-    lower_closed[literal] = codes[first] == ord("[")
-    upper_closed[literal] = codes[last] == ord("]")
-    try:
-        return RangeColumn(lower, upper, lower_closed, upper_closed, null, empty)
-    except ValueError:      # NaN or out-of-order bounds
-        return None
-
-
-def _literal(lower: float, upper: float, lower_closed: bool, upper_closed: bool) -> str:
-    # repr gives a float's shortest round-trip text, and "inf" / "-inf"
-    lb = "[" if lower_closed else "("
-    rb = "]" if upper_closed else ")"
-    return f"{lb}{lower!r},{upper!r}{rb}"
-
-
-def format_range(r: RangeValue | None) -> str:
-    if r is None:
-        return ""
-    if r.empty:
-        return "empty"
-    return _literal(r.lower, r.upper, r.lower_closed, r.upper_closed)
-
-
-def format_range_lines(column: RangeColumn) -> list[str]:
-    """format_range of every row of the column."""
-    rows = zip(*(getattr(column, name).tolist() for name in _COLUMN_FIELDS))
-    return ["" if null else "empty" if empty else _literal(lower, upper, lower_closed, upper_closed)
-            for lower, upper, lower_closed, upper_closed, null, empty in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -47,11 +47,6 @@ class AttributeStats:
     statistics_target: int
 
     @property
-    def mcv_fraction(self) -> float:
-        """Share of non-null rows covered by the MCV list (p_mcv)."""
-        return self.mcv.total_fraction
-
-    @property
     def hist_fraction(self) -> float:
         """Share of non-null rows covered by the histogram (p_hist)."""
         return 1.0 - self.mcv.total_fraction

@@ -1,14 +1,16 @@
 """Seeded fuzz test of column files.
 
-Lines of a valid range file are broken the ways hand-edited or truncated
-files go wrong.  ``read_range_column`` must return the rows that a loop of
-``parse_range`` over the file's lines returns, down to the bytes of its
-arrays, or raise the same error, which names the same ``path:line``.
-Files the writer produces must be read in bulk, without ``parse_range``.
-The CLI must end every malformed column file, range or scalar, with exit
-status 1 and one ``error:`` line.
+Lines of valid range and scalar files are broken the ways hand-edited or
+truncated files go wrong.  ``read_range_column`` must return the rows that
+a loop of ``parse_range`` over the file's lines returns, and
+``read_scalar_column`` the values of a per-line ``strip``/``float()`` loop,
+down to the bytes of the arrays, or raise the same error, which names the
+same ``path:line``.  Files the writer produces must be read in bulk,
+without the per-line parsers.  The CLI must end every malformed column
+file, range or scalar, with exit status 1 and one ``error:`` line.
 """
 
+import math
 import re
 import subprocess
 import sys
@@ -16,10 +18,18 @@ import sys
 import numpy as np
 import pytest
 
-from ineqsel import harness, ranges
+from ineqsel import columnfile
 from ineqsel.cli import main
-from ineqsel.harness import generate_range_column, read_range_column, write_range_column
-from ineqsel.ranges import RangeColumn, RangeValue, format_range, parse_range
+from ineqsel.columnfile import format_range_lines, format_scalar
+from ineqsel.harness import (
+    generate_range_column,
+    generate_scalar_column,
+    read_range_column,
+    read_scalar_column,
+    write_range_column,
+    write_scalar_column,
+)
+from ineqsel.ranges import RangeColumn, RangeValue, parse_range
 
 SEEDS = range(200)
 ROWS = 30
@@ -112,30 +122,31 @@ MUTATIONS = [
 def fuzzed_file(path, seed):
     """A valid range file with one to three lines mutated; sometimes no final newline."""
     rng = np.random.default_rng(seed)
-    lines = [format_range(r) for r in generate_range_column(ROWS, seed)]
+    lines = format_range_lines(generate_range_column(ROWS, seed))
     for k in rng.choice(ROWS, size=int(rng.integers(1, 4)), replace=False).tolist():
         lines[k] = _mutate(MUTATIONS[int(rng.integers(len(MUTATIONS)))], lines[k])
     ending = "" if rng.random() < 0.2 else "\n"
     path.write_bytes(("\n".join(lines) + ending).encode("utf-8"))
 
 
-def assert_reads_as_reference(path):
+def assert_reads_as_reference(path, read=read_range_column, reference=reference_read,
+                              same=assert_same_bytes):
     """Same rows as the reference, or the same error; True when the file is malformed."""
     try:
-        want = reference_read(path)
+        want = reference(path)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            read_range_column(path)
+            read(path)
         assert str(got.value) == str(exc)
         return True
-    assert_same_bytes(read_range_column(path), want)
+    same(read(path), want)
     return False
 
 
 @pytest.mark.parametrize("kind", MUTATIONS)
 def test_each_mutation_reads_as_reference(tmp_path, kind):
     path = tmp_path / "m.col"
-    lines = [format_range(r) for r in generate_range_column(ROWS, 3)]
+    lines = format_range_lines(generate_range_column(ROWS, 3))
     for k in (0, ROWS // 2, ROWS - 1):
         mutated = list(lines)
         mutated[k] = _mutate(kind, lines[k])
@@ -176,7 +187,7 @@ def bulk_only(monkeypatch):
     """Fail the test if read_range_column falls back to the per-line parser."""
     def per_line(text):
         raise AssertionError(f"parse_range called on {text!r}")
-    monkeypatch.setattr(harness, "parse_range", per_line)
+    monkeypatch.setattr(columnfile, "parse_range", per_line)
 
 
 def _random_bounds_column(rows, seed):
@@ -219,7 +230,8 @@ def test_whitespace_and_non_ascii_read_per_line(tmp_path, monkeypatch, text):
     path = tmp_path / "p.col"
     path.write_bytes(text.encode("utf-8"))
     calls = []
-    monkeypatch.setattr(harness, "parse_range", lambda line: calls.append(line) or parse_range(line))
+    monkeypatch.setattr(columnfile, "parse_range",
+                        lambda line: calls.append(line) or parse_range(line))
     assert_reads_as_reference(path)
     assert calls
 
@@ -252,6 +264,21 @@ def test_cli_malformed_column_exit_1(tmp_path, op, content):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+@pytest.mark.parametrize("command", ["oracle", "analyze"])
+@pytest.mark.parametrize("op,good", [pytest.param("lt", b"1\n", id="scalar"),
+                                     pytest.param("overlaps", b"[1,2]\n", id="range")])
+def test_cli_not_utf8_column_names_file(tmp_path, capsys, command, op, good):
+    bad, ok = tmp_path / "bad.col", tmp_path / "ok.col"
+    bad.write_bytes(good + b"\xff\n")
+    ok.write_bytes(good)
+    argv = (["oracle", "--in-x", str(bad), "--in-y", str(ok), "--op", op] if command == "oracle"
+            else ["analyze", "--in", str(bad), "--target", "3", "--out", str(tmp_path / "s.json")])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: ") and captured.err.count("\n") == 1, captured.err
+
+
 # The bulk reader's decimal kernel against float(), bit for bit.
 
 NUMBER_TOKENS = [
@@ -274,7 +301,7 @@ def read_tokens(tokens):
     16-byte window also holds the bytes of those before it."""
     data = "".join(f"{t}," for t in tokens).encode("ascii")
     ends = np.cumsum([len(t) + 1 for t in tokens]) - 1
-    return ranges._read_decimals(data, ends - [len(t) for t in tokens], ends)
+    return columnfile._read_decimals(data, ends - [len(t) for t in tokens], ends)
 
 
 def _fast_token(token):
@@ -285,9 +312,9 @@ def _fast_token(token):
 
 @pytest.fixture
 def float_calls(monkeypatch):
-    """The tokens ranges passes to float() while the test runs."""
+    """The arguments columnfile passes to float() while the test runs."""
     calls = []
-    monkeypatch.setattr(ranges, "float", lambda text: calls.append(text) or float(text),
+    monkeypatch.setattr(columnfile, "float", lambda text: calls.append(text) or float(text),
                         raising=False)
     return calls
 
@@ -331,3 +358,164 @@ def test_writer_files_call_float_only_for_infinite_bounds(tmp_path, bulk_only, f
         assert len(float_calls) == np.isinf(column.lower).sum() + np.isinf(column.upper).sum()
         assert set(float_calls) <= {b"inf", b"-inf"}
         assert got == column
+
+
+# Scalar files, against the per-line strip/float() reading.
+
+def reference_scalar_read(path):
+    """The per-line reading: a blank line is a null, any other line float()
+    of its stripped text, which may not be NaN."""
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                out.append(np.nan)
+                continue
+            try:
+                v = float(text)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
+            if math.isnan(v):
+                raise ValueError(f"{path}:{lineno}: not a number: {text!r}")
+            out.append(v)
+    if not out:
+        raise ValueError(f"{path}: empty column file")
+    return np.array(out, dtype=np.float64)
+
+
+def assert_same_scalar_bytes(got, want):
+    """The same float64 array, so NaN nulls and the sign of a zero count."""
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+SCALAR = {"read": read_scalar_column, "reference": reference_scalar_read,
+          "same": assert_same_scalar_bytes}
+
+
+def scalar_lines(rows, seed, kind="skewed-int"):
+    """The writer's lines of a generated integer column, every 17th row from row 3 a null."""
+    values = generate_scalar_column(kind, rows, seed)
+    values[3::17] = np.nan
+    return [format_scalar(v) for v in values.tolist()]
+
+
+def _mutate_scalar(kind, line):
+    return {
+        "blank": "",
+        "whitespace-only": " \t",
+        "padded": f" {line}\t",
+        "crlf": line + "\r",
+        "nul-byte": line + "\x00",
+        "nan": "nan",
+        "nan-mixed-case": "NaN",
+        "inf": "inf",
+        "minus-infinity": "-Infinity",
+        "exponent": "-1.5e3",
+        "underscore-digits": "1_000",
+        "leading-plus": "+1",
+        "sixteen-digits": "-1234567890123456",
+        "double-minus": "--1",
+        "two-dots": "1.2.3",
+        "lone-dot": ".",
+        "minus-dot-five": "-.5",
+        "trailing-dot": "5.",
+        "leading-zeros": "-0000000000000000012.5",
+        "negative-zero": "-0",
+        "arabic-indic-digits": "\u0661\u0662",
+        "range-literal": "[1,2)",
+    }[kind]
+
+
+SCALAR_MUTATIONS = [
+    "blank", "whitespace-only", "padded", "crlf", "nul-byte", "nan", "nan-mixed-case", "inf",
+    "minus-infinity", "exponent", "underscore-digits", "leading-plus", "sixteen-digits",
+    "double-minus", "two-dots", "lone-dot", "minus-dot-five", "trailing-dot", "leading-zeros",
+    "negative-zero", "arabic-indic-digits", "range-literal",
+]
+
+
+@pytest.mark.parametrize("kind", SCALAR_MUTATIONS)
+def test_each_scalar_mutation_reads_as_reference(tmp_path, kind):
+    path = tmp_path / "m.col"
+    lines = scalar_lines(ROWS, 3)
+    for k in (0, ROWS // 2, ROWS - 1):
+        mutated = list(lines)
+        mutated[k] = _mutate_scalar(kind, lines[k])
+        path.write_bytes(("\n".join(mutated) + "\n").encode("utf-8"))
+        assert_reads_as_reference(path, **SCALAR)
+
+
+def test_seeded_fuzz_reads_scalar_as_reference(tmp_path, capsys):
+    good = tmp_path / "good.col"
+    write_scalar_column(good, generate_scalar_column("uniform-int", ROWS, 0))
+    malformed = 0
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        lines = scalar_lines(ROWS, seed, ("uniform-int", "skewed-int")[seed % 2])
+        for k in rng.choice(ROWS, size=int(rng.integers(1, 4)), replace=False).tolist():
+            lines[k] = _mutate_scalar(SCALAR_MUTATIONS[int(rng.integers(len(SCALAR_MUTATIONS)))],
+                                      lines[k])
+        path = tmp_path / f"fuzz{seed}.col"
+        path.write_bytes(("\n".join(lines) + ("" if rng.random() < 0.2 else "\n")).encode("utf-8"))
+        if not assert_reads_as_reference(path, **SCALAR):
+            continue
+        malformed += 1
+        code = main(["oracle", "--in-x", str(path), "--in-y", str(good), "--op", "lt"])
+        err = capsys.readouterr().err
+        assert code == 1, seed
+        assert err.startswith(f"error: {path}:") and err.count("\n") == 1, err
+    # 7 of the 22 mutations make a line no number
+    assert 0.25 * len(SEEDS) < malformed < 0.75 * len(SEEDS)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "\n\n", "1", "1\r\n\r\n", "-0\n0\n", "\n1\n  \n",
+                                  "nan\n", "1\n\x00\n", "4\n\n5"])
+def test_scalar_whole_file_cases(tmp_path, text):
+    path = tmp_path / "w.col"
+    path.write_bytes(text.encode("utf-8"))
+    assert_reads_as_reference(path, **SCALAR)
+
+
+@pytest.mark.parametrize("text", [" 1\n", "1 \n", "1\t\n", " \n", "1\x0b\n", "1\x1c\n",
+                                  "\u0661\n", "2\n\u00a01\n"])
+def test_scalar_whitespace_and_non_ascii_read_per_line(tmp_path, monkeypatch, text):
+    path = tmp_path / "p.col"
+    path.write_bytes(text.encode("utf-8"))
+    calls = []
+    per_line = columnfile._parse_scalar
+    monkeypatch.setattr(columnfile, "_parse_scalar",
+                        lambda line: calls.append(line) or per_line(line))
+    assert_reads_as_reference(path, **SCALAR)
+    assert calls
+
+
+def _random_doubles(rows, seed):
+    # doubles from 1e-300 to 1e300 of either sign, zeros of both signs and nulls
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, size=rows)
+    values[rng.random(rows) < 0.05] = 0.0
+    values[rng.random(rows) < 0.05] = -0.0
+    values[rng.random(rows) < 0.05] = np.nan
+    return values
+
+
+@pytest.mark.parametrize("rows", [1, 100, 20_000])
+def test_scalar_writer_files_read_as_reference(tmp_path, float_calls, rows):
+    # an integer column is read with no float() call; a scan that fell back
+    # on every token would make one a row
+    for seed in (0, 1, 2):
+        for kind in ("uniform-int", "skewed-int"):
+            values = generate_scalar_column(kind, rows, seed)
+            values[3::17] = np.nan
+            path = tmp_path / f"{kind}{seed}.col"
+            write_scalar_column(path, values)
+            del float_calls[:]
+            got = read_scalar_column(path)
+            assert float_calls == []
+            assert_same_scalar_bytes(got, reference_scalar_read(path))
+            assert_same_scalar_bytes(got, values)
+        path = tmp_path / f"doubles{seed}.col"
+        write_scalar_column(path, _random_doubles(rows, seed))
+        assert_same_scalar_bytes(read_scalar_column(path), reference_scalar_read(path))

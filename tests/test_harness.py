@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -10,13 +11,15 @@ import pytest
 
 from ineqsel import RangeOp, ScalarOp
 from ineqsel.cli import main
+from ineqsel.columnfile import looks_like_range_file
 from ineqsel.harness import (
+    CSV_HEADER,
+    ExperimentRow,
     RUNNING_EXAMPLE_R1,
     RUNNING_EXAMPLE_R2,
     generate_range_column,
     generate_scalar_column,
     read_range_column,
-    read_results_csv,
     read_scalar_column,
     write_results_csv,
     run_sweep,
@@ -99,6 +102,23 @@ class TestGeneration:
         write_range_column(path, generate_range_column(rows, seed))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    # sha256 of write_scalar_column(generate_scalar_column(kind, rows, seed))
+    # with every 17th row from row 3 on a null: integers and blank lines
+    @pytest.mark.parametrize("kind,rows,seed,digest", [
+        ("uniform-int", 1, 0, "ac062ce6808abac817801e51c17ea0a1b452cda4538b898995363f264d2fba99"),
+        ("uniform-int", 100, 0, "ead02a8646dd7213ec4728b96183ff9a73f9aaeabbc73bbd13f97eea47ee351b"),
+        ("uniform-int", 20000, 1, "dff8fab52473f2399e6bc1bae3e5716f9ce1924abd461fb9d1bf70ccc8d3897c"),
+        ("skewed-int", 1, 0, "ef5aeb2de464fe23421c0a99ae7b8197494f58c210744504069b930d4fa2bfb3"),
+        ("skewed-int", 100, 0, "aa54827d5e38ecbbb3e078df1ba208661df656b748ec939505f343cd1da92fed"),
+        ("skewed-int", 20000, 1, "d392d0f95066fd10f604ab2101e3e4750fa709d9da0f2ff278e2fcabf9f36788"),
+    ])
+    def test_scalar_stream_pinned(self, tmp_path, kind, rows, seed, digest):
+        path = tmp_path / "s.col"
+        values = generate_scalar_column(kind, rows, seed)
+        values[3::17] = np.nan
+        write_scalar_column(path, values)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_seed_changes_output(self):
         x = generate_scalar_column("uniform-int", 100, 1)
         y = generate_scalar_column("uniform-int", 100, 2)
@@ -159,6 +179,17 @@ class TestColumnFiles:
         write_range_column(path, rows)
         assert read_range_column(path) == rows
 
+    # the first non-blank line decides: a bracket or the word "empty" in any case
+    @pytest.mark.parametrize("text,is_range", [
+        ("[1,2]\n", True), ("(1,2)", True), ("\n \t\nempty\n1\n", True), (" EMPTY \r\n", True),
+        ("1\n[1,2]\n", False), ("\n\n-3\n", False), ("empty-ish\n", False), ("", False),
+        (" \n\n", False),
+    ])
+    def test_range_file_sniff(self, tmp_path, text, is_range):
+        path = tmp_path / "col"
+        path.write_bytes(text.encode("utf-8"))
+        assert looks_like_range_file(path) is is_range
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "col"
         path.write_text("")
@@ -215,7 +246,9 @@ class TestSweep:
         rows = run_sweep(fx, fy, ScalarOp.LT, [3, 6], seed=0)
         buf = io.StringIO()
         write_results_csv(rows, buf)
-        back = read_results_csv(io.StringIO(buf.getvalue()))
+        header, *records = csv.reader(io.StringIO(buf.getvalue()))
+        assert header == CSV_HEADER
+        back = [ExperimentRow(int(r[0]), *map(float, r[1:])) for r in records]
         assert back == rows
 
     def test_empty_targets(self, tmp_path):
@@ -268,8 +301,10 @@ class TestCli:
         out = tmp_path / "results.csv"
         assert main(["sweep", "--in-x", str(fx), "--in-y", str(fy), "--op", "lt",
                      "--targets", "3:5:1", "--seed", "0", "--out", str(out)]) == 0
-        rows = read_results_csv(out)
-        assert [r.statistics_target for r in rows] == [3, 4, 5]
+        with open(out, newline="") as fh:
+            header, *records = csv.reader(fh)
+        assert header == CSV_HEADER
+        assert [int(r[0]) for r in records] == [3, 4, 5]
 
     def test_usage_error_exit_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

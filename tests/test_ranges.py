@@ -12,7 +12,6 @@ from ineqsel import (
     ScalarOp,
     analyze_range_column,
     exact_range_join,
-    format_range,
     join_selectivity,
     load_range_stats,
     parse_range,
@@ -20,6 +19,7 @@ from ineqsel import (
     range_op_holds,
     save_range_stats,
 )
+from ineqsel.columnfile import format_range_lines
 from ineqsel.harness import generate_range_column
 from ineqsel.ranges import EMPTY_RANGE, range_stats_from_dict, range_stats_to_dict
 
@@ -200,8 +200,8 @@ class TestLiterals:
                     bool(rng.random() < 0.5) or lo == hi,
                     bool(rng.random() < 0.5) or lo == hi,
                 )
-            assert parse_range(format_range(r)) == r
-        assert format_range(None) == ""
+            assert parse_range(format_range_lines(RangeColumn.from_values([r]))[0]) == r
+        assert format_range_lines(RangeColumn.from_values([None])) == [""]
 
 
 class TestOperatorSemantics:

@@ -57,13 +57,13 @@ class TestAnalyze:
             data[rng.random(n) < 0.2] = np.nan
             target = int(rng.integers(1, 8))
             s = analyze_column(data, target, sample_cap=n)
-            covered = s.null_frac + (1 - s.null_frac) * (s.mcv_fraction + s.hist_fraction)
+            covered = s.null_frac + (1 - s.null_frac) * (s.mcv.total_fraction + s.hist_fraction)
             assert covered == pytest.approx(1.0, abs=1e-12)
             # the histogram share matches the rows actually left to it
             nonnull = data[~np.isnan(data)]
             if nonnull.size:
                 in_mcv = np.isin(nonnull, s.mcv.values).sum()
-                assert s.mcv_fraction == pytest.approx(in_mcv / nonnull.size, abs=1e-12)
+                assert s.mcv.total_fraction == pytest.approx(in_mcv / nonnull.size, abs=1e-12)
 
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(3)
