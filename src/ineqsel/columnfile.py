@@ -7,7 +7,11 @@ range file, each literal's brackets and commas), and the decimal kernel
 reads every number of the form ``-?digits[.digits]`` with at most 15 digits
 from its bytes, bit-identical to float(); float() reads the other numbers.
 Any other file, or one the bulk scan turns down, is read by one per-line
-loop, whose first bad line raises its ``path:line`` error.
+loop, whose first bad line raises its ``path:line`` error.  A leading
+UTF-8 byte-order mark, as some editors write, is dropped before either.
+
+The scalar writer writes -0.0 as ``0``, so a scalar file holds one zero, as
+the statistics ANALYZE builds from it do; a range file keeps the sign.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from .ranges import _COLUMN_FIELDS, RangeColumn, parse_range
 
 
 def _read_text(path) -> str:
-    """The text of a column file; a file that is not UTF-8 raises a ValueError naming it."""
+    """The text of a column file, less a leading byte-order mark; a file that
+    is not UTF-8 raises a ValueError naming it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -15,7 +15,8 @@ The operator algebra reduces everything to the less-than case:
   as a ramp from the knot before.  A histogram side against an MCV list is
   one dot product of the MCV fractions with the CDF at the MCV values.
   Equality mass between two histograms is taken to be zero (continuous
-  assumption); only MCV overlap contributes P(X = Y).
+  assumption); only MCV overlap contributes P(X = Y), in the MCV x MCV
+  term of LE.
 
 Estimates combine the per-partition results weighted by the null / MCV /
 histogram fractions of each side.  All inequality operators are strict, so
@@ -29,8 +30,9 @@ counted differently per pair of partitions, for P(X < Y):
 * histogram X, histogram Y: a tie does not count;
 * MCV X, MCV Y: a tie does not count for LT and counts in full for LE.
 
-LE adds only the MCV x MCV equality mass to LT, GT is LT with the sides
-swapped, and GE is the complement of LT.
+So LE differs from LT only in the MCV x MCV term, which one pass over the
+MCV lists computes for either operator.  GT is LT with the sides swapped,
+and GE is the complement of LT.
 """
 
 from __future__ import annotations
@@ -122,10 +124,11 @@ def join_lt_hist_mcv(hx: EquiDepthHistogram, my: MostCommonValues) -> float:
     return float(my.fractions @ cdf(hx, my.values))
 
 
-def _join_lt_conditional(sx: AttributeStats, sy: AttributeStats) -> float:
-    """P(X < Y) given both sides non-null, combining all partition pairs."""
+def _join_conditional(sx: AttributeStats, sy: AttributeStats, op: ScalarOp) -> float:
+    """P(X <op> Y), op LT or LE, given both sides non-null, combining all
+    partition pairs; only the MCV x MCV term tells LE from LT."""
     phx, phy = sx.hist_fraction, sy.hist_fraction
-    total = join_lt_mcv_mcv(sx.mcv, sy.mcv, ScalarOp.LT)
+    total = join_lt_mcv_mcv(sx.mcv, sy.mcv, op)
     if phx > 0.0 and sx.histogram is not None and len(sy.mcv):
         total += phx * join_lt_hist_mcv(sx.histogram, sy.mcv)
     if phy > 0.0 and sy.histogram is not None and len(sx.mcv):
@@ -133,10 +136,6 @@ def _join_lt_conditional(sx: AttributeStats, sy: AttributeStats) -> float:
     if phx > 0.0 and phy > 0.0 and sx.histogram is not None and sy.histogram is not None:
         total += phx * phy * join_lt_hist(sx.histogram, sy.histogram)
     return total
-
-
-def _mcv_equality_mass(mx: MostCommonValues, my: MostCommonValues) -> float:
-    return join_lt_mcv_mcv(mx, my, ScalarOp.EQ)
 
 
 def join_selectivity(sx: AttributeStats, sy: AttributeStats, op: ScalarOp) -> float:
@@ -150,11 +149,8 @@ def join_selectivity(sx: AttributeStats, sy: AttributeStats, op: ScalarOp) -> fl
     _check_usable(sx)
     _check_usable(sy)
 
-    lt = _join_lt_conditional(sx, sy)
-    if op is ScalarOp.LT:
-        cond = lt
-    elif op is ScalarOp.GE:
-        cond = 1.0 - lt
-    else:  # LE
-        cond = lt + _mcv_equality_mass(sx.mcv, sy.mcv)
+    if op is ScalarOp.GE:
+        cond = 1.0 - _join_conditional(sx, sy, ScalarOp.LT)
+    else:
+        cond = _join_conditional(sx, sy, op)
     return clamp01((1.0 - sx.null_frac) * (1.0 - sy.null_frac) * cond)

@@ -9,8 +9,9 @@ import operator
 class ScalarOp(enum.Enum):
     """Comparison between scalar values with total-order semantics.
 
-    EQ exists for internal use (matching most-common values); the public
-    selectivity estimators accept LT, LE, GT and GE.
+    The selectivity estimators accept LT, LE, GT and GE, and count ties in
+    the MCV x MCV term of LE.  EQ is used only by the oracle's exact
+    counts, ``exact_join`` and ``exact_restriction``.
     """
 
     LT = "lt"

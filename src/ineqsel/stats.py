@@ -7,10 +7,9 @@ selectivity estimates.
 ANALYZE sorts the non-null sample once, as PostgreSQL's
 ``compute_scalar_stats`` (``src/backend/commands/analyze.c``) does, and
 builds the MCV list and the histogram from that one sorted array: the
-histogram boundaries are read from it by rank, past the MCV runs.  The
-residual is copied out and sorted on its own only when the sample mixes
--0.0 and 0.0 and a boundary is zero, so that the boundaries keep the zero
-signs the residual's own sort gives them.
+histogram boundaries are read from it by rank, past the MCV runs.  Every
+zero in the sorted sample is written as +0.0, so a statistics document
+holds one zero whatever signs the column's zeros had.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ from .mcv import EMPTY_MCV, MostCommonValues, build_mcv
 # Sample size grows with the requested resolution, as statistics collectors
 # commonly do; pass an explicit cap >= N to analyze the full column.
 SAMPLE_ROWS_PER_TARGET = 300
-
-_NEGATIVE_ZERO_BITS = np.array(-0.0).view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,9 @@ def analyze_column(
     sorted sample with the MCV runs cut out, but it is not copied out: its
     distinct count is the sample's less the MCV entries, and boundary j, at
     residual rank floor(j * (N-1) / B) as in ``build_equi_depth``, is read
-    from the sorted sample past the MCV runs before that rank.
+    from the sorted sample past the MCV runs before that rank.  -0.0 and
+    0.0 compare equal, so the sample's zeros are one run, which is set to
+    +0.0: an MCV entry or boundary at zero is always +0.0.
     """
     if statistics_target < 1:
         raise ValueError("statistics target must be at least 1")
@@ -102,6 +101,7 @@ def analyze_column(
         return AttributeStats(null_frac, EMPTY_MCV, None, int(sample.size), statistics_target)
     ordered = sample[~nulls] if null_count else sample.copy()
     ordered.sort()
+    ordered[np.searchsorted(ordered, 0.0, "left"):np.searchsorted(ordered, 0.0, "right")] = 0.0
 
     mcv = build_mcv(ordered, max_entries=statistics_target)
     # The MCV runs cut the sorted sample into kept stretches (possibly
@@ -120,27 +120,9 @@ def analyze_column(
         bins = min(statistics_target, max(distinct - 1, 1))
         ranks = np.arange(bins + 1) * (size - 1) // bins
         bounds = ordered[ranks + skipped[np.searchsorted(ends, ranks, side="right")]]
-        if np.any(bounds == 0) and _zeros_mix_signs(sample, ordered):
-            # numpy's sort may hand back either sign for each element of a
-            # run that mixes -0.0 and 0.0, so the signs of zero boundaries
-            # depend on which array was sorted.  Sort the residual alone, in
-            # sample order, as the boundaries have always been taken.
-            nonnull = sample[~nulls]
-            in_mcv = cuts[np.searchsorted(cuts, nonnull).clip(max=cuts.size - 1)] == nonnull
-            bounds = np.sort(nonnull[~in_mcv])[ranks]
         histogram = EquiDepthHistogram(bounds)
 
     return AttributeStats(null_frac, mcv, histogram, int(sample.size), statistics_target)
-
-
-def _zeros_mix_signs(sample: np.ndarray, ordered: np.ndarray) -> bool:
-    """Whether the sample holds both -0.0 and 0.0.
-
-    The signs are counted in the sample itself, by bit pattern: the sort may
-    change them within a run of zeros, and a mixed run can come back all -0.0.
-    """
-    zeros = np.searchsorted(ordered, 0.0, "right") - np.searchsorted(ordered, 0.0, "left")
-    return 0 < np.count_nonzero(sample.view(np.int64) == _NEGATIVE_ZERO_BITS) < zeros
 
 
 # ---------------------------------------------------------------------------

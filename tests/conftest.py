@@ -77,7 +77,7 @@ def multipass_analyze_column(values, statistics_target, sample_seed=0, sample_ca
     sample = data[sample_rows(data.size, sample_cap, sample_seed)]
     nulls = np.isnan(sample)
     null_frac = float(nulls.sum() / sample.size)
-    nonnull = sample[~nulls]
+    nonnull = sample[~nulls] + 0.0     # ANALYZE writes every zero as +0.0
     if nonnull.size == 0:
         return AttributeStats(null_frac, EMPTY_MCV, None, int(sample.size), statistics_target)
 

@@ -279,6 +279,35 @@ def test_cli_not_utf8_column_names_file(tmp_path, capsys, command, op, good):
     assert captured.err.startswith(f"error: {bad}: ") and captured.err.count("\n") == 1, captured.err
 
 
+@pytest.mark.parametrize("kind", ["scalar", "range"])
+def test_byte_order_mark_is_dropped(tmp_path, kind):
+    # a UTF-8 byte-order mark, as some editors write, reads as no mark: the
+    # same arrays, the same sniff and the same statistics document
+    if kind == "scalar":
+        read, rows = read_scalar_column, ["1", "", "-2.5", "1e3", "0", "7"]
+    else:
+        read, rows = read_range_column, ["[1,2]", "", "empty", "(-inf,0.5]", "[-0.0,3)"]
+    # read in bulk, and per line (a carriage return is whitespace)
+    for text in ("\n".join(rows) + "\n", "\r\n".join(rows)):
+        plain, marked = tmp_path / f"{kind}.col", tmp_path / f"{kind}-bom.col"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        want = read(plain)
+        got = read(marked)
+        if kind == "scalar":
+            assert_same_scalar_bytes(got, want)
+        else:
+            assert_same_bytes(got, list(want))
+        assert columnfile.looks_like_range_file(marked) is (kind == "range")
+        docs = []
+        for path in (plain, marked):
+            out = tmp_path / f"{path.name}.json"
+            assert main(["analyze", "--in", str(path), "--target", "3", "--out", str(out)]) == 0
+            docs.append(out.read_bytes())
+        assert docs[0] == docs[1]
+        assert (b"lower_stats" in docs[1]) is (kind == "range")
+
+
 # The bulk reader's decimal kernel against float(), bit for bit.
 
 NUMBER_TOKENS = [

@@ -264,6 +264,29 @@ class TestJoinSelectivity:
         lt = join_selectivity(sx, sy, ScalarOp.LT)
         le = join_selectivity(sx, sy, ScalarOp.LE)
         assert le - lt == pytest.approx(0.5 * 0.5, abs=1e-12)
+        # tie-heavy integer columns, with nulls; every third pair draws X
+        # from even and Y from odd values, so the MCV lists share none
+        rng = np.random.default_rng(204)
+        kinds = set()
+        for k in range(60):
+            xs = rng.integers(0, int(rng.integers(2, 40)), size=int(rng.integers(20, 400)))
+            ys = rng.integers(0, int(rng.integers(2, 40)), size=int(rng.integers(20, 400)))
+            xs, ys = (2 * xs, 2 * ys + 1) if k % 3 == 0 else (xs, ys)
+            xs, ys = xs.astype(float), ys.astype(float)
+            xs[rng.random(xs.size) < 0.1] = np.nan
+            target = int(rng.integers(1, 30))
+            sx, sy = analyze_column(xs, target), analyze_column(ys, target)
+            lt = join_selectivity(sx, sy, ScalarOp.LT)
+            le = join_selectivity(sx, sy, ScalarOp.LE)
+            fy = dict(zip(sy.mcv.values.tolist(), sy.mcv.fractions.tolist()))
+            shared = [(f, fy[v]) for v, f in zip(sx.mcv.values.tolist(), sx.mcv.fractions.tolist())
+                      if v in fy]
+            ties = (1 - sx.null_frac) * (1 - sy.null_frac) * sum(f * g for f, g in shared)
+            assert le - lt == pytest.approx(ties, abs=1e-12), k
+            if not shared:
+                assert le == lt, k
+            kinds.add(bool(shared))
+        assert kinds == {False, True}
 
     def test_estimates_bounded(self):
         rng = np.random.default_rng(202)

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from ineqsel import (
+    RangeColumn,
+    RangeOp,
+    ScalarOp,
     analyze_column,
     analyze_range_column,
+    join_selectivity,
     load_stats,
+    range_join_selectivity,
+    restriction_selectivity,
     save_range_stats,
     save_stats,
 )
@@ -123,8 +129,7 @@ def _one_sort_columns() -> dict[str, np.ndarray]:
         "heavy-ties": rng.integers(0, 12, size=n).astype(float),
         "skewed": skewed,
         # -0.0 and 0.0 as a common value, and as the minimum that stays
-        # in the histogram at low targets, where the sort of a mixed zero
-        # run may keep either sign
+        # in the histogram at low targets; ANALYZE writes both as one +0.0
         "signed-zeros-common": zeros_common,
         "signed-zeros-rare": zeros_rare,
         "all-equal": np.full(500, 4.5),
@@ -163,9 +168,9 @@ def _rank_mapping_columns() -> dict[str, np.ndarray]:
         "one-value-residual": np.concatenate((np.repeat([1.0, 2.0, 3.0], 10), np.full(4, 6.0))),
         # default sampling takes every row from target 2 on
         "full-column-nulls": nulls_full,
-        # -0.0 and 0.0 together make the most common value
+        # -0.0 and 0.0 together make the most common value, written +0.0
         "mixed-zeros-in-mcv": zeros_mcv,
-        # mixed zeros stay in the residual, and boundaries land on them
+        # mixed zeros stay in the residual, and +0.0 boundaries land on them
         "mixed-zeros-at-boundary": zeros_boundary,
         "all-null": np.full(10, np.nan),
         "nulls-and-one-value": np.array([np.nan] * 5 + [3.0]),
@@ -254,6 +259,84 @@ class TestOneSortAnalyze:
         for k in range(50):
             col = _random_column(rng)
             _assert_matches_multipass(col, seed=k, label=(chunk, k))
+
+    # One zero: a column's -0.0 and 0.0 are one value, and the statistics
+    # hold it as +0.0, so they are those of the column with +0.0 zeros.
+
+    SIGNED_ZERO_COLUMNS = {
+        **{name: ONE_SORT_COLUMNS[name] for name in ("signed-zeros-common", "signed-zeros-rare")},
+        **{name: RANK_MAPPING_COLUMNS[name]
+           for name in ("mixed-zeros-in-mcv", "mixed-zeros-at-boundary")},
+    }
+
+    @staticmethod
+    def _negative_zeros(doc: bytes) -> list[str]:
+        found = []
+
+        def number(text):
+            value = float(text)
+            if value == 0 and np.signbit(value):
+                found.append(text)
+            return value
+
+        json.loads(doc, parse_float=number)
+        return found
+
+    @staticmethod
+    def _signed_zero_range_column() -> RangeColumn:
+        rng = np.random.default_rng(22)
+        n = 2000
+        ends = np.sort(rng.integers(-3, 4, size=(2, n)).astype(float), axis=0)
+        for bound in ends:
+            bound[(bound == 0) & (rng.random(n) < 0.5)] = -0.0
+        lower, upper = ends
+        lower[rng.random(n) < 0.05] = -np.inf
+        upper[rng.random(n) < 0.05] = np.inf
+        closed = rng.random((2, n)) < 0.5
+        return RangeColumn(lower, upper, closed[0], closed[1], rng.random(n) < 0.05,
+                           rng.random(n) < 0.05)
+
+    def test_documents_hold_one_zero(self):
+        for name, col in self.SIGNED_ZERO_COLUMNS.items():
+            assert np.any(np.signbit(col[col == 0])) and np.any(~np.signbit(col[col == 0]))
+            for target in (1, 2, 10, 100, 1000):
+                for seed, cap in enumerate((None, 50, col.size, col.size + 1)):
+                    doc = save_stats(analyze_column(col, target, seed, cap))
+                    assert self._negative_zeros(doc) == [], (name, target, cap)
+        col = self._signed_zero_range_column()
+        for bound in (col.lower, col.upper):
+            assert np.any(np.signbit(bound[bound == 0])) and np.any(~np.signbit(bound[bound == 0]))
+        for target in (1, 2, 10, 100, 1000):
+            for seed, cap in enumerate((None, 50, len(col), len(col) + 1)):
+                doc = save_range_stats(analyze_range_column(col, target, seed, cap))
+                assert self._negative_zeros(doc) == [], (target, cap)
+
+    def test_estimates_match_positive_zero_column(self):
+        ops = (ScalarOp.LT, ScalarOp.LE, ScalarOp.GT, ScalarOp.GE)
+        names = sorted(self.SIGNED_ZERO_COLUMNS)
+        for name, partner in zip(names, names[1:] + names[:1]):
+            col, other = self.SIGNED_ZERO_COLUMNS[name], self.SIGNED_ZERO_COLUMNS[partner]
+            for target in (1, 2, 10, 100, 1000):
+                for seed, cap in enumerate((None, 50, col.size, col.size + 1)):
+                    sx, sx0 = (analyze_column(c, target, seed, cap) for c in (col, col + 0.0))
+                    sy, sy0 = (analyze_column(c, target, seed) for c in (other, other + 0.0))
+                    for op in ops:
+                        assert join_selectivity(sx, sy, op) == join_selectivity(sx0, sy0, op)
+                        assert join_selectivity(sy, sx, op) == join_selectivity(sy0, sx0, op)
+                        for c in (-1.0, -0.0, 0.0, 0.5, 1.0):
+                            assert (restriction_selectivity(sx, c, op)
+                                    == restriction_selectivity(sx0, c, op)), (name, op, c)
+        col = self._signed_zero_range_column()
+        positive = RangeColumn(col.lower + 0.0, col.upper + 0.0, col.lower_closed,
+                               col.upper_closed, col.null, col.empty)
+        other = generate_range_column(500, seed=3)
+        for target in (1, 2, 10, 100, 1000):
+            for seed, cap in enumerate((None, 50, len(col), len(col) + 1)):
+                rx, rx0 = (analyze_range_column(c, target, seed, cap) for c in (col, positive))
+                ry = analyze_range_column(other, target, seed)
+                for op in RangeOp:
+                    assert range_join_selectivity(rx, ry, op) == range_join_selectivity(rx0, ry, op)
+                    assert range_join_selectivity(ry, rx, op) == range_join_selectivity(ry, rx0, op)
 
 
 class TestPinnedStatistics:
