@@ -15,7 +15,7 @@ from .columnfile import looks_like_range_file
 from .operators import RangeOp, ScalarOp
 from .stats import _parse_json
 
-SCALAR_OPS = ("lt", "le", "gt", "ge")
+SCALAR_OPS = tuple(op.value for op in ScalarOp)
 RANGE_OPS = tuple(op.value for op in RangeOp)
 ALL_OPS = SCALAR_OPS + RANGE_OPS
 
@@ -23,6 +23,11 @@ ALL_OPS = SCALAR_OPS + RANGE_OPS
 def _parse_op(text: str) -> ScalarOp | RangeOp:
     # argparse's choices have already checked the text
     return ScalarOp(text) if text in SCALAR_OPS else RangeOp(text)
+
+
+# PostgreSQL's maximum statistics target; a larger HI is turned down before
+# its list is built
+MAX_TARGET = 10000
 
 
 def _parse_targets(spec: str) -> list[int]:
@@ -33,8 +38,9 @@ def _parse_targets(spec: str) -> list[int]:
         lo, hi, step = (int(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError("targets must be LO:HI:STEP") from None
-    if lo < 1 or hi < lo or step < 1:
-        raise argparse.ArgumentTypeError("targets must satisfy 1 <= LO <= HI, STEP >= 1")
+    if lo < 1 or hi < lo or hi > MAX_TARGET or step < 1:
+        raise argparse.ArgumentTypeError(
+            f"targets must satisfy 1 <= LO <= HI <= {MAX_TARGET}, STEP >= 1")
     return list(range(lo, hi + 1, step))
 
 
@@ -50,22 +56,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_gen)
 
     p = sub.add_parser("analyze", help="build statistics for a column file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_analyze)
 
     p = sub.add_parser("estimate", help="estimate join selectivity from statistics")
     p.add_argument("--stats-x", required=True)
     p.add_argument("--stats-y", required=True)
     p.add_argument("--op", required=True, choices=ALL_OPS)
+    p.set_defaults(run=_cmd_estimate)
 
     p = sub.add_parser("oracle", help="exact join count from raw column files")
     p.add_argument("--in-x", dest="in_x", required=True)
     p.add_argument("--in-y", dest="in_y", required=True)
     p.add_argument("--op", required=True, choices=ALL_OPS)
+    p.set_defaults(run=_cmd_oracle)
 
     p = sub.add_parser("sweep", help="error-vs-statistics-target experiment")
     p.add_argument("--in-x", dest="in_x", required=True)
@@ -74,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", type=_parse_targets, required=True, metavar="LO:HI:STEP")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_sweep)
 
     return parser
 
@@ -90,7 +101,7 @@ def _cmd_gen(args, parser) -> int:
     return 0
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args, parser) -> int:
     if args.target < 1:
         raise ValueError("statistics target must be at least 1")
     kind = harness.RANGE if looks_like_range_file(args.infile) else harness.SCALAR
@@ -112,7 +123,7 @@ def _load_any_stats(path: str):
     return kind.from_dict(doc)
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args, parser) -> int:
     op = _parse_op(args.op)
     kind = harness.kind_of(op)
     sx = _load_any_stats(args.stats_x)
@@ -123,7 +134,7 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args, parser) -> int:
     op = _parse_op(args.op)
     kind = harness.kind_of(op)
     count = kind.oracle(kind.read(args.in_x), kind.read(args.in_y), op)
@@ -131,7 +142,7 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, parser) -> int:
     op = _parse_op(args.op)
     rows = harness.run_sweep(args.in_x, args.in_y, op, args.targets, args.seed)
     harness.write_results_csv(rows, args.out)
@@ -142,20 +153,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "gen":
-            return _cmd_gen(args, parser)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
+        return args.run(args, parser)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -2,9 +2,11 @@
 
 The operator algebra reduces everything to the less-than case:
 
-* restriction: P(X < c) is the histogram CDF at c, plus the exact MCV mass
-  below c; GE/GT are complements, LE adds the recoverable equality mass.
-  The CDF is right-continuous, so at a zero-width bin's value LT counts its
+* restriction: ``x <op> c`` is the join of X with a one-row column holding
+  c, whose statistics are the one-entry MCV list {c: 1.0}.  So P(X < c) is
+  X's MCV mass below c plus its histogram share times F_X(c), LE adds X's
+  MCV mass at c, GE is the complement of LT and GT swaps the sides.  The
+  CDF is right-continuous, so at a zero-width bin's value LT counts its
   mass and GE does not: at c = 5, a point mass at 5 gives LT 1.0 and GE
   0.0, where the model gives 0 and 1.
 * join: P(X < Y) integrates F_X against Y's density.  When neither
@@ -58,28 +60,15 @@ def _check_usable(s: AttributeStats) -> None:
 def restriction_selectivity(s: AttributeStats, c: float, op: ScalarOp) -> float:
     """Estimate the fraction of rows with ``value <op> c``.
 
-    Combines the exact MCV filter with the interpolated histogram CDF, then
-    scales by the non-null fraction.
+    The join of the column with a one-row column holding c, whose
+    statistics are the one-entry MCV list {c: 1.0}.
     """
-    if op not in (ScalarOp.LT, ScalarOp.LE, ScalarOp.GT, ScalarOp.GE):
-        raise ValueError(f"unsupported restriction operator {op}")
     if np.isnan(c):
-        # cdf carries a NaN point through to the estimate
         raise ValueError("restriction constant is NaN")
-    if s.null_frac >= 1.0:
-        return 0.0
-    _check_usable(s)
-
-    mcv_mass = mcv_restriction_selectivity(s.mcv, c, op)
-    hist_mass = 0.0
-    if s.histogram is not None and s.hist_fraction > 0.0:
-        f = cdf(s.histogram, c)
-        # Within the histogram partition P(X = c) is 0, so LE behaves as LT
-        # and GT as GE; equality mass comes from the MCV term alone.
-        below = f if op in (ScalarOp.LT, ScalarOp.LE) else 1.0 - f
-        hist_mass = s.hist_fraction * below
-
-    return clamp01((1.0 - s.null_frac) * (mcv_mass + hist_mass))
+    if np.isinf(c):
+        raise ValueError("restriction constant is infinite")
+    point = AttributeStats(0.0, MostCommonValues(np.array([c]), np.array([1.0])), None, 1, 1)
+    return join_selectivity(s, point, op)
 
 
 def join_lt_hist(hx: EquiDepthHistogram, hy: EquiDepthHistogram) -> float:

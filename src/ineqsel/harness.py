@@ -43,6 +43,11 @@ RUNNING_EXAMPLE_R2 = (15, 16, 17, 20, 30, 35, 38, 39, 40, 42, 45, 50)
 
 DOMAIN_MAX = 10**6
 
+# Shares of null, empty and infinite-bound rows in a generated range column
+NULL_FRAC = 0.01
+EMPTY_FRAC = 0.01
+INF_FRAC = 0.01
+
 
 def generate_scalar_column(kind: str, rows: int, seed: int) -> np.ndarray:
     """Deterministic scalar column for the given kind and seed."""
@@ -68,14 +73,7 @@ def generate_scalar_column(kind: str, rows: int, seed: int) -> np.ndarray:
     raise ValueError(f"unknown scalar dataset kind {kind!r}")
 
 
-def generate_range_column(
-    rows: int,
-    seed: int,
-    *,
-    empty_frac: float = 0.01,
-    null_frac: float = 0.01,
-    inf_frac: float = 0.01,
-) -> RangeColumn:
+def generate_range_column(rows: int, seed: int) -> RangeColumn:
     """Deterministic mixed range column: short/medium/long widths in a
     60/30/10 ratio over [0, 10^6], plus empty, null and infinite-bound rows.
 
@@ -90,8 +88,8 @@ def generate_range_column(
         raise ValueError("rows must be at least 1")
     d = np.random.default_rng(seed).random(8 * rows)
     # the number of doubles a row takes if it starts at each offset
-    blank = d[:-7] < null_frac + empty_frac
-    draws = np.where(blank, 1, np.where(d[6:-1] < inf_frac, 8, 7)).tolist()
+    blank = d[:-7] < NULL_FRAC + EMPTY_FRAC
+    draws = np.where(blank, 1, np.where(d[6:-1] < INF_FRAC, 8, 7)).tolist()
     starts = []
     at = 0
     for _ in range(rows):
@@ -106,13 +104,13 @@ def generate_range_column(
     start = (DOMAIN_MAX - width) * d[p + 3]
     lower = np.floor(start)
     upper = np.floor(start + width) + 1.0
-    infinite = d[p + 6] < inf_frac
+    infinite = d[p + 6] < INF_FRAC
     side = d[p + 7] < 0.5
     lower[infinite & side] = -math.inf
     upper[infinite & ~side] = math.inf
-    null = u < null_frac
+    null = u < NULL_FRAC
     return RangeColumn(lower, upper, d[p + 4] < 0.5, d[p + 5] < 0.5, null,
-                       ~null & (u < null_frac + empty_frac))
+                       ~null & (u < NULL_FRAC + EMPTY_FRAC))
 
 
 @dataclass(frozen=True)
@@ -227,19 +225,12 @@ def run_sweep(
     return rows
 
 
-def write_results_csv(rows, path_or_file) -> None:
-    if hasattr(path_or_file, "write"):
-        _write_csv(rows, path_or_file)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(rows, fh)
-
-
-def _write_csv(rows, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(CSV_HEADER)
-    for r in rows:
-        writer.writerow(
-            [r.statistics_target, repr(float(r.estimate)), repr(float(r.exact)),
-             repr(float(r.error)), repr(float(r.est_time_us)), repr(float(r.build_time_us))]
-        )
+def write_results_csv(rows, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for r in rows:
+            writer.writerow(
+                [r.statistics_target, repr(float(r.estimate)), repr(float(r.exact)),
+                 repr(float(r.error)), repr(float(r.est_time_us)), repr(float(r.build_time_us))]
+            )

@@ -9,16 +9,14 @@ import operator
 class ScalarOp(enum.Enum):
     """Comparison between scalar values with total-order semantics.
 
-    The selectivity estimators accept LT, LE, GT and GE, and count ties in
-    the MCV x MCV term of LE.  EQ is used only by the oracle's exact
-    counts, ``exact_join`` and ``exact_restriction``.
+    The four inequalities; both estimators and both oracles accept each of
+    them, and the CLI offers them by value as ``--op``.
     """
 
     LT = "lt"
     LE = "le"
     GT = "gt"
     GE = "ge"
-    EQ = "eq"
 
     def apply(self, a, b):
         """``a <op> b``; elementwise when either side is a numpy array."""
@@ -30,7 +28,6 @@ _SCALAR_FN = {
     ScalarOp.LE: operator.le,
     ScalarOp.GT: operator.gt,
     ScalarOp.GE: operator.ge,
-    ScalarOp.EQ: operator.eq,
 }
 
 

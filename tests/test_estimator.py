@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from ineqsel import (
     EquiDepthHistogram,
     InsufficientStatisticsError,
     MostCommonValues,
+    RangeOp,
     ScalarOp,
     analyze_column,
     cdf,
@@ -20,7 +22,7 @@ from ineqsel import (
 from ineqsel._util import clamp01
 from ineqsel.estimator import join_lt_hist, join_lt_hist_mcv, join_lt_mcv_hist, join_lt_mcv_mcv
 from ineqsel.histogram import build_equi_depth
-from ineqsel.mcv import EMPTY_MCV
+from ineqsel.mcv import EMPTY_MCV, mcv_restriction_selectivity
 from ineqsel.stats import AttributeStats
 
 from conftest import R1_X, R2_Y, random_histogram, sync_trapezoid
@@ -90,10 +92,109 @@ class TestRestriction:
         with pytest.raises(ValueError, match="NaN"):
             restriction_selectivity(s, float("nan"), ScalarOp.LT)
 
+    @pytest.mark.parametrize("c", [math.inf, -math.inf])
+    def test_infinite_constant_rejected(self, r1_x, c):
+        s = analyze_column(r1_x, 3)
+        with pytest.raises(ValueError, match="infinite"):
+            restriction_selectivity(s, c, ScalarOp.LT)
+
     def test_eq_not_supported(self, r1_x):
         s = analyze_column(r1_x, 3)
         with pytest.raises(ValueError, match="unsupported"):
-            restriction_selectivity(s, 30, ScalarOp.EQ)
+            restriction_selectivity(s, 30, RangeOp.OVERLAPS)
+
+
+def _point(c):
+    """Statistics of a one-row column holding c: the MCV list {c: 1.0}."""
+    return AttributeStats(0.0, make_mcv([(c, 1.0)]), None, 1, 1)
+
+
+def _restriction_reference(s, c, op):
+    """The partition sum restriction_selectivity computed before it became a
+    join: the MCV mass plus the histogram share times the CDF at c."""
+    if s.null_frac >= 1.0:
+        return 0.0
+    mcv_mass = mcv_restriction_selectivity(s.mcv, c, op)
+    hist_mass = 0.0
+    if s.histogram is not None and s.hist_fraction > 0.0:
+        f = cdf(s.histogram, c)
+        hist_mass = s.hist_fraction * (f if op in (ScalarOp.LT, ScalarOp.LE) else 1.0 - f)
+    return clamp01((1.0 - s.null_frac) * (mcv_mass + hist_mass))
+
+
+def _restriction_columns():
+    """The columns of the restriction sweep, by name."""
+    rng = np.random.default_rng(404)
+    uniform = rng.integers(0, 10**6, size=300).astype(float)
+    skewed = np.where(rng.random(300) < 0.5, rng.choice([7.0, 70.0, 700.0], size=300),
+                      rng.integers(0, 1000, size=300))
+    tied = rng.integers(0, 30, size=300).astype(float)
+    nulls = rng.normal(size=300)
+    nulls[rng.random(300) < 0.2] = np.nan
+    mcv_only = np.repeat(np.arange(10.0), 30)
+    # 20 values seen 12 times each and 60 seen once: below target 20 the
+    # residual repeats, so the histogram has zero-width bins
+    point_mass = np.concatenate((np.repeat(np.arange(0.0, 200.0, 10.0), 12),
+                                 rng.uniform(0, 200, size=60)))
+    return {"uniform": uniform, "skewed": skewed, "tied": tied, "nulls": nulls,
+            "mcv-only": mcv_only, "point-mass-histogram": point_mass}
+
+
+RESTRICTION_COLUMNS = _restriction_columns()
+
+
+class TestRestrictionIsJoin:
+    """restriction_selectivity is join_selectivity against a one-row column,
+    and that keeps the old partition sum: LT and LE bit for bit, GT and GE
+    (summed in another order, GE as 1 - LT) to within 4.5e-16."""
+
+    @pytest.mark.parametrize("name", list(RESTRICTION_COLUMNS))
+    def test_sweep_against_reference(self, name):
+        data = RESTRICTION_COLUMNS[name]
+        finite = data[~np.isnan(data)]
+        probes = np.unique(finite)
+        rng = np.random.default_rng(405)
+        constants = np.concatenate((rng.choice(probes, size=6),
+                                    rng.uniform(finite.min() - 1, finite.max() + 1, size=3),
+                                    [finite.min() - 1, finite.max() + 1]))
+        shapes = set()
+        for target in range(1, 101):
+            s = analyze_column(data, target, sample_cap=data.size)
+            if s.histogram is None:
+                shapes.add("mcv-only")
+            elif np.any(s.histogram.bounds[1:] == s.histogram.bounds[:-1]):
+                shapes.add("point-mass-histogram")
+            for c in constants.tolist():
+                for op in ScalarOp:
+                    got = restriction_selectivity(s, c, op)
+                    assert got == join_selectivity(s, _point(c), op), (name, target, c, op)
+                    ref = _restriction_reference(s, c, op)
+                    if op in (ScalarOp.LT, ScalarOp.LE):
+                        assert got == ref, (name, target, c, op)
+                    else:
+                        assert abs(got - ref) <= 4.5e-16, (name, target, c, op)
+        # the two special columns reach the statistics they are named for
+        assert name not in ("mcv-only", "point-mass-histogram") or name in shapes
+
+    def test_long_mcv_lists_gt_within_summation_error(self):
+        # GT sums X's MCV mass above c entry by entry (join_lt_mcv_mcv),
+        # where the partition sum took numpy's pairwise sum, so with 100
+        # entries GT may differ by more than 4.5e-16, though by no more than
+        # the summation error of 100 terms; LT, LE and GE are unaffected
+        data = np.random.default_rng(406).integers(0, 200, size=2000).astype(float)
+        data[::17] = np.nan
+        eps = np.finfo(float).eps
+        for target in (30, 60, 100):
+            s = analyze_column(data, target, sample_cap=data.size)
+            for c in np.linspace(-1.0, 200.0, 41).tolist():
+                for op in ScalarOp:
+                    got, ref = restriction_selectivity(s, c, op), _restriction_reference(s, c, op)
+                    if op in (ScalarOp.LT, ScalarOp.LE):
+                        assert got == ref, (target, c, op)
+                    elif op is ScalarOp.GE:
+                        assert abs(got - ref) <= 4.5e-16, (target, c, op)
+                    else:
+                        assert abs(got - ref) <= len(s.mcv) * eps, (target, c, op)
 
 
 class TestJoinHistHist:

@@ -1,6 +1,5 @@
 import csv
 import hashlib
-import io
 import json
 import math
 import subprocess
@@ -9,7 +8,15 @@ import sys
 import numpy as np
 import pytest
 
-from ineqsel import RangeOp, ScalarOp
+from ineqsel import (
+    RangeOp,
+    ScalarOp,
+    exact_join,
+    exact_restriction,
+    join_selectivity,
+    load_stats,
+    restriction_selectivity,
+)
 from ineqsel.cli import main
 from ineqsel.columnfile import looks_like_range_file
 from ineqsel.harness import (
@@ -244,9 +251,10 @@ class TestSweep:
     def test_csv_round_trip(self, tmp_path):
         fx, fy = self.write_examples(tmp_path)
         rows = run_sweep(fx, fy, ScalarOp.LT, [3, 6], seed=0)
-        buf = io.StringIO()
-        write_results_csv(rows, buf)
-        header, *records = csv.reader(io.StringIO(buf.getvalue()))
+        out = tmp_path / "results.csv"
+        write_results_csv(rows, out)
+        with open(out, newline="") as fh:
+            header, *records = csv.reader(fh)
         assert header == CSV_HEADER
         back = [ExperimentRow(int(r[0]), *map(float, r[1:])) for r in records]
         assert back == rows
@@ -318,6 +326,38 @@ class TestCli:
             main(["sweep", "--in-x", "a", "--in-y", "b", "--op", "lt",
                   "--targets", "10", "--out", str(tmp_path / "f")])
         assert exc.value.code == 2
+
+    def test_targets_above_max_exit_2(self, tmp_path, capsys):
+        # HI past the largest statistics target is turned down before the
+        # list of targets is built
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--in-x", "a", "--in-y", "b", "--op", "lt",
+                  "--targets", "1:2000000000:1", "--out", str(tmp_path / "f")])
+        assert exc.value.code == 2
+        assert "HI <= 10000" in capsys.readouterr().err
+        # HI at the limit parses; the missing files are then a data error
+        assert main(["sweep", "--in-x", str(tmp_path / "a"), "--in-y", str(tmp_path / "b"),
+                     "--op", "lt", "--targets", "1:10000:100",
+                     "--out", str(tmp_path / "f")]) == 1
+
+    def test_every_scalar_op_everywhere(self, tmp_path, capsys):
+        # both estimators and both oracles take every ScalarOp, and --op
+        # offers each by its value
+        fx = self.gen(tmp_path, "running-example-r1", "x.col")
+        fy = self.gen(tmp_path, "running-example-r2", "y.col")
+        stats_x, stats_y = tmp_path / "x.json", tmp_path / "y.json"
+        assert main(["analyze", "--in", str(fx), "--target", "3", "--out", str(stats_x)]) == 0
+        assert main(["analyze", "--in", str(fy), "--target", "3", "--out", str(stats_y)]) == 0
+        sx, sy = load_stats(stats_x.read_bytes()), load_stats(stats_y.read_bytes())
+        for op in ScalarOp:
+            assert 0.0 <= restriction_selectivity(sx, 30, op) <= 1.0
+            assert exact_restriction(RUNNING_EXAMPLE_R1, 30, op).total == 12
+            assert main(["estimate", "--stats-x", str(stats_x), "--stats-y", str(stats_y),
+                         "--op", op.value]) == 0
+            assert float(capsys.readouterr().out) == join_selectivity(sx, sy, op)
+            assert main(["oracle", "--in-x", str(fx), "--in-y", str(fy), "--op", op.value]) == 0
+            count = exact_join(RUNNING_EXAMPLE_R1, RUNNING_EXAMPLE_R2, op)
+            assert capsys.readouterr().out.strip() == f"{count.qualifying}/{count.total}"
 
     def test_data_error_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.col"

@@ -20,7 +20,7 @@ from ineqsel.ranges import EMPTY_RANGE, RangeColumn
 
 from conftest import R1_X, R2_Y
 
-ALL_SCALAR_OPS = (ScalarOp.LT, ScalarOp.LE, ScalarOp.GT, ScalarOp.GE, ScalarOp.EQ)
+ALL_SCALAR_OPS = (ScalarOp.LT, ScalarOp.LE, ScalarOp.GT, ScalarOp.GE)
 
 
 class TestExactCount:
