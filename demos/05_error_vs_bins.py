@@ -21,7 +21,7 @@ with tempfile.TemporaryDirectory(prefix="ineqsel-demo-") as workdir:
     fx, fy = Path(workdir) / "x.col", Path(workdir) / "y.col"
     write_range_column(fx, generate_range_column(20390, seed=1))
     write_range_column(fy, generate_range_column(20060, seed=2))
-    rows = run_sweep(fx, fy, RangeOp.STRICTLY_LEFT, targets=range(100, 1001, 100), seed=0)
+    rows = run_sweep(fx, fy, RangeOp.STRICTLY_LEFT, targets=range(100, 1001, 100))
 
 print(f"{'bins':>5}  {'estimate':>10}  {'exact':>10}  {'error':>10}  {'est ms':>7}  {'build ms':>9}")
 for r in rows:

@@ -10,11 +10,7 @@ from .histogram import EquiDepthHistogram, cdf
 from .mcv import MostCommonValues
 from .operators import RangeOp, ScalarOp
 from .stats import AttributeStats, analyze_column, load_stats, save_stats
-from .estimator import (
-    InsufficientStatisticsError,
-    join_selectivity,
-    restriction_selectivity,
-)
+from .estimator import join_selectivity, restriction_selectivity
 from .ranges import (
     RangeColumn,
     RangeStats,
@@ -40,7 +36,6 @@ __all__ = [
     "EquiDepthHistogram",
     "ExactCount",
     "ExperimentRow",
-    "InsufficientStatisticsError",
     "MostCommonValues",
     "RangeColumn",
     "RangeOp",

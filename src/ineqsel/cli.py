@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Subcommands: gen, analyze, estimate, oracle, sweep.  Exit status is 0 on
-success, 2 for usage errors, 1 for data errors (unreadable or malformed
-files, insufficient statistics).
+success, 2 for usage errors (argparse checks every option, integer ranges
+included), 1 for data errors (unreadable or malformed files or statistics).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from collections.abc import Callable
 
 from . import harness
 from .columnfile import looks_like_range_file
@@ -30,17 +32,27 @@ def _parse_op(text: str) -> ScalarOp | RangeOp:
 MAX_TARGET = 10000
 
 
+def _integer(name: str, lo: int, hi: float = math.inf) -> Callable[[str], int]:
+    """An argparse type: an integer in [lo, hi]; anything else is a usage error."""
+    rule = f"{name} >= {lo}" if hi == math.inf else f"{lo} <= {name} <= {hi}"
+
+    def parse(text: str) -> int:
+        try:
+            if lo <= int(text) <= hi:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{name} must be an integer with {rule}")
+    return parse
+
+
 def _parse_targets(spec: str) -> list[int]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("targets must be LO:HI:STEP")
-    try:
-        lo, hi, step = (int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError("targets must be LO:HI:STEP") from None
-    if lo < 1 or hi < lo or hi > MAX_TARGET or step < 1:
-        raise argparse.ArgumentTypeError(
-            f"targets must satisfy 1 <= LO <= HI <= {MAX_TARGET}, STEP >= 1")
+    lo = _integer("LO", 1, MAX_TARGET)(parts[0])
+    hi = _integer("HI", lo, MAX_TARGET)(parts[1])
+    step = _integer("STEP", 1)(parts[2])
     return list(range(lo, hi + 1, step))
 
 
@@ -53,15 +65,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a column data file")
     p.add_argument("--kind", required=True, choices=harness.DATASET_KINDS)
-    p.add_argument("--rows", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rows", type=_integer("ROWS", 1), default=1000)
+    p.add_argument("--seed", type=_integer("SEED", 0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(run=_cmd_gen)
 
     p = sub.add_parser("analyze", help="build statistics for a column file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--target", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--target", type=_integer("TARGET", 1, MAX_TARGET), required=True)
+    p.add_argument("--seed", type=_integer("SEED", 0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(run=_cmd_analyze)
 
@@ -82,16 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in-y", dest="in_y", required=True)
     p.add_argument("--op", required=True, choices=ALL_OPS)
     p.add_argument("--targets", type=_parse_targets, required=True, metavar="LO:HI:STEP")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(run=_cmd_sweep)
 
     return parser
 
 
-def _cmd_gen(args, parser) -> int:
-    if args.kind not in ("running-example-r1", "running-example-r2") and args.rows < 1:
-        parser.error("--rows must be at least 1")
+def _cmd_gen(args) -> int:
     if args.kind in harness.RANGE_KINDS:
         values = harness.generate_range_column(args.rows, args.seed)
         harness.write_range_column(args.out, values)
@@ -101,9 +110,7 @@ def _cmd_gen(args, parser) -> int:
     return 0
 
 
-def _cmd_analyze(args, parser) -> int:
-    if args.target < 1:
-        raise ValueError("statistics target must be at least 1")
+def _cmd_analyze(args) -> int:
     kind = harness.RANGE if looks_like_range_file(args.infile) else harness.SCALAR
     doc = kind.save(kind.analyze(kind.read(args.infile), args.target, args.seed))
     with open(args.out, "wb") as fh:
@@ -123,7 +130,7 @@ def _load_any_stats(path: str):
     return kind.from_dict(doc)
 
 
-def _cmd_estimate(args, parser) -> int:
+def _cmd_estimate(args) -> int:
     op = _parse_op(args.op)
     kind = harness.kind_of(op)
     sx = _load_any_stats(args.stats_x)
@@ -134,7 +141,7 @@ def _cmd_estimate(args, parser) -> int:
     return 0
 
 
-def _cmd_oracle(args, parser) -> int:
+def _cmd_oracle(args) -> int:
     op = _parse_op(args.op)
     kind = harness.kind_of(op)
     count = kind.oracle(kind.read(args.in_x), kind.read(args.in_y), op)
@@ -142,18 +149,17 @@ def _cmd_oracle(args, parser) -> int:
     return 0
 
 
-def _cmd_sweep(args, parser) -> int:
+def _cmd_sweep(args) -> int:
     op = _parse_op(args.op)
-    rows = harness.run_sweep(args.in_x, args.in_y, op, args.targets, args.seed)
+    rows = harness.run_sweep(args.in_x, args.in_y, op, args.targets)
     harness.write_results_csv(rows, args.out)
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.run(args, parser)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,7 +22,8 @@ The operator algebra reduces everything to the less-than case:
 
 Estimates combine the per-partition results weighted by the null / MCV /
 histogram fractions of each side.  All inequality operators are strict, so
-null rows contribute nothing.
+null rows contribute nothing.  Nothing is checked here: AttributeStats
+rejects a null fraction outside [0, 1] and non-null rows left undescribed.
 
 Ties between point masses (MCV entries, or zero-width histogram bins) are
 counted differently per pair of partitions, for P(X < Y):
@@ -46,15 +47,6 @@ from .histogram import EquiDepthHistogram, cdf
 from .mcv import MostCommonValues, mcv_restriction_selectivity
 from .operators import ScalarOp
 from .stats import AttributeStats
-
-
-class InsufficientStatisticsError(ValueError):
-    """Raised when an estimate needs a statistics component that is absent."""
-
-
-def _check_usable(s: AttributeStats) -> None:
-    if len(s.mcv) == 0 and s.histogram is None and s.null_frac < 1.0:
-        raise InsufficientStatisticsError("insufficient statistics")
 
 
 def restriction_selectivity(s: AttributeStats, c: float, op: ScalarOp) -> float:
@@ -135,9 +127,6 @@ def join_selectivity(sx: AttributeStats, sy: AttributeStats, op: ScalarOp) -> fl
         raise ValueError(f"unsupported join operator {op}")
     if sx.null_frac >= 1.0 or sy.null_frac >= 1.0:
         return 0.0
-    _check_usable(sx)
-    _check_usable(sy)
-
     if op is ScalarOp.GE:
         cond = 1.0 - _join_conditional(sx, sy, ScalarOp.LT)
     else:

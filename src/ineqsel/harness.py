@@ -187,17 +187,11 @@ def _timed(fn, repeats: int = 1):
     return result, best * 1e6
 
 
-def run_sweep(
-    file_x,
-    file_y,
-    op: ScalarOp | RangeOp,
-    targets,
-    seed: int = 0,
-) -> list[ExperimentRow]:
+def run_sweep(file_x, file_y, op: ScalarOp | RangeOp, targets) -> list[ExperimentRow]:
     """Estimate-vs-oracle comparison for every statistics target.
 
-    Statistics are built from the full columns (no sampling) so the error
-    column isolates estimator error from sampling noise.
+    Statistics are built from the full columns (no sampling, so no sample
+    seed) so the error column isolates estimator error from sampling noise.
     """
     targets = sorted(set(int(t) for t in targets))
     if not targets:
@@ -209,8 +203,8 @@ def run_sweep(
 
     rows = []
     for target in targets:
-        (sx, sy), build_us = _timed(lambda: (kind.analyze(xs, target, seed, len(xs)),
-                                             kind.analyze(ys, target, seed, len(ys))))
+        (sx, sy), build_us = _timed(lambda: (kind.analyze(xs, target, 0, len(xs)),
+                                             kind.analyze(ys, target, 0, len(ys))))
         est, est_us = _timed(lambda: kind.estimate(sx, sy, op), _ESTIMATE_REPEATS)
         rows.append(
             ExperimentRow(

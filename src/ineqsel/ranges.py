@@ -20,6 +20,9 @@ is rejected rather than guessed.
 Empty ranges have no position, so they satisfy none of the operators, on
 either side; their share is tracked and factored out, like nulls.
 
+RangeStats checks its own invariants when built, so the loader checks only
+the JSON shape and the estimator never meets a missing bound it needs.
+
 parse_range reads one range literal; whole range files are read and
 written by the columnfile module.
 """
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import clamp01
-from .estimator import InsufficientStatisticsError, join_selectivity
+from .estimator import join_selectivity
 from .operators import RangeOp, ScalarOp
 from .stats import (
     AttributeStats,
@@ -47,7 +50,7 @@ from .stats import (
     SAMPLE_ROWS_PER_TARGET,
     _parse_json,
     _require,
-    _require_fraction,
+    _require_number,
 )
 
 
@@ -323,7 +326,9 @@ class RangeStats:
 
     lower_stats and upper_stats summarize the finite bounds of the
     non-empty rows; empty_frac is relative to non-null rows, the infinite
-    fractions to non-empty rows.
+    fractions to non-empty rows.  The constructor rejects fractions
+    outside [0, 1], and a bound's statistics missing unless every row is
+    null or empty or every value of that bound is infinite.
     """
 
     null_frac: float
@@ -332,6 +337,17 @@ class RangeStats:
     upper_stats: AttributeStats | None
     lower_inf_frac: float
     upper_inf_frac: float
+
+    def __post_init__(self):
+        for fld in ("null_frac", "empty_frac", "lower_inf_frac", "upper_inf_frac"):
+            # written so that NaN fails too
+            if not 0.0 <= getattr(self, fld) <= 1.0:
+                raise ValueError(f"{fld} out of range")
+        for bound in ("lower", "upper"):
+            # some rows have a finite value at this bound unless a share is 1
+            shares = (self.null_frac, self.empty_frac, getattr(self, f"{bound}_inf_frac"))
+            if 1.0 not in shares and getattr(self, f"{bound}_stats") is None:
+                raise ValueError(f"{bound}_stats missing while some {bound} bounds are finite")
 
 
 def analyze_range_column(
@@ -380,17 +396,6 @@ def analyze_range_column(
     )
 
 
-def _scalar_term(
-    sx: AttributeStats | None, sy: AttributeStats | None, op: ScalarOp, weight: float
-) -> float:
-    """weight * scalar join estimate, demanding stats only when weight > 0."""
-    if weight <= 0.0:
-        return 0.0
-    if sx is None or sy is None:
-        raise InsufficientStatisticsError("insufficient statistics")
-    return weight * join_selectivity(sx, sy, op)
-
-
 def _conditional_selectivity(sx: RangeStats, sy: RangeStats, op: RangeOp) -> float:
     """P(X <op> Y) given both sides non-null and non-empty."""
     if op is RangeOp.OVERLAPS:
@@ -410,12 +415,12 @@ def _conditional_selectivity(sx: RangeStats, sy: RangeStats, op: RangeOp) -> flo
         + (1.0 - ix) * iy * scalar_op.apply(0.0, y_inf)
         + ix * iy * scalar_op.apply(x_inf, y_inf)
     )
-    return infinite_mass + _scalar_term(
-        getattr(sx, f"{x_bound}_stats"),
-        getattr(sy, f"{y_bound}_stats"),
-        scalar_op,
-        (1.0 - ix) * (1.0 - iy),
-    )
+    # Both bounds finite: RangeStats holds their statistics when this has mass.
+    weight = (1.0 - ix) * (1.0 - iy)
+    if weight > 0.0:
+        sx_bound, sy_bound = getattr(sx, f"{x_bound}_stats"), getattr(sy, f"{y_bound}_stats")
+        return infinite_mass + weight * join_selectivity(sx_bound, sy_bound, scalar_op)
+    return infinite_mass
 
 
 def range_join_selectivity(sx: RangeStats, sy: RangeStats, op: RangeOp) -> float:
@@ -456,7 +461,7 @@ def range_stats_from_dict(doc: dict) -> RangeStats:
     if not isinstance(doc, dict):
         raise ValueError("stats document must be a JSON object")
     fracs = {
-        fld: _require_fraction(doc, fld)
+        fld: _require_number(doc, fld)
         for fld in ("null_frac", "empty_frac", "lower_inf_frac", "upper_inf_frac")
     }
     lower_doc = _require(doc, "lower_stats")

@@ -4,6 +4,9 @@ Every analyzed row lands in exactly one partition: null, most-common value,
 or histogram.  The fractions of the three partitions drive the combined
 selectivity estimates.
 
+AttributeStats checks its own invariants when built, so the document
+loader checks only the JSON shape and the estimators check nothing.
+
 ANALYZE sorts the non-null sample once, as PostgreSQL's
 ``compute_scalar_stats`` (``src/backend/commands/analyze.c``) does, and
 builds the MCV list and the histogram from that one sorted array: the
@@ -34,7 +37,9 @@ class AttributeStats:
 
     MCV fractions are relative to the non-null rows; the null fraction
     applies multiplicatively on top.  The histogram covers the non-null
-    rows that are not in the MCV list.
+    rows that are not in the MCV list, so without a histogram the MCV list
+    covers them all, unless every row is null.  The constructor rejects
+    statistics that break these rules, so an estimate never has to check.
     """
 
     null_frac: float
@@ -42,6 +47,15 @@ class AttributeStats:
     histogram: EquiDepthHistogram | None
     row_count: int
     statistics_target: int
+
+    def __post_init__(self):
+        # written so that NaN fails too
+        if not 0.0 <= self.null_frac <= 1.0:
+            raise ValueError("null_frac out of range")
+        if self.histogram is None and self.null_frac < 1.0:
+            total = self.mcv.total_fraction
+            if abs(total - 1.0) > 1e-9:
+                raise ValueError(f"mcv fractions sum to {total:g} and there is no histogram")
 
     @property
     def hist_fraction(self) -> float:
@@ -159,11 +173,14 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _require_fraction(doc: dict, fld: str) -> float:
+def _require_number(doc: dict, fld: str) -> float:
     v = _require(doc, fld)
-    if not _is_number(v) or not 0 <= v <= 1:
-        raise ValueError(f"{fld} out of range")
-    return float(v)
+    if not _is_number(v):
+        raise ValueError(f"{fld} must be a number")
+    try:
+        return float(v)
+    except OverflowError:       # a JSON integer beyond float range
+        raise ValueError(f"{fld} holds a number beyond float range") from None
 
 
 def _require_numbers(doc: dict, fld: str) -> np.ndarray:
@@ -186,12 +203,10 @@ def _require_int(doc: dict, fld: str, minimum: int) -> int:
 def stats_from_dict(doc: dict) -> AttributeStats:
     if not isinstance(doc, dict):
         raise ValueError("stats document must be a JSON object")
-    null_frac = _require_fraction(doc, "null_frac")
+    null_frac = _require_number(doc, "null_frac")
     mcv_doc = _require(doc, "mcv")
     mcv_values = _require_numbers(mcv_doc, "values")
     mcv_fractions = _require_numbers(mcv_doc, "fractions")
-    if len(mcv_values) != len(mcv_fractions):
-        raise ValueError("mcv values and fractions differ in length")
     try:
         mcv = MostCommonValues(mcv_values, mcv_fractions)
     except ValueError as exc:
@@ -200,16 +215,7 @@ def stats_from_dict(doc: dict) -> AttributeStats:
     hist_doc = _require(doc, "histogram")
     histogram = None
     if hist_doc is not None:
-        try:
-            histogram = EquiDepthHistogram(_require_numbers(hist_doc, "bounds"))
-        except ValueError as exc:
-            raise ValueError(str(exc)) from None
-    elif null_frac < 1 and abs(mcv.total_fraction - 1) > 1e-9:
-        # without a histogram the MCV list must cover every non-null row
-        raise ValueError(
-            f"mcv fractions sum to {mcv.total_fraction:g} and there is no histogram"
-        )
-
+        histogram = EquiDepthHistogram(_require_numbers(hist_doc, "bounds"))
     row_count = _require_int(doc, "row_count", 0)
     target = _require_int(doc, "statistics_target", 1)
     return AttributeStats(null_frac, mcv, histogram, row_count, target)

@@ -53,7 +53,7 @@ def desk_sweep(tmp_path_factory):
     write_range_column(fx, generate_range_column(20390, seed=1))
     write_range_column(fy, generate_range_column(20060, seed=2))
     start = time.monotonic()
-    rows = run_sweep(fx, fy, RangeOp.STRICTLY_LEFT, range(100, 1001, 100), seed=0)
+    rows = run_sweep(fx, fy, RangeOp.STRICTLY_LEFT, range(100, 1001, 100))
     elapsed = time.monotonic() - start
     write_results_csv(rows, tmp / "results.csv")
     return rows, elapsed

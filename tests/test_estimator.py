@@ -9,7 +9,6 @@ import pytest
 
 from ineqsel import (
     EquiDepthHistogram,
-    InsufficientStatisticsError,
     MostCommonValues,
     RangeOp,
     ScalarOp,
@@ -83,9 +82,10 @@ class TestRestriction:
         assert restriction_selectivity(s, 0, ScalarOp.LT) == 0.0
 
     def test_insufficient_statistics(self):
-        s = AttributeStats(0.5, EMPTY_MCV, None, 10, 3)
-        with pytest.raises(InsufficientStatisticsError, match="insufficient statistics"):
-            restriction_selectivity(s, 1.0, ScalarOp.LT)
+        # statistics describing none of the non-null rows cannot be built,
+        # so no restriction is ever estimated from them
+        with pytest.raises(ValueError, match="sum to 0 and there is no histogram"):
+            AttributeStats(0.5, EMPTY_MCV, None, 10, 3)
 
     def test_nan_constant_rejected(self, r1_x):
         s = analyze_column(r1_x, 3)
@@ -411,11 +411,13 @@ class TestJoinSelectivity:
                 for op in (ScalarOp.LT, ScalarOp.LE, ScalarOp.GT, ScalarOp.GE):
                     assert 0.0 <= restriction_selectivity(sx, c, op) <= 1.0, (op, c, sx)
 
-    def test_insufficient_statistics_propagates(self, r2_y):
-        bad = AttributeStats(0.2, EMPTY_MCV, None, 10, 3)
-        sy = analyze_column(r2_y, 3)
-        with pytest.raises(InsufficientStatisticsError):
-            join_selectivity(bad, sy, ScalarOp.LT)
+    def test_insufficient_statistics_rejected(self):
+        # an MCV list short of the non-null rows, with no histogram for the
+        # rest, cannot be built, so no join is ever estimated from it
+        with pytest.raises(ValueError, match="no histogram"):
+            AttributeStats(0.2, EMPTY_MCV, None, 10, 3)
+        with pytest.raises(ValueError, match="no histogram"):
+            AttributeStats(0.2, make_mcv([(1.0, 0.5)]), None, 10, 3)
 
     def test_convergence_one_value_per_boundary(self):
         rng = np.random.default_rng(203)

@@ -213,7 +213,7 @@ class TestSweep:
 
     def test_golden_row(self, tmp_path):
         fx, fy = self.write_examples(tmp_path)
-        rows = run_sweep(fx, fy, ScalarOp.LT, [3], seed=0)
+        rows = run_sweep(fx, fy, ScalarOp.LT, [3])
         assert len(rows) == 1
         assert rows[0].statistics_target == 3
         assert rows[0].estimate == pytest.approx(GOLDEN_JOIN, abs=1e-9)
@@ -222,13 +222,13 @@ class TestSweep:
 
     def test_self_join_complement(self, tmp_path):
         fx, _ = self.write_examples(tmp_path)
-        lt = run_sweep(fx, fx, ScalarOp.LT, [4], seed=0)[0].estimate
-        ge = run_sweep(fx, fx, ScalarOp.GE, [4], seed=0)[0].estimate
+        lt = run_sweep(fx, fx, ScalarOp.LT, [4])[0].estimate
+        ge = run_sweep(fx, fx, ScalarOp.GE, [4])[0].estimate
         assert lt + ge == pytest.approx(1.0, abs=1e-9)
 
     def test_rows_ordered_and_oracle_constant(self, tmp_path):
         fx, fy = self.write_examples(tmp_path)
-        rows = run_sweep(fx, fy, ScalarOp.LT, [7, 3, 5], seed=0)
+        rows = run_sweep(fx, fy, ScalarOp.LT, [7, 3, 5])
         assert [r.statistics_target for r in rows] == [3, 5, 7]
         assert len({r.exact for r in rows}) == 1
 
@@ -236,21 +236,22 @@ class TestSweep:
         fx, fy = tmp_path / "x.col", tmp_path / "y.col"
         write_range_column(fx, generate_range_column(300, seed=1))
         write_range_column(fy, generate_range_column(300, seed=2))
-        rows = run_sweep(fx, fy, RangeOp.STRICTLY_LEFT, [5, 20], seed=0)
+        rows = run_sweep(fx, fy, RangeOp.STRICTLY_LEFT, [5, 20])
         assert all(0 <= r.estimate <= 1 for r in rows)
         assert rows[1].error <= rows[0].error + 0.05
 
     def test_determinism(self, tmp_path):
+        # two sweeps over the same files give equal rows, timings aside
         fx, fy = self.write_examples(tmp_path)
-        a = run_sweep(fx, fy, ScalarOp.LT, [3, 5], seed=1)
-        b = run_sweep(fx, fy, ScalarOp.LT, [3, 5], seed=1)
+        a = run_sweep(fx, fy, ScalarOp.LT, [3, 5])
+        b = run_sweep(fx, fy, ScalarOp.LT, [3, 5])
         assert [(r.statistics_target, r.estimate, r.exact, r.error) for r in a] == [
             (r.statistics_target, r.estimate, r.exact, r.error) for r in b
         ]
 
     def test_csv_round_trip(self, tmp_path):
         fx, fy = self.write_examples(tmp_path)
-        rows = run_sweep(fx, fy, ScalarOp.LT, [3, 6], seed=0)
+        rows = run_sweep(fx, fy, ScalarOp.LT, [3, 6])
         out = tmp_path / "results.csv"
         write_results_csv(rows, out)
         with open(out, newline="") as fh:
@@ -262,7 +263,7 @@ class TestSweep:
     def test_empty_targets(self, tmp_path):
         fx, fy = self.write_examples(tmp_path)
         with pytest.raises(ValueError, match="target"):
-            run_sweep(fx, fy, ScalarOp.LT, [], seed=0)
+            run_sweep(fx, fy, ScalarOp.LT, [])
 
 
 class TestCli:
@@ -308,13 +309,13 @@ class TestCli:
         fy = self.gen(tmp_path, "running-example-r2", "y.col")
         out = tmp_path / "results.csv"
         assert main(["sweep", "--in-x", str(fx), "--in-y", str(fy), "--op", "lt",
-                     "--targets", "3:5:1", "--seed", "0", "--out", str(out)]) == 0
+                     "--targets", "3:5:1", "--out", str(out)]) == 0
         with open(out, newline="") as fh:
             header, *records = csv.reader(fh)
         assert header == CSV_HEADER
         assert [int(r[0]) for r in records] == [3, 4, 5]
 
-    def test_usage_error_exit_2(self, tmp_path):
+    def test_usage_error_exit_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--kind", "nope", "--rows", "5", "--out", str(tmp_path / "f")])
         assert exc.value.code == 2
@@ -326,6 +327,30 @@ class TestCli:
             main(["sweep", "--in-x", "a", "--in-y", "b", "--op", "lt",
                   "--targets", "10", "--out", str(tmp_path / "f")])
         assert exc.value.code == 2
+        # integer options are checked by argparse, before any file is read
+        # or written
+        col = self.gen(tmp_path, "running-example-r1", "x.col")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        for argv, message in [
+            (["analyze", "--in", str(col), "--target", "0"], "1 <= TARGET <= 10000"),
+            (["analyze", "--in", str(col), "--target", "20000"], "1 <= TARGET <= 10000"),
+            (["gen", "--kind", "uniform-int", "--seed", "-1"], "SEED >= 0"),
+            (["analyze", "--in", str(col), "--target", "3", "--seed", "-1"],
+             "SEED >= 0"),
+            (["gen", "--kind", "running-example-r1", "--rows", "-5"], "ROWS >= 1"),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--out", str(out)])
+            assert exc.value.code == 2, argv
+            assert message in capsys.readouterr().err, argv
+            assert not out.exists(), argv
+
+    def test_integer_options_at_their_limits(self, tmp_path):
+        col = self.gen(tmp_path, "running-example-r1", "x.col", rows=1, seed=0)
+        for target in ("1", "10000"):
+            assert main(["analyze", "--in", str(col), "--target", target, "--seed", "0",
+                         "--out", str(tmp_path / f"{target}.json")]) == 0
 
     def test_targets_above_max_exit_2(self, tmp_path, capsys):
         # HI past the largest statistics target is turned down before the

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from ineqsel import (
-    InsufficientStatisticsError,
     RangeColumn,
     RangeOp,
     RangeStats,
     RangeValue,
     ScalarOp,
+    analyze_column,
     analyze_range_column,
     exact_range_join,
     join_selectivity,
@@ -362,11 +362,58 @@ class TestJoin:
         assert range_join_selectivity(sx, sy, RangeOp.STRICTLY_LEFT) == 0.0
 
     def test_insufficient_statistics(self):
-        rng = np.random.default_rng(10)
-        sy = analyze_range_column(uniform_ranges(rng, 20), 3)
-        broken = RangeStats(0.0, 0.0, None, None, 0.0, 0.0)
-        with pytest.raises(InsufficientStatisticsError):
-            range_join_selectivity(broken, sy, RangeOp.STRICTLY_LEFT)
+        # finite bounds without their statistics cannot be built, so no join
+        # is ever estimated from them
+        with pytest.raises(ValueError, match="lower_stats missing"):
+            RangeStats(0.0, 0.0, None, None, 0.0, 0.0)
+
+
+class TestRangeStatsInvariants:
+    """RangeStats rejects fractions outside [0, 1] and missing bound statistics."""
+
+    FRACTIONS = ("null_frac", "empty_frac", "lower_inf_frac", "upper_inf_frac")
+
+    @staticmethod
+    def stats(**changes) -> RangeStats:
+        bound = analyze_column([1.0, 2.0, 3.0, 5.0], 2)
+        fields = dict(null_frac=0.1, empty_frac=0.1, lower_stats=bound, upper_stats=bound,
+                      lower_inf_frac=0.1, upper_inf_frac=0.1)
+        return RangeStats(**{**fields, **changes})
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5, math.nan])
+    @pytest.mark.parametrize("fld", FRACTIONS)
+    def test_fraction_out_of_range(self, fld, value):
+        with pytest.raises(ValueError, match=f"^{fld} out of range$"):
+            self.stats(**{fld: value})
+
+    @pytest.mark.parametrize("bound", ["lower", "upper"])
+    @pytest.mark.parametrize("inf_frac", [0.0, 0.5, 1.0 - 1e-12])
+    def test_missing_bound_with_finite_mass(self, bound, inf_frac):
+        with pytest.raises(ValueError, match=f"{bound}_stats missing"):
+            self.stats(**{f"{bound}_stats": None, f"{bound}_inf_frac": inf_frac})
+
+    @pytest.mark.parametrize("blank", [{"null_frac": 1.0}, {"empty_frac": 1.0}])
+    def test_missing_bounds_accepted_without_positioned_rows(self, blank):
+        s = self.stats(lower_stats=None, upper_stats=None, **blank)
+        for op in RangeOp:
+            assert range_join_selectivity(s, self.stats(), op) == 0.0
+
+    @pytest.mark.parametrize("bound", ["lower", "upper"])
+    def test_missing_bound_accepted_when_every_one_is_infinite(self, bound):
+        s = self.stats(**{f"{bound}_stats": None, f"{bound}_inf_frac": 1.0})
+        for op in RangeOp:
+            assert 0.0 <= range_join_selectivity(s, self.stats(), op) <= 1.0
+            assert 0.0 <= range_join_selectivity(self.stats(), s, op) <= 1.0
+
+    @pytest.mark.parametrize("rows,missing", [
+        ([None, None], ("lower", "upper")),
+        ([EMPTY_RANGE, None], ("lower", "upper")),
+        ([rv(-math.inf, 3), rv(-math.inf, 4), None], ("lower",)),
+        ([rv(1, math.inf), EMPTY_RANGE], ("upper",)),
+    ])
+    def test_analyze_leaves_out_only_bounds_without_finite_values(self, rows, missing):
+        s = analyze_range_column(rows, 3)
+        assert tuple(b for b in ("lower", "upper") if getattr(s, f"{b}_stats") is None) == missing
 
 
 class TestRoundTrip:

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from ineqsel import (
+    AttributeStats,
+    EquiDepthHistogram,
+    MostCommonValues,
     RangeColumn,
     RangeOp,
     ScalarOp,
@@ -19,7 +23,7 @@ from ineqsel import (
 )
 from ineqsel.harness import generate_range_column, generate_scalar_column
 from ineqsel.histogram import build_equi_depth
-from ineqsel.mcv import build_mcv
+from ineqsel.mcv import EMPTY_MCV, build_mcv
 from ineqsel.stats import stats_from_dict, stats_to_dict
 
 from conftest import R1_X, multipass_analyze_column
@@ -427,6 +431,40 @@ class TestLoadErrors:
         with pytest.raises(ValueError, match="length"):
             stats_from_dict(doc)
 
+    def test_null_frac_beyond_float_range(self):
+        doc = self.good_doc()
+        doc["null_frac"] = 10**400
+        with pytest.raises(ValueError, match="null_frac holds a number beyond float range"):
+            stats_from_dict(doc)
+
     def test_not_json(self):
         with pytest.raises(ValueError, match="JSON"):
             load_stats(b"{nope")
+
+
+class TestInvariants:
+    """AttributeStats rejects shares that no column can have."""
+
+    HISTOGRAM = EquiDepthHistogram([0.0, 1.0])
+
+    @pytest.mark.parametrize("null_frac", [-0.1, 1.5, math.nan])
+    def test_null_frac_out_of_range(self, null_frac):
+        with pytest.raises(ValueError, match="^null_frac out of range$"):
+            AttributeStats(null_frac, EMPTY_MCV, self.HISTOGRAM, 10, 3)
+
+    def test_mcv_short_of_the_rows_without_histogram(self):
+        # such statistics once gave LT 0.5, LE 0.5 and GT 0.0, so LE + GT = 0.5
+        mcv = MostCommonValues([1.0, 2.0], [0.25, 0.25])
+        with pytest.raises(ValueError, match="mcv fractions sum to 0.5 and there is no histogram"):
+            AttributeStats(0.0, mcv, None, 10, 3)
+
+    def test_edge_cases_accepted(self):
+        AttributeStats(1.0, EMPTY_MCV, None, 10, 3)
+        AttributeStats(0.0, EMPTY_MCV, self.HISTOGRAM, 10, 3)
+        AttributeStats(1.0, EMPTY_MCV, self.HISTOGRAM, 10, 3)
+        near = MostCommonValues([1.0, 2.0], [0.5, 0.5 - 5e-10])
+        s = AttributeStats(0.25, near, None, 10, 3)
+        for op in ScalarOp:
+            assert 0.0 <= join_selectivity(s, s, op) <= 1.0
+        with pytest.raises(ValueError, match="no histogram"):
+            AttributeStats(0.25, MostCommonValues([1.0, 2.0], [0.5, 0.5 - 2e-9]), None, 10, 3)
