@@ -10,8 +10,14 @@ Any other file, or one the bulk scan turns down, is read by one per-line
 loop, whose first bad line raises its ``path:line`` error.  A leading
 UTF-8 byte-order mark, as some editors write, is dropped before either.
 
-The scalar writer writes -0.0 as ``0``, so a scalar file holds one zero, as
-the statistics ANALYZE builds from it do; a range file keeps the sign.
+The two writers are the kernel's inverse.  numpy writes every whole number
+below 10**15 in magnitude from its digits, and a range bound of -inf or
+inf as "-inf" or "inf": a byte matrix with one row per byte position of a
+line is filled, and one mask squeezes it into the file's bytes.  Every
+other value is written by repr (scalar lines by format_scalar) and spliced
+in at its line.  The bytes are those of writing each value by itself.
+The scalar writer writes -0.0 as ``0``, so a scalar file holds one zero,
+as the statistics ANALYZE builds from it do; a range file keeps the sign.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import math
 
 import numpy as np
 
+from ._util import as_float_column
 from .ranges import _COLUMN_FIELDS, RangeColumn, parse_range
 
 
@@ -64,20 +71,6 @@ def _lines(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return np.concatenate(([0], breaks + 1)), np.append(breaks, codes.size)
 
 
-def format_scalar(v: float) -> str:
-    if math.isnan(v):
-        return ""
-    if float(v).is_integer():
-        return str(int(v))
-    return repr(float(v))
-
-
-def write_scalar_column(path, values) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in values:
-            fh.write(format_scalar(float(v)) + "\n")
-
-
 def _parse_scalar(line: str) -> float:
     text = line.strip()
     if not text:
@@ -111,26 +104,6 @@ def parse_scalar_bytes(data: bytes) -> np.ndarray | None:
 
 def read_scalar_column(path) -> np.ndarray:
     return _read_column(path, parse_scalar_bytes, _parse_scalar, np.array)
-
-
-def _literal(lower: float, upper: float, lower_closed: bool, upper_closed: bool) -> str:
-    # repr gives a float's shortest round-trip text, and "inf" / "-inf"
-    lb = "[" if lower_closed else "("
-    rb = "]" if upper_closed else ")"
-    return f"{lb}{lower!r},{upper!r}{rb}"
-
-
-def format_range_lines(column: RangeColumn) -> list[str]:
-    """The line of every row of the column: a literal, "empty", or "" for a null."""
-    rows = zip(*(getattr(column, name).tolist() for name in _COLUMN_FIELDS))
-    return ["" if null else "empty" if empty else _literal(lower, upper, lower_closed, upper_closed)
-            for lower, upper, lower_closed, upper_closed, null, empty in rows]
-
-
-def write_range_column(path, values) -> None:
-    lines = format_range_lines(RangeColumn.from_values(values))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{line}\n" for line in lines)
 
 
 _EMPTY_WORD = np.frombuffer(b"empty", dtype=np.uint8)
@@ -196,9 +169,17 @@ def read_range_column(path) -> RangeColumn:
 
 
 def looks_like_range_file(path) -> bool:
-    """Sniff a column file: range literals start with a bracket or 'empty'."""
-    line = _read_text(path).lstrip().partition("\n")[0].rstrip()
-    return bool(line) and (line[0] in "[(" or line.lower() == "empty")
+    """Sniff a column file by its first non-blank line, and read no further:
+    range literals start with a bracket or are 'empty'.  A byte that is not
+    UTF-8 is left to the reader to report."""
+    with open(path, "rb") as fh:
+        for raw in fh:
+            # the reader takes a carriage return for a line break too
+            for line in raw.decode("utf-8-sig", "replace").split("\r"):
+                line = line.strip()
+                if line:
+                    return line[0] in "[(" or line.lower() == "empty"
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -279,3 +260,139 @@ def _decimal_kernel(tails: np.ndarray, minus: np.ndarray,
     out = value[0] / _POW10[k]
     np.negative(out, out=out, where=minus)
     return out, fast
+
+
+# ---------------------------------------------------------------------------
+# The writers, the decimal kernel's inverse.
+
+# Whole numbers below _WHOLE_LIMIT in magnitude, the 15 digits the kernel
+# reads back, are written from their digits in bulk.
+_WHOLE_LIMIT = 1e15
+_ROWS = 1 << 16     # lines per bulk layout, so a long column never has its whole matrix
+# constant bytes of a line, one row per byte
+_MINUS = np.frombuffer(b"-", dtype=np.uint8)[:, None]
+_NEWLINE = np.frombuffer(b"\n", dtype=np.uint8)[:, None]
+_POINT_ZERO = np.frombuffer(b".0", dtype=np.uint8)[:, None]
+_INF = np.frombuffer(b"inf", dtype=np.uint8)[:, None]
+_COMMA = np.frombuffer(b",", dtype=np.uint8)[:, None]
+_EMPTY = np.frombuffer(b"empty", dtype=np.uint8)[:, None]
+
+
+def format_scalar(v: float) -> str:
+    """The line of one scalar: blank for NaN, a whole number without its
+    ".0" (so -0.0 is "0"), and any other value as repr writes it."""
+    if math.isnan(v):
+        return ""
+    if float(v).is_integer():
+        return str(int(v))
+    return repr(float(v))
+
+
+def _literal(lower: float, upper: float, lower_closed: bool, upper_closed: bool) -> str:
+    # repr gives a float's shortest round-trip text, and "inf" / "-inf"
+    lb = "[" if lower_closed else "("
+    rb = "]" if upper_closed else ")"
+    return f"{lb}{lower!r},{upper!r}{rb}"
+
+
+def _whole(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which values are whole numbers below _WHOLE_LIMIT in magnitude, and
+    their magnitudes, with 0.0 for the others."""
+    whole = (np.abs(values) < _WHOLE_LIMIT) & (np.trunc(values) == values)
+    return whole, np.abs(np.where(whole, values, 0.0))
+
+
+def _digits(magnitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII digits of whole magnitudes below _WHOLE_LIMIT, one row per
+    digit position, most significant first and as many as the largest has,
+    and which of them are written: the units digit, and every digit of a
+    number at least its position's power of ten.
+
+    Division by 10 in floats is exact here: q + r/10 for a quotient q below
+    10**14 rounds to no double as high as q + 1, so its floor is q.
+    """
+    width = len(str(int(magnitudes.max())))
+    digits = np.empty((width, magnitudes.size), dtype=np.uint8)
+    written = np.empty((width, magnitudes.size), dtype=bool)
+    rest, quotient = magnitudes.copy(), np.empty_like(magnitudes)
+    for row in range(width - 1, -1, -1):
+        written[row] = rest > 0.0
+        np.floor(np.divide(rest, 10.0, out=quotient), out=quotient)
+        rest -= 10.0 * quotient
+        digits[row] = rest
+        rest, quotient = quotient, rest
+    written[-1] = True
+    digits += np.uint8(ord("0"))
+    return digits, written
+
+
+def _squeeze(blocks, n: int, slow: np.ndarray, texts: list[str]) -> bytes:
+    """The bytes of n lines.  Each block is a pair (bytes, written) with one
+    row per byte position and one column per line, either broadcast to that
+    shape; the written bytes, line after line, are the lines.  Line slow[i]
+    then gets texts[i] spliced in before its line break, which is all that
+    its blocks write."""
+    codes = np.concatenate([np.broadcast_to(b, (len(b), n)) for b, _ in blocks])
+    written = np.concatenate([np.broadcast_to(w, (len(b), n)) for b, w in blocks])
+    out = codes.T[written.T]
+    if slow.size:
+        # a line break is the one byte "\n" of a line the blocks write
+        breaks = np.flatnonzero(out == ord("\n"))[slow]
+        spliced = [text.encode("ascii") for text in texts]
+        out = np.insert(out, np.repeat(breaks, [len(t) for t in spliced]),
+                        np.frombuffer(b"".join(spliced), dtype=np.uint8))
+    return out.tobytes()
+
+
+def _scalar_lines(values: np.ndarray) -> bytes:
+    whole, magnitudes = _whole(values)
+    digits, written = _digits(magnitudes)
+    blocks = [(_MINUS, whole & (values < 0)), (digits, whole & written), (_NEWLINE, True)]
+    slow = np.flatnonzero(~(whole | np.isnan(values)))
+    return _squeeze(blocks, values.size, slow, list(map(format_scalar, values[slow].tolist())))
+
+
+def _bound_blocks(bound, whole, magnitudes, bulk) -> list:
+    """The blocks of a range bound in the rows laid out in bulk, where it is
+    whole or infinite: a sign from its sign bit, so that -0.0 keeps it, then
+    its digits and ".0", or "inf"."""
+    whole = whole & bulk
+    digits, written = _digits(magnitudes)
+    return [(_MINUS, bulk & np.signbit(bound)), (digits, whole & written),
+            (_POINT_ZERO, whole), (_INF, bulk & ~whole)]
+
+
+def _range_lines(lower, upper, lower_closed, upper_closed, null, empty) -> bytes:
+    lower_whole, lower_magnitudes = _whole(lower)
+    upper_whole, upper_magnitudes = _whole(upper)
+    positioned = ~(null | empty)
+    bulk = positioned & (lower_whole | np.isinf(lower)) & (upper_whole | np.isinf(upper))
+    blocks = [
+        (np.where(lower_closed, np.uint8(ord("[")), np.uint8(ord("(")))[None], bulk),
+        *_bound_blocks(lower, lower_whole, lower_magnitudes, bulk),
+        (_COMMA, bulk),
+        *_bound_blocks(upper, upper_whole, upper_magnitudes, bulk),
+        (np.where(upper_closed, np.uint8(ord("]")), np.uint8(ord(")")))[None], bulk),
+        (_EMPTY, empty),
+        (_NEWLINE, True),
+    ]
+    slow = np.flatnonzero(positioned & ~bulk)
+    rows = zip(*(a[slow].tolist() for a in (lower, upper, lower_closed, upper_closed)))
+    return _squeeze(blocks, null.size, slow, [_literal(*row) for row in rows])
+
+
+def _write(path, lines, *arrays) -> None:
+    """Write the lines of the rows of the arrays, _ROWS at a time, in one call."""
+    size = arrays[0].size
+    chunks = [lines(*(a[lo:lo + _ROWS] for a in arrays)) for lo in range(0, size, _ROWS)]
+    with open(path, "wb") as fh:
+        fh.write(b"".join(chunks))
+
+
+def write_scalar_column(path, values) -> None:
+    _write(path, _scalar_lines, as_float_column(values))
+
+
+def write_range_column(path, values) -> None:
+    column = RangeColumn.from_values(values)
+    _write(path, _range_lines, *(getattr(column, name) for name in _COLUMN_FIELDS))

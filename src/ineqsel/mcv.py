@@ -62,6 +62,29 @@ class MostCommonValues:
 EMPTY_MCV = MostCommonValues(np.array([]), np.array([]))
 
 
+def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The runs of equal values in sorted data, from one comparison of
+    neighbours: the first index and the length of each run of two or more,
+    and the number of runs of any length, which is the number of distinct
+    values."""
+    # boundary[i]: a run starts at index i; padded true at both ends, so one
+    # more boundary than there are runs
+    boundary = np.concatenate(([True], ordered[1:] != ordered[:-1], [True]))
+    # a run of two or more starts where a boundary is followed by none and
+    # ends where none is followed by one, so the flips come in (start, end) pairs
+    flips = np.flatnonzero(boundary[1:] != boundary[:-1])
+    starts = flips[0::2]
+    return starts, flips[1::2] - starts + 1, np.count_nonzero(boundary) - 1
+
+
+def _mcv_of_runs(ordered: np.ndarray, starts: np.ndarray, counts: np.ndarray,
+                 max_entries: int) -> MostCommonValues:
+    """build_mcv of sorted finite data, from the runs of two or more that _runs finds."""
+    # the runs ascend, so a stable sort on descending count breaks ties by value
+    order = np.argsort(-counts, kind="stable")[:max_entries]
+    return MostCommonValues(ordered[starts[order]], counts[order] / ordered.size)
+
+
 def build_mcv(values, max_entries: int) -> MostCommonValues:
     """Collect the up-to-max_entries most frequent values occurring at least twice.
 
@@ -76,18 +99,8 @@ def build_mcv(values, max_entries: int) -> MostCommonValues:
     if data.size == 0 or max_entries == 0:
         return EMPTY_MCV
     data = sorted_finite(data)
-    # same[i] is data[i] == data[i-1], padded false at both ends.  A run of
-    # two or more equal values goes from the index before same turns true to
-    # the last index where it is true, so the flips come in (start, end) pairs.
-    same = np.concatenate(([False], data[1:] == data[:-1], [False]))
-    flips = np.flatnonzero(same[1:] != same[:-1])
-    starts, ends = flips[0::2], flips[1::2]
-    if starts.size == 0:
-        return EMPTY_MCV
-    uniq, counts = data[starts], ends - starts + 1
-    # uniq ascends, so a stable sort on descending count breaks ties by value
-    order = np.argsort(-counts, kind="stable")[:max_entries]
-    return MostCommonValues(uniq[order], counts[order] / data.size)
+    starts, counts, _ = _runs(data)
+    return _mcv_of_runs(data, starts, counts, max_entries)
 
 
 def mcv_restriction_selectivity(m: MostCommonValues, c: float, op: ScalarOp) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._util import as_float_column
 from .histogram import EquiDepthHistogram
-from .mcv import EMPTY_MCV, MostCommonValues, build_mcv
+from .mcv import EMPTY_MCV, MostCommonValues, _mcv_of_runs, _runs
 
 # Sample size grows with the requested resolution, as statistics collectors
 # commonly do; pass an explicit cap >= N to analyze the full column.
@@ -38,7 +38,8 @@ class AttributeStats:
     MCV fractions are relative to the non-null rows; the null fraction
     applies multiplicatively on top.  The histogram covers the non-null
     rows that are not in the MCV list, so without a histogram the MCV list
-    covers them all, unless every row is null.  The constructor rejects
+    covers them all, unless every row is null.  The row count is at least 0
+    and the statistics target at least 1.  The constructor rejects
     statistics that break these rules, so an estimate never has to check.
     """
 
@@ -52,6 +53,10 @@ class AttributeStats:
         # written so that NaN fails too
         if not 0.0 <= self.null_frac <= 1.0:
             raise ValueError("null_frac out of range")
+        if self.row_count < 0:
+            raise ValueError("row_count must be at least 0")
+        if self.statistics_target < 1:
+            raise ValueError("statistics_target must be at least 1")
         if self.histogram is None and self.null_frac < 1.0:
             total = self.mcv.total_fraction
             if abs(total - 1.0) > 1e-9:
@@ -86,9 +91,11 @@ def analyze_column(
     statistics_target bins, reduced when the residual has too few distinct
     values (one bin minimum), and is omitted when nothing is left for it.
 
-    The non-null sample is sorted once, as ``compute_scalar_stats`` does.
-    ``build_mcv`` reads the runs of equal values in it.  The residual is the
-    sorted sample with the MCV runs cut out, but it is not copied out: its
+    The non-null sample is sorted once, as ``compute_scalar_stats`` does,
+    and one comparison of neighbours finds its runs of equal values: the
+    MCV list is built from them, as ``build_mcv`` builds it, and their
+    number is the sample's distinct count.  The residual is the sorted
+    sample with the MCV runs cut out, but it is not copied out: its
     distinct count is the sample's less the MCV entries, and boundary j, at
     residual rank floor(j * (N-1) / B) as in ``build_equi_depth``, is read
     from the sorted sample past the MCV runs before that rank.  -0.0 and
@@ -117,7 +124,8 @@ def analyze_column(
     ordered.sort()
     ordered[np.searchsorted(ordered, 0.0, "left"):np.searchsorted(ordered, 0.0, "right")] = 0.0
 
-    mcv = build_mcv(ordered, max_entries=statistics_target)
+    starts, counts, distinct = _runs(ordered)
+    mcv = _mcv_of_runs(ordered, starts, counts, statistics_target)
     # The MCV runs cut the sorted sample into kept stretches (possibly
     # empty), one more than there are runs; the residual is their
     # concatenation.  skipped[k] counts the MCV rows before stretch k and
@@ -130,8 +138,7 @@ def analyze_column(
 
     histogram = None
     if size:
-        distinct = 1 + np.count_nonzero(ordered[1:] != ordered[:-1]) - len(mcv)
-        bins = min(statistics_target, max(distinct - 1, 1))
+        bins = min(statistics_target, max(distinct - len(mcv) - 1, 1))
         ranks = np.arange(bins + 1) * (size - 1) // bins
         bounds = ordered[ranks + skipped[np.searchsorted(ends, ranks, side="right")]]
         histogram = EquiDepthHistogram(bounds)
@@ -193,10 +200,10 @@ def _require_numbers(doc: dict, fld: str) -> np.ndarray:
         raise ValueError(f"{fld} holds a number beyond float range") from None
 
 
-def _require_int(doc: dict, fld: str, minimum: int) -> int:
+def _require_int(doc: dict, fld: str) -> int:
     v = _require(doc, fld)
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        raise ValueError(f"{fld} must be an integer of at least {minimum}")
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"{fld} must be an integer")
     return v
 
 
@@ -216,8 +223,8 @@ def stats_from_dict(doc: dict) -> AttributeStats:
     histogram = None
     if hist_doc is not None:
         histogram = EquiDepthHistogram(_require_numbers(hist_doc, "bounds"))
-    row_count = _require_int(doc, "row_count", 0)
-    target = _require_int(doc, "statistics_target", 1)
+    row_count = _require_int(doc, "row_count")
+    target = _require_int(doc, "statistics_target")
     return AttributeStats(null_frac, mcv, histogram, row_count, target)
 
 

@@ -20,7 +20,7 @@ import pytest
 
 from ineqsel import columnfile
 from ineqsel.cli import main
-from ineqsel.columnfile import format_range_lines, format_scalar
+from ineqsel.columnfile import format_scalar
 from ineqsel.harness import (
     generate_range_column,
     generate_scalar_column,
@@ -29,7 +29,7 @@ from ineqsel.harness import (
     write_range_column,
     write_scalar_column,
 )
-from ineqsel.ranges import RangeColumn, RangeValue, parse_range
+from ineqsel.ranges import EMPTY_RANGE, RangeColumn, RangeValue, parse_range
 
 SEEDS = range(200)
 ROWS = 30
@@ -119,10 +119,16 @@ MUTATIONS = [
 ]
 
 
+def range_lines(path, column):
+    """The lines the writer writes for the column, which it writes to path."""
+    write_range_column(path, column)
+    return path.read_bytes().decode("ascii").split("\n")[:-1]
+
+
 def fuzzed_file(path, seed):
     """A valid range file with one to three lines mutated; sometimes no final newline."""
     rng = np.random.default_rng(seed)
-    lines = format_range_lines(generate_range_column(ROWS, seed))
+    lines = range_lines(path, generate_range_column(ROWS, seed))
     for k in rng.choice(ROWS, size=int(rng.integers(1, 4)), replace=False).tolist():
         lines[k] = _mutate(MUTATIONS[int(rng.integers(len(MUTATIONS)))], lines[k])
     ending = "" if rng.random() < 0.2 else "\n"
@@ -146,7 +152,7 @@ def assert_reads_as_reference(path, read=read_range_column, reference=reference_
 @pytest.mark.parametrize("kind", MUTATIONS)
 def test_each_mutation_reads_as_reference(tmp_path, kind):
     path = tmp_path / "m.col"
-    lines = format_range_lines(generate_range_column(ROWS, 3))
+    lines = range_lines(path, generate_range_column(ROWS, 3))
     for k in (0, ROWS // 2, ROWS - 1):
         mutated = list(lines)
         mutated[k] = _mutate(kind, lines[k])
@@ -548,3 +554,105 @@ def test_scalar_writer_files_read_as_reference(tmp_path, float_calls, rows):
         path = tmp_path / f"doubles{seed}.col"
         write_scalar_column(path, _random_doubles(rows, seed))
         assert_same_scalar_bytes(read_scalar_column(path), reference_scalar_read(path))
+
+
+# The bulk writers against the per-value formatting they replaced, byte for
+# byte: repr of each range bound, and for a scalar str(int(v)) of a whole
+# number, repr of any other value and a blank line for NaN.
+
+def per_value_range_bytes(column):
+    def line(r):
+        if r is None:
+            return ""
+        if r.empty:
+            return "empty"
+        lb, rb = "[" if r.lower_closed else "(", "]" if r.upper_closed else ")"
+        return f"{lb}{r.lower!r},{r.upper!r}{rb}"
+    return "".join(f"{line(r)}\n" for r in RangeColumn.from_values(column)).encode("ascii")
+
+
+def per_value_scalar_bytes(values):
+    def line(v):
+        return "" if math.isnan(v) else str(int(v)) if v.is_integer() else repr(v)
+    return "".join(f"{line(float(v))}\n" for v in values).encode("ascii")
+
+
+LIMIT = columnfile._WHOLE_LIMIT
+# whole numbers at and around the bulk limit, past 2**53 and from 1e16, where
+# repr switches to an exponent, and values next to whole ones
+EDGES = [LIMIT - 1, LIMIT, LIMIT + 1, LIMIT - 0.5, 2.0**53, 2.0**53 + 2, 1e16, 1e17, 1e300,
+         0.5, 1.0, 9.0, 10.0, 99.0, 100.0, 123456789012345.0, 5e-324]
+EDGES += [-v for v in EDGES] + [0.0, -0.0]
+
+
+def _writer_values(rows, seed):
+    """Random doubles, the edges, whole numbers of 1 to 15 digits of either
+    sign, infinities and NaN, in a seeded order."""
+    rng = np.random.default_rng(seed)
+    whole = np.floor(10.0 ** rng.uniform(0, 15, rows)) * rng.choice([-1.0, 1.0], rows)
+    values = np.concatenate((_random_doubles(rows, seed), EDGES, whole,
+                             [math.inf, -math.inf, math.nan]))
+    return rng.permutation(values)
+
+
+@pytest.fixture(params=[None, 7], ids=["one-layout", "layouts-of-7"])
+def layout_rows(request, monkeypatch):
+    """The writers' rows per bulk layout: the default, or 7, so that a short
+    column crosses layout boundaries."""
+    if request.param:
+        monkeypatch.setattr(columnfile, "_ROWS", request.param)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scalar_writer_bytes_are_per_value(tmp_path, layout_rows, seed):
+    values = _writer_values(300, seed)
+    generated = generate_scalar_column("skewed-int", 300, seed)
+    generated[3::17] = np.nan
+    for i, column in enumerate((values, generated, values.tolist())):
+        path = tmp_path / f"{i}.col"
+        write_scalar_column(path, column)
+        assert path.read_bytes() == per_value_scalar_bytes(column)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_range_writer_bytes_are_per_value(tmp_path, layout_rows, seed):
+    rng = np.random.default_rng(seed)
+    bounds = _writer_values(300, seed)
+    bounds = np.sort(rng.choice(bounds[~np.isnan(bounds)], size=(2, 400)), axis=0)
+    closed = rng.random((2, 400)) < 0.5
+    mixed = RangeColumn(bounds[0], bounds[1], closed[0], closed[1],
+                        rng.random(400) < 0.05, rng.random(400) < 0.05)
+    for i, column in enumerate((mixed, _random_bounds_column(300, seed),
+                                generate_range_column(300, seed), list(mixed))):
+        path = tmp_path / f"{i}.col"
+        write_range_column(path, column)
+        assert path.read_bytes() == per_value_range_bytes(column)
+
+
+@pytest.mark.parametrize("write,column,text", [
+    # a range file keeps the sign of a zero bound, a scalar file writes one zero
+    (write_range_column, [RangeValue(-0.0, 1.0, True, False), RangeValue(-5.0, -0.0, True, True),
+                          RangeValue(-0.0, 0.0, True, True)],
+     b"[-0.0,1.0)\n[-5.0,-0.0]\n[-0.0,0.0]\n"),
+    (write_scalar_column, [-0.0, 0.0], b"0\n0\n"),
+    (write_range_column, [None, EMPTY_RANGE, RangeValue(-math.inf, math.inf, False, False), None],
+     b"\nempty\n(-inf,inf)\n\n"),
+    (write_range_column, [None, None], b"\n\n"),
+    (write_scalar_column, [math.nan, math.nan], b"\n\n"),
+    (write_range_column, [], b""),
+    (write_scalar_column, [], b""),
+    (write_scalar_column, [math.inf, -math.inf, 1e16], b"inf\n-inf\n10000000000000000\n"),
+    (write_range_column, [RangeValue(-1e15, 1e16, True, False),
+                          RangeValue(999999999999999, 1e15, True, False)],
+     b"[-1000000000000000.0,1e+16)\n[999999999999999.0,1000000000000000.0)\n"),
+])
+def test_writer_edge_rows(tmp_path, layout_rows, write, column, text):
+    path = tmp_path / "e.col"
+    write(path, column)
+    assert path.read_bytes() == text
+
+
+def test_scalar_writer_takes_a_plain_iterable(tmp_path):
+    path = tmp_path / "i.col"
+    write_scalar_column(path, (v for v in (3, -7, 2.5, math.nan, 10**15)))
+    assert path.read_bytes() == b"3\n-7\n2.5\n\n1000000000000000\n"

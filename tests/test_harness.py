@@ -60,6 +60,9 @@ MALFORMED_STATS = [
                  id="mcv-value-nan"),
     pytest.param(GOOD_STATS, "lt", {"null_frac": True}, id="null-frac-bool"),
     pytest.param(GOOD_STATS, "lt", {"row_count": True}, id="row-count-bool"),
+    pytest.param(GOOD_STATS, "lt", {"row_count": -1}, id="row-count-negative"),
+    pytest.param(GOOD_STATS, "lt", {"statistics_target": 0}, id="target-zero"),
+    pytest.param(GOOD_STATS, "lt", {"statistics_target": 2.0}, id="target-not-integer"),
     pytest.param(GOOD_STATS, "lt",
                  {"mcv": {"values": [1.0, 2.0], "fractions": [0.25, 0.25]}, "histogram": None},
                  id="mcv-mass-without-histogram"),
@@ -68,6 +71,8 @@ MALFORMED_STATS = [
     pytest.param(GOOD_RANGE_STATS, "overlaps", {"empty_frac": False}, id="range-frac-bool"),
     pytest.param(GOOD_RANGE_STATS, "overlaps", {"lower_stats": {**GOOD_STATS, "mcv": 5}},
                  id="range-nested-mcv-not-object"),
+    pytest.param(GOOD_RANGE_STATS, "overlaps", {"upper_stats": {**GOOD_STATS, "row_count": -3}},
+                 id="range-nested-row-count-negative"),
     # JSON integers beyond float range, which float() cannot convert
     pytest.param(GOOD_STATS, "lt", {"histogram": {"bounds": [1.0, 10**400]}},
                  id="bound-beyond-float"),
@@ -195,6 +200,18 @@ class TestColumnFiles:
     def test_range_file_sniff(self, tmp_path, text, is_range):
         path = tmp_path / "col"
         path.write_bytes(text.encode("utf-8"))
+        assert looks_like_range_file(path) is is_range
+
+    # the sniff reads up to the first non-blank line, so bytes after it that
+    # are not UTF-8 are the reader's to report; a carriage return breaks a
+    # line, as it does for the reader
+    @pytest.mark.parametrize("data,is_range", [
+        (b"[1,2]\n\xff\n", True), (b"\n\n7\n\xfe", False), (b"\r\r EMPTY\r1\r", True),
+        (b"\xef\xbb\xbf(1,2)\n", True), (b"\xff[1,2]\n", False),
+    ])
+    def test_range_file_sniff_reads_to_first_line(self, tmp_path, data, is_range):
+        path = tmp_path / "col"
+        path.write_bytes(data)
         assert looks_like_range_file(path) is is_range
 
     def test_empty_file_rejected(self, tmp_path):

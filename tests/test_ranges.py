@@ -19,8 +19,7 @@ from ineqsel import (
     range_op_holds,
     save_range_stats,
 )
-from ineqsel.columnfile import format_range_lines
-from ineqsel.harness import generate_range_column
+from ineqsel.harness import generate_range_column, write_range_column
 from ineqsel.ranges import EMPTY_RANGE, range_stats_from_dict, range_stats_to_dict
 
 
@@ -186,8 +185,9 @@ class TestLiterals:
         with pytest.raises(ValueError, match="out of order"):
             parse_range("[5,2]")
 
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
+        rows = []
         for _ in range(100):
             if rng.random() < 0.1:
                 r = EMPTY_RANGE
@@ -200,8 +200,12 @@ class TestLiterals:
                     bool(rng.random() < 0.5) or lo == hi,
                     bool(rng.random() < 0.5) or lo == hi,
                 )
-            assert parse_range(format_range_lines(RangeColumn.from_values([r]))[0]) == r
-        assert format_range_lines(RangeColumn.from_values([None])) == [""]
+            rows.append(r)
+        path = tmp_path / "r.col"
+        write_range_column(path, rows + [None])
+        *lines, null, end = path.read_bytes().decode("ascii").split("\n")
+        assert [parse_range(line) for line in lines] == rows
+        assert null == end == ""
 
 
 class TestOperatorSemantics:

@@ -452,6 +452,16 @@ class TestInvariants:
         with pytest.raises(ValueError, match="^null_frac out of range$"):
             AttributeStats(null_frac, EMPTY_MCV, self.HISTOGRAM, 10, 3)
 
+    @pytest.mark.parametrize("row_count,target,message", [
+        (-5, 0, "^row_count must be at least 0$"),
+        (-1, 3, "^row_count must be at least 0$"),
+        (10, 0, "^statistics_target must be at least 1$"),
+    ])
+    def test_counts_out_of_range(self, row_count, target, message):
+        mcv = MostCommonValues([1.0], [0.5])
+        with pytest.raises(ValueError, match=message):
+            AttributeStats(0.0, mcv, self.HISTOGRAM, row_count, target)
+
     def test_mcv_short_of_the_rows_without_histogram(self):
         # such statistics once gave LT 0.5, LE 0.5 and GT 0.0, so LE + GT = 0.5
         mcv = MostCommonValues([1.0, 2.0], [0.25, 0.25])
@@ -460,7 +470,7 @@ class TestInvariants:
 
     def test_edge_cases_accepted(self):
         AttributeStats(1.0, EMPTY_MCV, None, 10, 3)
-        AttributeStats(0.0, EMPTY_MCV, self.HISTOGRAM, 10, 3)
+        AttributeStats(0.0, EMPTY_MCV, self.HISTOGRAM, 0, 1)
         AttributeStats(1.0, EMPTY_MCV, self.HISTOGRAM, 10, 3)
         near = MostCommonValues([1.0, 2.0], [0.5, 0.5 - 5e-10])
         s = AttributeStats(0.25, near, None, 10, 3)
