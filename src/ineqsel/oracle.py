@@ -1,11 +1,13 @@
 """Exact ground-truth counts for restriction and join predicates.
 
 These are the reference values the estimators are judged against, so they
-are computed from the data itself: join counts by sorting one side and
-accumulating ranks, which keeps even the 20000 x 20000 experiment
-instantaneous, and a restriction ``value <op> c`` as the join of the column
-with a one-row column holding c.  Null rows (and empty ranges) never
-qualify but still count toward the totals.
+are computed from the data itself.  Both oracles count the same thing: the
+pairs whose keys (value, offset) satisfy key_x <= key_y, with both sides
+sorted and counted by ``_count_le``.  A scalar join puts each side's
+values at one offset, a range join each bound at its open/closed offset,
+and a restriction ``value <op> c`` is the join of the column with a
+one-row column holding c.  Null rows (and empty ranges) never qualify but
+still count toward the totals.
 """
 
 from __future__ import annotations
@@ -36,51 +38,69 @@ class ExactCount:
         return self.qualifying / self.total
 
 
+def _count_le(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> int:
+    """Number of pairs (i, j) with key a_i <= key b_j; both oracles count here.
+
+    A key (value, offset) compares value first.  Each side is two sorted
+    arrays: its values at offset 0 and at offset 1.
+    """
+    (a0, a1), (b0, b1) = a, b
+    # at equal values only an offset-1 key a against an offset-0 key b fails
+    return int(
+        np.searchsorted(a0, b0, side="right").sum()
+        + np.searchsorted(a0, b1, side="right").sum()
+        + np.searchsorted(a1, b0, side="left").sum()
+        + np.searchsorted(a1, b1, side="right").sum()
+    )
+
+
 def exact_restriction(values, c: float, op: ScalarOp) -> ExactCount:
     """Count non-null values satisfying ``value <op> c``: the join of the
     column with a one-row column holding c."""
     return exact_join(values, [c], op)
 
 
+# x <op> y through the count of pairs with key_x <= key_y, y's keys at
+# offset 0: the offset of x's keys, and whether x <op> y is the count's
+# complement among the non-null pairs.
+_SCALAR_KEYS = {
+    ScalarOp.LT: (1, False),  # x < y   iff (x, 1) <= (y, 0)
+    ScalarOp.LE: (0, False),  # x <= y  iff (x, 0) <= (y, 0)
+    ScalarOp.GT: (0, True),   # x > y   iff not (x, 0) <= (y, 0)
+    ScalarOp.GE: (1, True),   # x >= y  iff not (x, 1) <= (y, 0)
+}
+
+
 def exact_join(xs, ys, op: ScalarOp) -> ExactCount:
     """Count pairs (x, y) of non-null values with ``x <op> y``.
 
-    Sorts the x side once; each y then contributes its rank, so the whole
-    count is O((N + M) log N) rather than a pairwise loop.
+    Drops the nulls and sorts both sides, then counts the pairs with
+    ``_count_le``, the count the range oracle shares: one ``searchsorted``
+    of one sorted side into the other, so the whole count is
+    O(N log N + M log M) rather than a pairwise loop.
     """
     x = as_float_column(xs)
     y = as_float_column(ys)
     if x.size == 0 or y.size == 0:
         raise ValueError("no data")
-    total = int(x.size) * int(y.size)
-    xs_sorted = np.sort(x[~np.isnan(x)])
-    yv = y[~np.isnan(y)]
-    n = xs_sorted.size
-    if n == 0 or yv.size == 0:
-        return ExactCount(0, total)
-    lo = np.searchsorted(xs_sorted, yv, side="left")
-    hi = np.searchsorted(xs_sorted, yv, side="right")
-    if op is ScalarOp.LT:
-        count = lo.sum()          # x < y
-    elif op is ScalarOp.LE:
-        count = hi.sum()          # x <= y
-    elif op is ScalarOp.GT:
-        count = (n - hi).sum()    # x > y
-    elif op is ScalarOp.GE:
-        count = (n - lo).sum()    # x >= y
-    else:
+    if op not in _SCALAR_KEYS:
         raise ValueError(f"unsupported operator {op}")
-    return ExactCount(int(count), total)
+    offset, complement = _SCALAR_KEYS[op]
+    xv, yv = (np.sort(v[~np.isnan(v)]) for v in (x, y))
+    empty = xv[:0]
+    count = _count_le((empty, xv) if offset else (xv, empty), (yv, empty))
+    if complement:
+        count = xv.size * yv.size - count
+    return ExactCount(count, int(x.size) * int(y.size))
 
 
 # ---------------------------------------------------------------------------
-# Range joins.  Bound comparisons must honor open/closed flags exactly, so
-# each bound is a key (value, offset) compared value first: at the same
-# value, a closed lower bound (offset 0) starts before an open one
+# Range joins.  Bound comparisons must honor open/closed flags exactly: at
+# the same value, a closed lower bound (offset 0) starts before an open one
 # (offset 1), and an open upper bound (offset 0) ends before a closed one
 # (offset 1).  Every entry of BOUND_INEQUALITY then becomes key_x <= key_y
-# (for < and <=) or key_y <= key_x (for > and >=), which searchsorted
-# counts over each side's values sorted and split by offset.
+# (for < and <=) or key_y <= key_x (for > and >=), which _count_le counts
+# over each side's values sorted and split by offset.
 
 
 def _keys(column: RangeColumn, bound: str) -> tuple[np.ndarray, np.ndarray]:
@@ -101,18 +121,6 @@ def _keys(column: RangeColumn, bound: str) -> tuple[np.ndarray, np.ndarray]:
             k.flags.writeable = False
         memo[bound] = keys
     return memo[bound]
-
-
-def _count_le(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> int:
-    """Number of pairs (i, j) with key a_i <= key b_j."""
-    (a0, a1), (b0, b1) = a, b
-    # at equal values only an offset-1 key a against an offset-0 key b fails
-    return int(
-        np.searchsorted(a0, b0, side="right").sum()
-        + np.searchsorted(a0, b1, side="right").sum()
-        + np.searchsorted(a1, b0, side="left").sum()
-        + np.searchsorted(a1, b1, side="right").sum()
-    )
 
 
 def _pair_counts(xs: RangeColumn, ys: RangeColumn) -> dict[RangeOp, int]:

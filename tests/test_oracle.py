@@ -21,6 +21,15 @@ from ineqsel.ranges import EMPTY_RANGE, RangeColumn
 from conftest import R1_X, R2_Y
 
 ALL_SCALAR_OPS = (ScalarOp.LT, ScalarOp.LE, ScalarOp.GT, ScalarOp.GE)
+PAIRWISE = {
+    ScalarOp.LT: np.less,
+    ScalarOp.LE: np.less_equal,
+    ScalarOp.GT: np.greater,
+    ScalarOp.GE: np.greater_equal,
+}
+# ties, both zeros, the infinities and nulls (a NaN compares false pairwise)
+EDGE_VALUES = np.array([-math.inf, -2.5, -0.0, 0.0, 0.0, 1e-300, 0.1, 0.1, 7.0, math.inf, math.nan])
+NAN = math.nan
 
 
 class TestExactCount:
@@ -93,6 +102,43 @@ class TestJoin:
             assert got.qualifying == naive
             assert got.total == n * m
 
+    @pytest.mark.parametrize("xs,ys", [
+        ([NAN], [1.0]),
+        ([1.0], [NAN, NAN]),
+        ([NAN], [NAN]),
+        ([NAN, NAN, NAN], [-0.0, 0.0, math.inf]),
+        ([2.0], [2.0]),
+        ([-0.0], [0.0]),
+        ([math.inf], [math.inf, -math.inf, NAN]),
+        ([-math.inf, -math.inf], [-math.inf]),
+        (list(EDGE_VALUES), list(EDGE_VALUES)),
+        ([0.0, -0.0, 0.0], [-0.0, 0.0, -0.0, NAN]),
+    ])
+    def test_edge_cases_match_pairwise(self, xs, ys):
+        self.check_pairwise(np.array(xs), np.array(ys))
+
+    def test_float_draws_match_pairwise(self):
+        rng = np.random.default_rng(20)
+        for _ in range(60):
+            n, m = rng.integers(1, 40, size=2)
+            self.check_pairwise(rng.choice(EDGE_VALUES, size=n), rng.choice(EDGE_VALUES, size=m))
+
+    @staticmethod
+    def check_pairwise(xs, ys):
+        for a, b in ((xs, ys), (ys, xs)):
+            for op, compare in PAIRWISE.items():
+                got = exact_join(a, b, op)
+                assert got.qualifying == int(compare.outer(a, b).sum()), (op, a, b)
+                assert got.total == a.size * b.size
+
+    @pytest.mark.parametrize("xs,ys", [([NAN], [1.0]), ([1.0], [NAN]), ([1.0], [2.0]), ([NAN], [NAN])])
+    def test_unknown_operator_raises_before_counting(self, xs, ys):
+        for op in ("bogus", "lt", RangeOp.STRICTLY_LEFT, None):
+            with pytest.raises(ValueError, match="unsupported operator"):
+                exact_join(xs, ys, op)
+            with pytest.raises(ValueError, match="unsupported operator"):
+                exact_restriction(xs, ys[0], op)
+
     def test_lt_ge_partition_nonnull_pairs(self):
         rng = np.random.default_rng(2)
         xs = rng.integers(0, 9, size=40).astype(float)
@@ -150,6 +196,37 @@ class TestRangeJoin:
                 got = exact_range_join(xs, ys, op)
                 assert got.qualifying == naive, op
                 assert got.total == n * m
+
+
+def point_column(values):
+    """The closed point ranges [v, v] of values, NaN as a null row."""
+    values = np.asarray(values, dtype=float)
+    return RangeColumn(values, values, np.ones(values.size, bool), np.ones(values.size, bool),
+                       np.isnan(values), np.zeros(values.size, bool))
+
+
+class TestPointRangesJoinAsScalars:
+    """Both oracles use one key convention: closed point ranges [v, v]
+    compare as their values, so each bound inequality counts as the scalar
+    join of the same values."""
+
+    AS_SCALAR = {
+        RangeOp.STRICTLY_LEFT: ScalarOp.LT,    # v_x < v_y
+        RangeOp.NO_EXTEND_RIGHT: ScalarOp.LE,  # v_x <= v_y
+        RangeOp.STRICTLY_RIGHT: ScalarOp.GT,   # v_x > v_y
+        RangeOp.NO_EXTEND_LEFT: ScalarOp.GE,   # v_x >= v_y
+    }
+
+    def test_tied_columns(self):
+        rng = np.random.default_rng(21)
+        pool = np.array([-3.0, -0.0, 0.0, 0.5, 0.5, 2.0, 1e9, NAN])
+        for _ in range(30):
+            n, m = rng.integers(1, 50, size=2)
+            xs, ys = rng.choice(pool, size=n), rng.choice(pool, size=m)
+            for a, b in ((xs, ys), (ys, xs), (xs, xs)):
+                for range_op, scalar_op in self.AS_SCALAR.items():
+                    got = exact_range_join(point_column(a), point_column(b), range_op)
+                    assert got == exact_join(a, b, scalar_op), (range_op, a, b)
 
 
 def random_range(rng):
