@@ -6,11 +6,14 @@ import numpy as np
 
 
 def as_float_column(values) -> np.ndarray:
-    """Coerce a sequence of nullable scalars to a float64 array, nulls as NaN."""
-    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+    """Coerce a sequence of nullable scalars to a float64 array, nulls as NaN.
+
+    A bool, integer or float array is cast in one step, which rounds as
+    float() does; any other values are converted one by one.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
         return values.astype(np.float64, copy=False)
-    out = np.array([np.nan if v is None else float(v) for v in values], dtype=np.float64)
-    return out
+    return np.array([np.nan if v is None else float(v) for v in values], dtype=np.float64)
 
 
 def sorted_finite(values) -> np.ndarray:

@@ -115,7 +115,8 @@ def _count(codes: np.ndarray, chars: bytes) -> int:
 
 
 def parse_range_bytes(data: bytes) -> RangeColumn | None:
-    """Parse the lines of an ASCII range file in bulk, as parse_range would each.
+    """Parse the lines of an ASCII range file in bulk: the column that
+    RangeColumn.from_values makes of parse_range of each line.
 
     ``data`` is the file's text without its final newline.  Every line must
     be a range literal, "empty" in any case, or blank (null), and the text

@@ -42,16 +42,14 @@ def _count_le(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
     """Number of pairs (i, j) with key a_i <= key b_j; both oracles count here.
 
     A key (value, offset) compares value first.  Each side is two sorted
-    arrays: its values at offset 0 and at offset 1.
+    arrays: its values at offset 0 and at offset 1.  A pair of arrays one of
+    which is empty counts nothing and is not searched.
     """
     (a0, a1), (b0, b1) = a, b
     # at equal values only an offset-1 key a against an offset-0 key b fails
-    return int(
-        np.searchsorted(a0, b0, side="right").sum()
-        + np.searchsorted(a0, b1, side="right").sum()
-        + np.searchsorted(a1, b0, side="left").sum()
-        + np.searchsorted(a1, b1, side="right").sum()
-    )
+    searches = ((a0, b0, "right"), (a0, b1, "right"), (a1, b0, "left"), (a1, b1, "right"))
+    return sum(int(np.searchsorted(keys, probes, side=side).sum())
+               for keys, probes, side in searches if keys.size and probes.size)
 
 
 def exact_restriction(values, c: float, op: ScalarOp) -> ExactCount:
@@ -154,7 +152,8 @@ def _count_bound_inequality(xs: RangeColumn, ys: RangeColumn, op: RangeOp) -> in
 def exact_range_join(xs, ys, op: RangeOp) -> ExactCount:
     """Count pairs of non-null, non-empty ranges with ``x <op> y``.
 
-    Either side is a RangeColumn or an iterable of RangeValue and None.
+    Either side is a RangeColumn or an iterable of RangeValue and None,
+    which RangeColumn.from_values checks and normalizes.
     """
     xs, ys = RangeColumn.from_values(xs), RangeColumn.from_values(ys)
     if not len(xs) or not len(ys):

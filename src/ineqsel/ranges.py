@@ -1,4 +1,8 @@
-"""Range values, bound statistics, and range-operator selectivity.
+"""Range columns, bound statistics, and range-operator selectivity.
+
+A range column is a RangeColumn, six numpy arrays whose constructor is the
+one place a range is checked and normalized.  A RangeValue is a plain
+record of one row's fields, as the column yields it.
 
 A range attribute is summarized by two scalar statistics objects (one over
 the finite lower bounds, one over the finite upper bounds) plus fractions
@@ -23,8 +27,8 @@ either side; their share is tracked and factored out, like nulls.
 RangeStats checks its own invariants when built, so the loader checks only
 the JSON shape and the estimator never meets a missing bound it needs.
 
-parse_range reads one range literal; whole range files are read and
-written by the columnfile module.
+parse_range reads one range literal into its fields, unnormalized; whole
+range files are read and written by the columnfile module.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ import json
 import math
 import operator
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,13 +58,11 @@ from .stats import (
 )
 
 
-@dataclass(frozen=True)
-class RangeValue:
-    """An interval over a totally ordered domain.
+class RangeValue(NamedTuple):
+    """One row of a RangeColumn: an interval over a totally ordered domain.
 
-    Bounds may be -inf/+inf (always treated as open).  A range where the
-    bounds coincide is only non-empty when both sides are closed; other
-    degenerate combinations normalize to the canonical empty range.
+    A plain record, unchecked.  The rows a column yields are normalized;
+    RangeColumn.from_values checks and normalizes rows built by hand.
     """
 
     lower: float
@@ -69,46 +71,8 @@ class RangeValue:
     upper_closed: bool
     empty: bool = False
 
-    def __post_init__(self):
-        if self.empty:
-            object.__setattr__(self, "lower", 0.0)
-            object.__setattr__(self, "upper", 0.0)
-            object.__setattr__(self, "lower_closed", False)
-            object.__setattr__(self, "upper_closed", False)
-            return
-        lower, upper = float(self.lower), float(self.upper)
-        if math.isnan(lower) or math.isnan(upper):
-            raise ValueError("range bounds may not be NaN")
-        if lower == math.inf or upper == -math.inf:
-            raise ValueError("range bounds out of order")
-        if lower > upper:
-            raise ValueError("range bounds out of order")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        # infinite bounds never contain their endpoint
-        if math.isinf(lower) and self.lower_closed:
-            object.__setattr__(self, "lower_closed", False)
-        if math.isinf(upper) and self.upper_closed:
-            object.__setattr__(self, "upper_closed", False)
-        if lower == upper and not (self.lower_closed and self.upper_closed):
-            object.__setattr__(self, "empty", True)
-            object.__setattr__(self, "lower", 0.0)
-            object.__setattr__(self, "upper", 0.0)
-            object.__setattr__(self, "lower_closed", False)
-            object.__setattr__(self, "upper_closed", False)
 
-
-EMPTY_RANGE = RangeValue(0.0, 0.0, False, False, empty=True)
-
-
-def _row(lower: float, upper: float, lower_closed: bool, upper_closed: bool) -> RangeValue:
-    """The non-empty RangeValue of a RangeColumn row, whose constructor has
-    already checked and normalized it, built without checking it again."""
-    r = object.__new__(RangeValue)
-    r.__dict__.update(lower=lower, upper=upper, lower_closed=lower_closed,
-                      upper_closed=upper_closed, empty=False)
-    return r
-
+EMPTY_RANGE = RangeValue(0.0, 0.0, False, False, True)
 
 _COLUMN_FIELDS = ("lower", "upper", "lower_closed", "upper_closed", "null", "empty")
 
@@ -117,15 +81,17 @@ _COLUMN_FIELDS = ("lower", "upper", "lower_closed", "upper_closed", "null", "emp
 class RangeColumn:
     """A column of nullable ranges as six parallel numpy arrays.
 
-    Rows are normalized the way RangeValue normalizes one range: infinite
-    bounds are open, a range whose bounds coincide without both being
-    closed is empty, and null and empty rows hold bounds 0.0 with both
-    flags false.  A row is never both null and empty.  The arrays are
-    read-only.
+    The constructor is the one place a range is checked and normalized.
+    It rejects a NaN bound and bounds out of order (a lower bound of +inf,
+    an upper bound of -inf, or lower above upper) in the rows that are
+    neither null nor empty.  Then infinite bounds are open, a range whose
+    bounds coincide without both being closed is empty, and null and empty
+    rows hold bounds 0.0 with both flags false.  A row is never both null
+    and empty.  The arrays are read-only.
 
     Indexing a row gives a RangeValue or None, iterating gives every row
     that way, and a slice gives a RangeColumn; a column compares equal to
-    another column or to a sequence holding the same rows.
+    another column holding the same rows.
     """
 
     lower: np.ndarray
@@ -169,7 +135,8 @@ class RangeColumn:
 
     @classmethod
     def from_values(cls, values) -> RangeColumn:
-        """The column of an iterable of RangeValue and None entries."""
+        """The column of an iterable of RangeValue and None entries, which
+        the constructor checks and normalizes."""
         if isinstance(values, RangeColumn):
             return values
         rows = list(values)
@@ -193,14 +160,10 @@ class RangeColumn:
         return self.null.size
 
     def __iter__(self):
-        rows = zip(*(getattr(self, name).tolist() for name in _COLUMN_FIELDS))
-        for lower, upper, lower_closed, upper_closed, null, empty in rows:
-            if null:
-                yield None
-            elif empty:
-                yield EMPTY_RANGE
-            else:
-                yield _row(lower, upper, lower_closed, upper_closed)
+        # a row's fields are the column's arrays of the same names
+        rows = map(RangeValue._make, zip(*(getattr(self, f).tolist() for f in RangeValue._fields)))
+        for null, row in zip(self.null.tolist(), rows):
+            yield None if null else row
 
     def __getitem__(self, key):
         if isinstance(key, slice):
@@ -208,10 +171,7 @@ class RangeColumn:
         k = operator.index(key)
         if self.null[k]:
             return None
-        if self.empty[k]:
-            return EMPTY_RANGE
-        return _row(self.lower[k].item(), self.upper[k].item(),
-                    self.lower_closed[k].item(), self.upper_closed[k].item())
+        return RangeValue(*(getattr(self, f)[k].item() for f in RangeValue._fields))
 
     def __reduce__(self):
         # rebuilt by the constructor: read-only arrays, and none of the
@@ -222,8 +182,6 @@ class RangeColumn:
         if isinstance(other, RangeColumn):
             return all(np.array_equal(getattr(self, name), getattr(other, name))
                        for name in _COLUMN_FIELDS)
-        if isinstance(other, Sequence):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
 
 
@@ -231,10 +189,12 @@ _RANGE_RE = re.compile(r"^([\[\(])([^,]*),([^,]*)([\]\)])$")
 
 
 def parse_range(text: str) -> RangeValue | None:
-    """Parse a range literal; an empty string denotes null.
+    """The fields of a range literal, as written; an empty string denotes null.
 
     Accepted forms: "empty", and "[a,b]" with any mix of [ ( ] ) brackets;
-    bounds are decimal numbers or "-inf"/"inf".
+    bounds are decimal numbers or "-inf"/"inf".  A NaN bound and bounds out
+    of order are rejected here, so that a file's reader can name the line.
+    The row is not normalized: RangeColumn.from_values normalizes rows.
     """
     text = text.strip()
     if not text:
@@ -252,10 +212,9 @@ def parse_range(text: str) -> RangeValue | None:
         raise ValueError(f"malformed range literal {text!r}") from None
     if math.isnan(lower) or math.isnan(upper):
         raise ValueError(f"malformed range literal {text!r}")
-    try:
-        return RangeValue(lower, upper, open_br == "[", close_br == "]")
-    except ValueError as exc:
-        raise ValueError(f"invalid range {text!r}: {exc}") from None
+    if lower == math.inf or upper == -math.inf or lower > upper:
+        raise ValueError(f"invalid range {text!r}: range bounds out of order")
+    return RangeValue(lower, upper, open_br == "[", close_br == "]")
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +245,8 @@ def _starts_at_or_after(x: RangeValue, y: RangeValue) -> bool:
 
 
 def range_op_holds(op: RangeOp, x: RangeValue | None, y: RangeValue | None) -> bool:
-    """Whether ``x <op> y`` holds; null and empty operands never qualify."""
+    """Whether ``x <op> y`` holds for two rows of a RangeColumn, which are
+    normalized; null and empty operands never qualify."""
     if x is None or y is None or x.empty or y.empty:
         return False
     if op is RangeOp.STRICTLY_LEFT:

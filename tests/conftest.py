@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from ineqsel import EquiDepthHistogram, cdf
+from ineqsel import EquiDepthHistogram, RangeColumn, RangeValue, cdf
 from ineqsel.histogram import build_equi_depth
 from ineqsel.mcv import EMPTY_MCV, MostCommonValues
+from ineqsel.ranges import EMPTY_RANGE
 from ineqsel.stats import SAMPLE_ROWS_PER_TARGET, AttributeStats, sample_rows
 
 R1_X = [10, 11, 12, 20, 21, 22, 24, 25, 30, 35, 38, 45]
@@ -98,3 +101,30 @@ def multipass_analyze_column(values, statistics_target, sample_seed=0, sample_ca
         idx = [(j * (n - 1)) // bins for j in range(bins + 1)]
         histogram = EquiDepthHistogram(ordered[idx])
     return AttributeStats(null_frac, mcv, histogram, int(sample.size), statistics_target)
+
+
+def normalized_row(lower, upper, lower_closed, upper_closed, empty=False) -> RangeValue:
+    """The per-row range rules: the reference for ``RangeColumn``'s normalization.
+
+    Deliberately naive: one row at a time in plain Python.  A NaN bound or
+    bounds out of order raise; infinite bounds are open; a range whose
+    bounds coincide without both being closed is empty; an empty row holds
+    bounds 0.0 with both flags false.
+    """
+    if empty:
+        return EMPTY_RANGE
+    lower, upper = float(lower), float(upper)
+    if math.isnan(lower) or math.isnan(upper):
+        raise ValueError("range bounds may not be NaN")
+    if lower == math.inf or upper == -math.inf or lower > upper:
+        raise ValueError("range bounds out of order")
+    lower_closed = bool(lower_closed) and not math.isinf(lower)
+    upper_closed = bool(upper_closed) and not math.isinf(upper)
+    if lower == upper and not (lower_closed and upper_closed):
+        return EMPTY_RANGE
+    return RangeValue(lower, upper, lower_closed, upper_closed)
+
+
+def column_row(lower, upper, lower_closed=True, upper_closed=True) -> RangeValue:
+    """The row a ``RangeColumn`` makes of these fields, checked and normalized."""
+    return RangeColumn.from_values([RangeValue(lower, upper, lower_closed, upper_closed)])[0]

@@ -242,6 +242,16 @@ def test_whitespace_and_non_ascii_read_per_line(tmp_path, monkeypatch, text):
     assert calls
 
 
+@pytest.mark.parametrize("line", ["[5,2]", "[inf,inf]", "(-inf,-inf)", "[inf,5]", "[5,-inf]"])
+@pytest.mark.parametrize("lead", ["", " "], ids=["bulk", "per-line"])
+def test_bounds_out_of_order_name_their_line(tmp_path, line, lead):
+    # parse_range checks the order itself, so that the error names the line
+    path = tmp_path / "o.col"
+    path.write_bytes(f"[1,2]\n{lead}{line}\n".encode("ascii"))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: invalid range .*out of order"):
+        read_range_column(path)
+
+
 MALFORMED_COLUMNS = [
     pytest.param("overlaps", b"[1,2]\n[34)\n", id="range-drop-comma"),
     pytest.param("overlaps", b"[1,2]\n\xff\n", id="range-not-utf8"),

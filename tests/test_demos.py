@@ -20,7 +20,9 @@ def test_demo_runs(tmp_path, demo):
     # demos write their outputs (CSV, plots, temporary columns) where they
     # run, so each runs in its own scratch directory
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    # a child process does not inherit pytest's warning filters, so a
+    # warning fails the demo here as it fails a test
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     # TMPDIR is the test's directory, so a temporary directory the demo

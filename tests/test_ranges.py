@@ -22,40 +22,45 @@ from ineqsel import (
 from ineqsel.harness import generate_range_column, write_range_column
 from ineqsel.ranges import EMPTY_RANGE, range_stats_from_dict, range_stats_to_dict
 
+from conftest import column_row, normalized_row
+
 
 def rv(lo, hi, lc=True, uc=True):
     return RangeValue(lo, hi, lc, uc)
 
 
 class TestRangeValue:
+    """A RangeValue built by hand is a plain record; RangeColumn.from_values
+    checks and normalizes it."""
+
     def test_basic(self):
-        r = rv(1, 2)
+        assert rv(2, 1) == (2, 1, True, True, False)      # unchecked
+        r = column_row(1, 2)
         assert (r.lower, r.upper, r.lower_closed, r.upper_closed, r.empty) == (
             1.0, 2.0, True, True, False,
         )
+        assert [type(f) for f in r] == [float, float, bool, bool, bool]
 
     def test_reversed_bounds_rejected(self):
-        with pytest.raises(ValueError, match="out of order"):
-            rv(2, 1)
+        with pytest.raises(ValueError, match="row 0: range bounds out of order"):
+            column_row(2, 1)
 
     def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="NaN"):
-            rv(math.nan, 1)
+        with pytest.raises(ValueError, match="row 0: range bounds may not be NaN"):
+            column_row(math.nan, 1)
 
     def test_degenerate_open_normalizes_to_empty(self):
-        assert rv(5, 5, True, False).empty
-        assert rv(5, 5, False, True).empty
-        assert not rv(5, 5, True, True).empty
+        assert column_row(5, 5, True, False) == EMPTY_RANGE
+        assert column_row(5, 5, False, True) == EMPTY_RANGE
+        assert not column_row(5, 5, True, True).empty
 
     def test_infinite_bounds_forced_open(self):
-        r = rv(-math.inf, 5, lc=True)
-        assert not r.lower_closed
-        r = rv(0, math.inf, uc=True)
-        assert not r.upper_closed
+        assert not column_row(-math.inf, 5).lower_closed
+        assert not column_row(0, math.inf).upper_closed
 
     def test_infinite_lower_above_all_rejected(self):
-        with pytest.raises(ValueError):
-            rv(math.inf, math.inf)
+        with pytest.raises(ValueError, match="out of order"):
+            column_row(math.inf, math.inf)
 
 
 class TestRangeColumn:
@@ -71,14 +76,23 @@ class TestRangeColumn:
         lo, hi, lc, uc = self.raw_rows(rng, 300)
         null, empty = rng.random(300) < 0.1, rng.random(300) < 0.1
         col = RangeColumn(lo, hi, lc, uc, null, empty)
-        want = [None if n else RangeValue(*row, empty=e)
+        want = [None if n else normalized_row(*row, empty=e)
                 for *row, n, e in zip(lo, hi, lc, uc, null, empty)]
         fields = ("lower", "upper", "lower_closed", "upper_closed", "null", "empty")
         got = list(zip(*(getattr(col, f).tolist() for f in fields)))
         assert got == [(0.0, 0.0, False, False, True, False) if r is None else
                        (r.lower, r.upper, r.lower_closed, r.upper_closed, False, r.empty)
                        for r in want]
-        assert col == want and list(col) == want
+        assert list(col) == want and [col[k] for k in range(len(col))] == want
+        # hand-built rows are normalized by from_values alone
+        raw = [None if n else RangeValue(*row, empty=e)
+               for *row, n, e in zip(lo, hi, lc, uc, null, empty)]
+        assert RangeColumn.from_values(raw) == col == RangeColumn.from_values(want)
+        for row in filter(None, col):
+            assert [type(f) for f in row] == [float, float, bool, bool, bool]
+        # a generated column's rows are normalized already
+        rows = list(generate_range_column(400, 5))
+        assert rows == [None if r is None else normalized_row(*r) for r in rows]
 
     @pytest.mark.parametrize("lo,hi,message", [
         (math.nan, 1.0, "row 1: range bounds may not be NaN"),
@@ -105,45 +119,14 @@ class TestRangeColumn:
         assert RangeColumn.from_values(col) is col
         assert len(col) == 4
         assert [col[k] for k in range(-4, 4)] == rows + rows
-        assert isinstance(col[1:3], RangeColumn) and col[1:3] == rows[1:3]
-        assert col[::-1] == tuple(reversed(rows))
+        assert isinstance(col[1:3], RangeColumn) and list(col[1:3]) == rows[1:3]
+        assert list(col[::-1]) == rows[::-1]
         assert col == RangeColumn.from_values(list(rows))
-        assert col != rows[:3] and col != rows[::-1] and col != "[1,2]"
+        assert col != col[:3] and col != col[::-1] and col != rows and col != "[1,2]"
         with pytest.raises(IndexError):
             col[4]
         with pytest.raises(ValueError):
             col.lower[0] = 7.0
-
-    @pytest.mark.parametrize("kind", ["generated", "tie-heavy", "null-empty", "infinite"])
-    def test_rows_are_the_public_range_values(self, kind):
-        # rows are built without RangeValue's checks; each must still be the
-        # RangeValue the public constructor makes of the row's fields
-        rng = np.random.default_rng(7)
-        n = 400
-        if kind == "generated":
-            col = generate_range_column(n, 5)
-        else:
-            lo, hi, lc, uc = self.raw_rows(rng, n)
-            if kind == "infinite":
-                lo[rng.random(n) < 0.4], hi[rng.random(n) < 0.4] = -math.inf, math.inf
-            blank = rng.random(n) < (0.5 if kind == "null-empty" else 0.0)
-            col = RangeColumn(lo, hi, lc, uc, blank & (rng.random(n) < 0.5), blank)
-        fields = ("lower", "upper", "lower_closed", "upper_closed", "empty")
-        want = [None if null else RangeValue(lo, hi, lc, uc, empty=e) for lo, hi, lc, uc, null, e in
-                zip(*(getattr(col, f).tolist() for f in (*fields[:4], "null", "empty")))]
-        rows = list(col)
-        assert col == rows and col == want
-        for k, w in enumerate(want):
-            for got in (rows[k], col[k]):
-                if w is None:
-                    assert got is None
-                    continue
-                assert got == w and hash(got) == hash(w) and repr(got) == repr(w)
-                assert [type(getattr(got, f)) for f in fields] == [float, float, bool, bool, bool]
-        if kind == "infinite":
-            assert np.isinf(col.lower).any() and np.isinf(col.upper).any()
-        if kind == "tie-heavy":
-            assert (col.lower[col.positioned] == col.upper[col.positioned]).any()
 
     def test_columns_and_lists_give_the_same_results(self):
         rng = np.random.default_rng(1)
@@ -167,6 +150,7 @@ class TestLiterals:
             ("(0,inf)", rv(0, math.inf, False, False)),
             ("empty", EMPTY_RANGE),
             (" [ 1.5 , 2.5 ] ", rv(1.5, 2.5)),
+            ("[5,5)", rv(5, 5, True, False)),      # as written, not normalized
         ],
     )
     def test_parse(self, text, expected):
@@ -187,7 +171,7 @@ class TestLiterals:
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        rows = []
+        drawn = []
         for _ in range(100):
             if rng.random() < 0.1:
                 r = EMPTY_RANGE
@@ -200,7 +184,8 @@ class TestLiterals:
                     bool(rng.random() < 0.5) or lo == hi,
                     bool(rng.random() < 0.5) or lo == hi,
                 )
-            rows.append(r)
+            drawn.append(r)
+        rows = list(RangeColumn.from_values(drawn))
         path = tmp_path / "r.col"
         write_range_column(path, rows + [None])
         *lines, null, end = path.read_bytes().decode("ascii").split("\n")
@@ -247,8 +232,8 @@ class TestOperatorSemantics:
         rng = np.random.default_rng(1)
         for _ in range(200):
             lo1, lo2 = rng.integers(0, 10, size=2).astype(float)
-            x = RangeValue(lo1, lo1 + rng.integers(0, 5), rng.random() < 0.5, rng.random() < 0.5)
-            y = RangeValue(lo2, lo2 + rng.integers(0, 5), rng.random() < 0.5, rng.random() < 0.5)
+            x = column_row(lo1, lo1 + rng.integers(0, 5), rng.random() < 0.5, rng.random() < 0.5)
+            y = column_row(lo2, lo2 + rng.integers(0, 5), rng.random() < 0.5, rng.random() < 0.5)
             if x.empty or y.empty:
                 continue
             flags = [
