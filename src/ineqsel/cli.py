@@ -124,10 +124,10 @@ def _load_any_stats(path: str):
         data = fh.read()
     try:
         doc = _parse_json(data)
+        kind = harness.RANGE if isinstance(doc, dict) and "lower_stats" in doc else harness.SCALAR
+        return kind.from_dict(doc)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    kind = harness.RANGE if isinstance(doc, dict) and "lower_stats" in doc else harness.SCALAR
-    return kind.from_dict(doc)
 
 
 def _cmd_estimate(args) -> int:

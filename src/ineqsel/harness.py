@@ -14,7 +14,7 @@ import csv
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -169,8 +169,6 @@ class ExperimentRow:
     build_time_us: float
 
 
-CSV_HEADER = ["statistics_target", "estimate", "exact", "error", "est_time_us", "build_time_us"]
-
 # A single estimation call sits near timer resolution, so the estimate is
 # timed as the best of a few repeats; building the statistics takes
 # milliseconds and is timed once.
@@ -220,11 +218,12 @@ def run_sweep(file_x, file_y, op: ScalarOp | RangeOp, targets) -> list[Experimen
 
 
 def write_results_csv(rows, path) -> None:
+    # one column per ExperimentRow field, a float one (by its annotation,
+    # a string here) at full (round-trip) precision
+    columns = fields(ExperimentRow)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
+        writer.writerow(f.name for f in columns)
         for r in rows:
-            writer.writerow(
-                [r.statistics_target, repr(float(r.estimate)), repr(float(r.exact)),
-                 repr(float(r.error)), repr(float(r.est_time_us)), repr(float(r.build_time_us))]
-            )
+            writer.writerow(repr(float(getattr(r, f.name))) if f.type == "float"
+                            else getattr(r, f.name) for f in columns)

@@ -50,8 +50,8 @@ from .stats import (
     analyze_column,
     sample_rows,
     stats_from_dict,
-    stats_to_dict,
     SAMPLE_ROWS_PER_TARGET,
+    _doc,
     _parse_json,
     _require,
     _require_number,
@@ -280,6 +280,10 @@ _INFINITE_BOUND = {"lower": -math.inf, "upper": math.inf}
 # Statistics over a range column.
 
 
+# RangeStats' fractions, its first four fields
+_FRACTIONS = ("null_frac", "empty_frac", "lower_inf_frac", "upper_inf_frac")
+
+
 @dataclass(frozen=True)
 class RangeStats:
     """Bound statistics plus null / empty / infinite-bound fractions.
@@ -288,18 +292,19 @@ class RangeStats:
     non-empty rows; empty_frac is relative to non-null rows, the infinite
     fractions to non-empty rows.  The constructor rejects fractions
     outside [0, 1], and a bound's statistics missing unless every row is
-    null or empty or every value of that bound is infinite.
+    null or empty or every value of that bound is infinite.  The fields are
+    declared in the order a statistics document lists them.
     """
 
     null_frac: float
     empty_frac: float
-    lower_stats: AttributeStats | None
-    upper_stats: AttributeStats | None
     lower_inf_frac: float
     upper_inf_frac: float
+    lower_stats: AttributeStats | None
+    upper_stats: AttributeStats | None
 
     def __post_init__(self):
-        for fld in ("null_frac", "empty_frac", "lower_inf_frac", "upper_inf_frac"):
+        for fld in _FRACTIONS:
             # written so that NaN fails too
             if not 0.0 <= getattr(self, fld) <= 1.0:
                 raise ValueError(f"{fld} out of range")
@@ -346,14 +351,8 @@ def analyze_range_column(
 
     lower_stats, lower_inf_frac = bound_stats(column.lower)
     upper_stats, upper_inf_frac = bound_stats(column.upper)
-    return RangeStats(
-        float(null_frac),
-        float(empty_frac),
-        lower_stats,
-        upper_stats,
-        float(lower_inf_frac),
-        float(upper_inf_frac),
-    )
+    return RangeStats(null_frac, empty_frac, lower_inf_frac, upper_inf_frac,
+                      lower_stats, upper_stats)
 
 
 def _conditional_selectivity(sx: RangeStats, sy: RangeStats, op: RangeOp) -> float:
@@ -399,38 +398,18 @@ def range_join_selectivity(sx: RangeStats, sy: RangeStats, op: RangeOp) -> float
 
 
 # ---------------------------------------------------------------------------
-# Interchange format, mirroring the scalar stats documents.
-
-
-def range_stats_to_dict(s: RangeStats) -> dict:
-    return {
-        "null_frac": s.null_frac,
-        "empty_frac": s.empty_frac,
-        "lower_inf_frac": s.lower_inf_frac,
-        "upper_inf_frac": s.upper_inf_frac,
-        "lower_stats": None if s.lower_stats is None else stats_to_dict(s.lower_stats),
-        "upper_stats": None if s.upper_stats is None else stats_to_dict(s.upper_stats),
-    }
+# Interchange format, mirroring the scalar stats documents: a document is
+# RangeStats' fields in declaration order.
 
 
 def save_range_stats(s: RangeStats) -> bytes:
-    return json.dumps(range_stats_to_dict(s)).encode("utf-8")
+    return json.dumps(_doc(s)).encode("utf-8")
 
 
 def range_stats_from_dict(doc: dict) -> RangeStats:
-    if not isinstance(doc, dict):
-        raise ValueError("stats document must be a JSON object")
-    fracs = {
-        fld: _require_number(doc, fld)
-        for fld in ("null_frac", "empty_frac", "lower_inf_frac", "upper_inf_frac")
-    }
-    lower_doc = _require(doc, "lower_stats")
-    upper_doc = _require(doc, "upper_stats")
-    return RangeStats(
-        lower_stats=None if lower_doc is None else stats_from_dict(lower_doc),
-        upper_stats=None if upper_doc is None else stats_from_dict(upper_doc),
-        **fracs,
-    )
+    fracs = [_require_number(doc, fld) for fld in _FRACTIONS]
+    bounds = [_require(doc, f"{bound}_stats") for bound in ("lower", "upper")]
+    return RangeStats(*fracs, *(b if b is None else stats_from_dict(b) for b in bounds))
 
 
 def load_range_stats(data: bytes | str) -> RangeStats:

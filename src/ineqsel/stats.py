@@ -18,7 +18,7 @@ holds one zero whatever signs the column's zeros had.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -148,23 +148,21 @@ def analyze_column(
 
 # ---------------------------------------------------------------------------
 # Interchange format: a JSON document, numbers at full (round-trip) precision.
+# A document is its type's fields in declaration order, nested statistics
+# objects as nested documents.
 
 
-def stats_to_dict(s: AttributeStats) -> dict:
-    return {
-        "null_frac": s.null_frac,
-        "mcv": {
-            "values": s.mcv.values.tolist(),
-            "fractions": s.mcv.fractions.tolist(),
-        },
-        "histogram": None if s.histogram is None else {"bounds": s.histogram.bounds.tolist()},
-        "row_count": s.row_count,
-        "statistics_target": s.statistics_target,
-    }
+def _doc(obj):
+    """A dataclass as a JSON object of its fields, an array as a list."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if is_dataclass(obj):
+        return {f.name: _doc(getattr(obj, f.name)) for f in fields(obj)}
+    return obj
 
 
 def save_stats(s: AttributeStats) -> bytes:
-    return json.dumps(stats_to_dict(s)).encode("utf-8")
+    return json.dumps(_doc(s)).encode("utf-8")
 
 
 def _require(doc: dict, fld: str):
@@ -175,14 +173,14 @@ def _require(doc: dict, fld: str):
     return doc[fld]
 
 
-def _is_number(v) -> bool:
+def _is_number(t: type) -> bool:
     # JSON true/false load as bool, which Python counts as an int
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
 
 
 def _require_number(doc: dict, fld: str) -> float:
     v = _require(doc, fld)
-    if not _is_number(v):
+    if not _is_number(type(v)):
         raise ValueError(f"{fld} must be a number")
     try:
         return float(v)
@@ -192,7 +190,8 @@ def _require_number(doc: dict, fld: str) -> float:
 
 def _require_numbers(doc: dict, fld: str) -> np.ndarray:
     v = _require(doc, fld)
-    if not isinstance(v, list) or not all(_is_number(x) for x in v):
+    # one check per distinct element type, not per element
+    if not isinstance(v, list) or not all(map(_is_number, set(map(type, v)))):
         raise ValueError(f"{fld} must be an array of numbers")
     try:
         return np.array(v, dtype=np.float64)
@@ -208,8 +207,6 @@ def _require_int(doc: dict, fld: str) -> int:
 
 
 def stats_from_dict(doc: dict) -> AttributeStats:
-    if not isinstance(doc, dict):
-        raise ValueError("stats document must be a JSON object")
     null_frac = _require_number(doc, "null_frac")
     mcv_doc = _require(doc, "mcv")
     mcv_values = _require_numbers(mcv_doc, "values")
@@ -232,7 +229,8 @@ def _parse_json(data: bytes | str):
     """The JSON value of a document's UTF-8 bytes or its text."""
     try:
         return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # a deeply nested document exhausts the parser's recursion limit
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"not valid JSON: {exc}") from None
 
 

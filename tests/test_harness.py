@@ -20,7 +20,6 @@ from ineqsel import (
 from ineqsel.cli import main
 from ineqsel.columnfile import looks_like_range_file
 from ineqsel.harness import (
-    CSV_HEADER,
     ExperimentRow,
     RUNNING_EXAMPLE_R1,
     RUNNING_EXAMPLE_R2,
@@ -35,6 +34,7 @@ from ineqsel.harness import (
 )
 
 GOLDEN_JOIN = 24221 / 37620
+CSV_COLUMNS = ["statistics_target", "estimate", "exact", "error", "est_time_us", "build_time_us"]
 
 GOOD_STATS = {
     "null_frac": 0.0,
@@ -68,6 +68,9 @@ MALFORMED_STATS = [
                  id="mcv-mass-without-histogram"),
     pytest.param(GOOD_STATS, "lt", {"histogram": 5}, id="histogram-not-object"),
     pytest.param(GOOD_STATS, "lt", {"histogram": {"bounds": [1.0, {}]}}, id="bound-not-number"),
+    pytest.param(GOOD_STATS, "lt", {"histogram": {"bounds": [1.0, True]}}, id="bound-bool"),
+    pytest.param(GOOD_STATS, "lt", {"mcv": {"values": ["3"], "fractions": [0.25]}},
+                 id="mcv-value-string"),
     pytest.param(GOOD_RANGE_STATS, "overlaps", {"empty_frac": False}, id="range-frac-bool"),
     pytest.param(GOOD_RANGE_STATS, "overlaps", {"lower_stats": {**GOOD_STATS, "mcv": 5}},
                  id="range-nested-mcv-not-object"),
@@ -273,9 +276,22 @@ class TestSweep:
         write_results_csv(rows, out)
         with open(out, newline="") as fh:
             header, *records = csv.reader(fh)
-        assert header == CSV_HEADER
+        assert header == CSV_COLUMNS
         back = [ExperimentRow(int(r[0]), *map(float, r[1:])) for r in records]
         assert back == rows
+
+    def test_csv_bytes(self, tmp_path):
+        # an int field as it is; a float field at full precision, even when
+        # it holds an int
+        rows = [ExperimentRow(1, 0.5, 0.25, 0.25, 1.5, 2.0),
+                ExperimentRow(10, np.float64(1 / 3), 0.1, 1e-17, 3, 7)]
+        out = tmp_path / "results.csv"
+        write_results_csv(rows, out)
+        assert out.read_bytes() == (
+            b"statistics_target,estimate,exact,error,est_time_us,build_time_us\r\n"
+            b"1,0.5,0.25,0.25,1.5,2.0\r\n"
+            b"10,0.3333333333333333,0.1,1e-17,3.0,7.0\r\n"
+        )
 
     def test_empty_targets(self, tmp_path):
         fx, fy = self.write_examples(tmp_path)
@@ -329,7 +345,7 @@ class TestCli:
                      "--targets", "3:5:1", "--out", str(out)]) == 0
         with open(out, newline="") as fh:
             header, *records = csv.reader(fh)
-        assert header == CSV_HEADER
+        assert header == CSV_COLUMNS
         assert [int(r[0]) for r in records] == [3, 4, 5]
 
     def test_usage_error_exit_2(self, tmp_path, capsys):
@@ -431,6 +447,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "bad.json" in captured.err
+
+    @pytest.mark.parametrize("op", ["lt", "overlaps"])
+    def test_deeply_nested_stats_exit_1(self, tmp_path, capsys, op):
+        # deeper than the JSON parser's recursion limit
+        bad = tmp_path / "bad.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["estimate", "--stats-x", str(bad), "--stats-y", str(bad), "--op", op]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "bad.json" in captured.err
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "f.col"

@@ -15,6 +15,7 @@ from ineqsel import (
     analyze_column,
     analyze_range_column,
     join_selectivity,
+    load_range_stats,
     load_stats,
     range_join_selectivity,
     restriction_selectivity,
@@ -24,7 +25,8 @@ from ineqsel import (
 from ineqsel.harness import generate_range_column, generate_scalar_column
 from ineqsel.histogram import build_equi_depth
 from ineqsel.mcv import EMPTY_MCV, build_mcv
-from ineqsel.stats import stats_from_dict, stats_to_dict
+from ineqsel.ranges import EMPTY_RANGE, RangeValue
+from ineqsel.stats import stats_from_dict
 
 from conftest import R1_X, multipass_analyze_column
 
@@ -371,6 +373,31 @@ class TestPinnedStatistics:
         doc = save_range_stats(analyze_range_column(generate_range_column(20_000, seed), target))
         assert hashlib.sha256(doc).hexdigest() == digest
 
+    # documents with null parts, which generated columns never write
+    @pytest.mark.parametrize("make,text", [
+        (lambda: save_stats(analyze_column([None, None], 1)),
+         '{"null_frac": 1.0, "mcv": {"values": [], "fractions": []}, "histogram": null, '
+         '"row_count": 2, "statistics_target": 1}'),
+        (lambda: save_stats(analyze_column([1.0, 1.0, 2.0, 2.0], 2)),
+         '{"null_frac": 0.0, "mcv": {"values": [1.0, 2.0], "fractions": [0.5, 0.5]}, '
+         '"histogram": null, "row_count": 4, "statistics_target": 2}'),
+        (lambda: save_stats(analyze_column([-0.0, 3.5], 1)),
+         '{"null_frac": 0.0, "mcv": {"values": [], "fractions": []}, '
+         '"histogram": {"bounds": [0.0, 3.5]}, "row_count": 2, "statistics_target": 1}'),
+        (lambda: save_range_stats(analyze_range_column(
+            RangeColumn.from_values([None, EMPTY_RANGE]), 1)),
+         '{"null_frac": 0.5, "empty_frac": 1.0, "lower_inf_frac": 0.0, "upper_inf_frac": 0.0, '
+         '"lower_stats": null, "upper_stats": null}'),
+        (lambda: save_range_stats(analyze_range_column(RangeColumn.from_values(
+            [RangeValue(1.0, math.inf, True, False), RangeValue(2.0, math.inf, True, False)]), 1)),
+         '{"null_frac": 0.0, "empty_frac": 0.0, "lower_inf_frac": 0.0, "upper_inf_frac": 1.0, '
+         '"lower_stats": {"null_frac": 0.0, "mcv": {"values": [], "fractions": []}, '
+         '"histogram": {"bounds": [1.0, 2.0]}, "row_count": 2, "statistics_target": 1}, '
+         '"upper_stats": null}'),
+    ], ids=["all-null", "mcv-only", "signed-zero", "range-null-empty", "range-upper-infinite"])
+    def test_null_parts(self, make, text):
+        assert make() == text.encode("utf-8")
+
 
 class TestRoundTrip:
     def test_running_example_round_trip(self):
@@ -396,7 +423,7 @@ class TestRoundTrip:
 
 class TestLoadErrors:
     def good_doc(self):
-        return stats_to_dict(analyze_column([1, 1, 2, 3, 4], 2))
+        return json.loads(save_stats(analyze_column([1, 1, 2, 3, 4], 2)))
 
     def test_missing_bounds(self):
         doc = self.good_doc()
@@ -440,6 +467,12 @@ class TestLoadErrors:
     def test_not_json(self):
         with pytest.raises(ValueError, match="JSON"):
             load_stats(b"{nope")
+
+    @pytest.mark.parametrize("load", [load_stats, load_range_stats])
+    def test_deeply_nested(self, load):
+        # deeper than the JSON parser's recursion limit
+        with pytest.raises(ValueError, match="not valid JSON"):
+            load("[" * 100_000 + "]" * 100_000)
 
 
 class TestInvariants:
