@@ -1,6 +1,11 @@
-"""Small internal helpers."""
+"""Small internal helpers, and the statistics document format."""
 
 from __future__ import annotations
+
+import functools
+import json
+import typing
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -32,3 +37,88 @@ def sorted_finite(values) -> np.ndarray:
 
 def clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else float(x)
+
+
+# ---------------------------------------------------------------------------
+# Statistics documents.  A document is its type's fields in declaration
+# order, as JSON: to_doc writes them and from_doc reads them back.  A
+# nested statistics object is a nested document, an array a list, and
+# numbers keep full (round-trip) precision.
+
+
+def to_doc(obj):
+    """A dataclass as a JSON object of its fields, an array as a list."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if is_dataclass(obj):
+        return {f.name: to_doc(getattr(obj, f.name)) for f in fields(obj)}
+    return obj
+
+
+def parse_json(data: bytes | str):
+    """The JSON value of a document's UTF-8 bytes or its text."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    # a deeply nested document exhausts the parser's recursion limit
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"not valid JSON: {exc}") from None
+
+
+@functools.cache
+def _field_types(cls: type) -> tuple:
+    # the annotations are strings (postponed evaluation), resolved once per type
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
+
+
+def from_doc(cls: type, doc):
+    """The ``cls`` instance a JSON document holds, the inverse of to_doc.
+
+    Each field is checked against its declared type: a float is a JSON
+    number and an int a JSON integer (a bool is neither), an array is a
+    list of numbers, a dataclass is a nested document read the same way,
+    and ``X | None`` may be null.  An error inside a nested document is
+    prefixed with that field's name.  Then ``cls``'s constructor checks
+    the instance's invariants.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("expected a JSON object")
+    values = []
+    for name, tp in _field_types(cls):
+        if name not in doc:
+            raise ValueError(f"missing field {name}")
+        values.append(_field(name, tp, doc[name]))
+    return cls(*values)
+
+
+_EXPECTED = {float: "a number", int: "an integer", np.ndarray: "an array of numbers"}
+
+
+def _is_number(t: type) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
+def _field(name: str, tp, v):
+    """Field ``name`` of declared type ``tp`` read from its JSON value ``v``."""
+    options = typing.get_args(tp)
+    if type(None) in options:
+        if v is None:
+            return None
+        (tp,) = (t for t in options if t is not type(None))
+    if is_dataclass(tp):
+        try:
+            return from_doc(tp, v)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    try:
+        if tp is float and _is_number(type(v)):
+            return float(v)
+        if tp is int and _is_number(type(v)) and isinstance(v, int):
+            return v
+        # one check per distinct element type, not per element
+        if tp is np.ndarray and isinstance(v, list) and all(map(_is_number, set(map(type, v)))):
+            return np.array(v, dtype=np.float64)
+    except OverflowError:       # a JSON integer beyond float range
+        raise ValueError(f"{name} holds a number beyond float range") from None
+    raise ValueError(f"{name} must be {_EXPECTED[tp]}")

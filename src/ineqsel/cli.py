@@ -13,9 +13,9 @@ import sys
 from collections.abc import Callable
 
 from . import harness
+from ._util import from_doc, parse_json
 from .columnfile import looks_like_range_file
 from .operators import RangeOp, ScalarOp
-from .stats import _parse_json
 
 SCALAR_OPS = tuple(op.value for op in ScalarOp)
 RANGE_OPS = tuple(op.value for op in RangeOp)
@@ -123,9 +123,9 @@ def _load_any_stats(path: str):
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        doc = _parse_json(data)
+        doc = parse_json(data)
         kind = harness.RANGE if isinstance(doc, dict) and "lower_stats" in doc else harness.SCALAR
-        return kind.from_dict(doc)
+        return from_doc(kind.stats_type, doc)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -135,8 +135,9 @@ def _cmd_estimate(args) -> int:
     kind = harness.kind_of(op)
     sx = _load_any_stats(args.stats_x)
     sy = _load_any_stats(args.stats_y)
-    if not isinstance(sx, kind.stats_type) or not isinstance(sy, kind.stats_type):
-        raise ValueError(f"operator {args.op} needs {kind.name} statistics files")
+    for path, s in ((args.stats_x, sx), (args.stats_y, sy)):
+        if not isinstance(s, kind.stats_type):
+            raise ValueError(f"{path}: operator {args.op} needs {kind.name} statistics")
     print(repr(kind.estimate(sx, sy, op)))
     return 0
 

@@ -29,10 +29,9 @@ from .ranges import (
     RangeStats,
     analyze_range_column,
     range_join_selectivity,
-    range_stats_from_dict,
     save_range_stats,
 )
-from .stats import AttributeStats, analyze_column, save_stats, stats_from_dict
+from .stats import AttributeStats, analyze_column, save_stats
 
 SCALAR_KINDS = ("uniform-int", "skewed-int", "running-example-r1", "running-example-r2")
 RANGE_KINDS = ("ranges-mixed",)
@@ -116,14 +115,14 @@ def generate_range_column(rows: int, seed: int) -> RangeColumn:
 @dataclass(frozen=True)
 class ColumnKind:
     """How one kind of column, scalar or range, is read, analyzed, saved,
-    loaded, estimated and counted."""
+    estimated and counted.  Its statistics documents are stats_type's
+    fields, which ``_util.from_doc`` reads."""
 
     name: str
     stats_type: type
     read: Callable
     analyze: Callable
     save: Callable
-    from_dict: Callable
     estimate: Callable
     oracle: Callable
 
@@ -136,7 +135,6 @@ SCALAR = ColumnKind(
     read=lambda path: read_scalar_column(path),
     analyze=lambda *args: analyze_column(*args),
     save=lambda s: save_stats(s),
-    from_dict=stats_from_dict,
     estimate=lambda sx, sy, op: join_selectivity(sx, sy, op),
     oracle=lambda xs, ys, op: exact_join(xs, ys, op),
 )
@@ -145,7 +143,6 @@ RANGE = ColumnKind(
     read=lambda path: read_range_column(path),
     analyze=lambda *args: analyze_range_column(*args),
     save=lambda s: save_range_stats(s),
-    from_dict=range_stats_from_dict,
     estimate=lambda sx, sy, op: range_join_selectivity(sx, sy, op),
     oracle=lambda xs, ys, op: exact_range_join(xs, ys, op),
 )

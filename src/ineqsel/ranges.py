@@ -24,8 +24,10 @@ is rejected rather than guessed.
 Empty ranges have no position, so they satisfy none of the operators, on
 either side; their share is tracked and factored out, like nulls.
 
-RangeStats checks its own invariants when built, so the loader checks only
-the JSON shape and the estimator never meets a missing bound it needs.
+A statistics document is RangeStats' fields, with the bound statistics as
+nested documents: to_doc writes them and from_doc reads them, checking
+each against its declared type.  Then RangeStats' constructor checks its
+invariants, so the estimator never meets a missing bound it needs.
 
 parse_range reads one range literal into its fields, unnormalized; whole
 range files are read and written by the columnfile module.
@@ -42,20 +44,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import clamp01
+from ._util import clamp01, from_doc, parse_json, to_doc
 from .estimator import join_selectivity
 from .operators import RangeOp, ScalarOp
-from .stats import (
-    AttributeStats,
-    analyze_column,
-    sample_rows,
-    stats_from_dict,
-    SAMPLE_ROWS_PER_TARGET,
-    _doc,
-    _parse_json,
-    _require,
-    _require_number,
-)
+from .stats import AttributeStats, analyze_column, sample_rows, SAMPLE_ROWS_PER_TARGET
 
 
 class RangeValue(NamedTuple):
@@ -280,10 +272,6 @@ _INFINITE_BOUND = {"lower": -math.inf, "upper": math.inf}
 # Statistics over a range column.
 
 
-# RangeStats' fractions, its first four fields
-_FRACTIONS = ("null_frac", "empty_frac", "lower_inf_frac", "upper_inf_frac")
-
-
 @dataclass(frozen=True)
 class RangeStats:
     """Bound statistics plus null / empty / infinite-bound fractions.
@@ -304,7 +292,7 @@ class RangeStats:
     upper_stats: AttributeStats | None
 
     def __post_init__(self):
-        for fld in _FRACTIONS:
+        for fld in ("null_frac", "empty_frac", "lower_inf_frac", "upper_inf_frac"):
             # written so that NaN fails too
             if not 0.0 <= getattr(self, fld) <= 1.0:
                 raise ValueError(f"{fld} out of range")
@@ -361,8 +349,6 @@ def _conditional_selectivity(sx: RangeStats, sy: RangeStats, op: RangeOp) -> flo
         left = _conditional_selectivity(sx, sy, RangeOp.STRICTLY_LEFT)
         right = _conditional_selectivity(sx, sy, RangeOp.STRICTLY_RIGHT)
         return 1.0 - left - right
-    if op not in BOUND_INEQUALITY:
-        raise ValueError(f"unsupported operator {op}")
     x_bound, scalar_op, y_bound = BOUND_INEQUALITY[op]
     ix = getattr(sx, f"{x_bound}_inf_frac")
     iy = getattr(sy, f"{y_bound}_inf_frac")
@@ -390,6 +376,8 @@ def range_join_selectivity(sx: RangeStats, sy: RangeStats, op: RangeOp) -> float
     finite bounds plus the exact contribution of the infinite ones;
     overlaps is the complement of strictly-left and strictly-right.
     """
+    if op is not RangeOp.OVERLAPS and op not in BOUND_INEQUALITY:
+        raise ValueError(f"unsupported operator {op}")
     nn_x = (1.0 - sx.null_frac) * (1.0 - sx.empty_frac)
     nn_y = (1.0 - sy.null_frac) * (1.0 - sy.empty_frac)
     if nn_x <= 0.0 or nn_y <= 0.0:
@@ -398,19 +386,13 @@ def range_join_selectivity(sx: RangeStats, sy: RangeStats, op: RangeOp) -> float
 
 
 # ---------------------------------------------------------------------------
-# Interchange format, mirroring the scalar stats documents: a document is
-# RangeStats' fields in declaration order.
+# Interchange format, as for scalar statistics: a document is RangeStats'
+# fields (see _util).
 
 
 def save_range_stats(s: RangeStats) -> bytes:
-    return json.dumps(_doc(s)).encode("utf-8")
-
-
-def range_stats_from_dict(doc: dict) -> RangeStats:
-    fracs = [_require_number(doc, fld) for fld in _FRACTIONS]
-    bounds = [_require(doc, f"{bound}_stats") for bound in ("lower", "upper")]
-    return RangeStats(*fracs, *(b if b is None else stats_from_dict(b) for b in bounds))
+    return json.dumps(to_doc(s)).encode("utf-8")
 
 
 def load_range_stats(data: bytes | str) -> RangeStats:
-    return range_stats_from_dict(_parse_json(data))
+    return from_doc(RangeStats, parse_json(data))

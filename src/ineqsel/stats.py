@@ -4,8 +4,10 @@ Every analyzed row lands in exactly one partition: null, most-common value,
 or histogram.  The fractions of the three partitions drive the combined
 selectivity estimates.
 
-AttributeStats checks its own invariants when built, so the document
-loader checks only the JSON shape and the estimators check nothing.
+A statistics document is its type's fields: to_doc writes them and
+from_doc reads them, checking each against its declared type.  Then
+AttributeStats' constructor checks its invariants, so the estimators check
+nothing.
 
 ANALYZE sorts the non-null sample once, as PostgreSQL's
 ``compute_scalar_stats`` (``src/backend/commands/analyze.c``) does, and
@@ -18,11 +20,11 @@ holds one zero whatever signs the column's zeros had.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_float_column
+from ._util import as_float_column, from_doc, parse_json, to_doc
 from .histogram import EquiDepthHistogram
 from .mcv import EMPTY_MCV, MostCommonValues, _mcv_of_runs, _runs
 
@@ -147,92 +149,12 @@ def analyze_column(
 
 
 # ---------------------------------------------------------------------------
-# Interchange format: a JSON document, numbers at full (round-trip) precision.
-# A document is its type's fields in declaration order, nested statistics
-# objects as nested documents.
-
-
-def _doc(obj):
-    """A dataclass as a JSON object of its fields, an array as a list."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if is_dataclass(obj):
-        return {f.name: _doc(getattr(obj, f.name)) for f in fields(obj)}
-    return obj
+# Interchange format: a document is AttributeStats' fields (see _util).
 
 
 def save_stats(s: AttributeStats) -> bytes:
-    return json.dumps(_doc(s)).encode("utf-8")
-
-
-def _require(doc: dict, fld: str):
-    if not isinstance(doc, dict):
-        raise ValueError(f"expected a JSON object holding {fld}")
-    if fld not in doc:
-        raise ValueError(f"missing field {fld}")
-    return doc[fld]
-
-
-def _is_number(t: type) -> bool:
-    # JSON true/false load as bool, which Python counts as an int
-    return issubclass(t, (int, float)) and not issubclass(t, bool)
-
-
-def _require_number(doc: dict, fld: str) -> float:
-    v = _require(doc, fld)
-    if not _is_number(type(v)):
-        raise ValueError(f"{fld} must be a number")
-    try:
-        return float(v)
-    except OverflowError:       # a JSON integer beyond float range
-        raise ValueError(f"{fld} holds a number beyond float range") from None
-
-
-def _require_numbers(doc: dict, fld: str) -> np.ndarray:
-    v = _require(doc, fld)
-    # one check per distinct element type, not per element
-    if not isinstance(v, list) or not all(map(_is_number, set(map(type, v)))):
-        raise ValueError(f"{fld} must be an array of numbers")
-    try:
-        return np.array(v, dtype=np.float64)
-    except OverflowError:       # a JSON integer beyond float range
-        raise ValueError(f"{fld} holds a number beyond float range") from None
-
-
-def _require_int(doc: dict, fld: str) -> int:
-    v = _require(doc, fld)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ValueError(f"{fld} must be an integer")
-    return v
-
-
-def stats_from_dict(doc: dict) -> AttributeStats:
-    null_frac = _require_number(doc, "null_frac")
-    mcv_doc = _require(doc, "mcv")
-    mcv_values = _require_numbers(mcv_doc, "values")
-    mcv_fractions = _require_numbers(mcv_doc, "fractions")
-    try:
-        mcv = MostCommonValues(mcv_values, mcv_fractions)
-    except ValueError as exc:
-        raise ValueError(f"invalid mcv: {exc}") from None
-
-    hist_doc = _require(doc, "histogram")
-    histogram = None
-    if hist_doc is not None:
-        histogram = EquiDepthHistogram(_require_numbers(hist_doc, "bounds"))
-    row_count = _require_int(doc, "row_count")
-    target = _require_int(doc, "statistics_target")
-    return AttributeStats(null_frac, mcv, histogram, row_count, target)
-
-
-def _parse_json(data: bytes | str):
-    """The JSON value of a document's UTF-8 bytes or its text."""
-    try:
-        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    # a deeply nested document exhausts the parser's recursion limit
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"not valid JSON: {exc}") from None
+    return json.dumps(to_doc(s)).encode("utf-8")
 
 
 def load_stats(data: bytes | str) -> AttributeStats:
-    return stats_from_dict(_parse_json(data))
+    return from_doc(AttributeStats, parse_json(data))

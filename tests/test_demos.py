@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the library in ``src``."""
+"""Every demo script runs to completion against the library in ``src``, and
+so does every Python block of the README."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +30,15 @@ def test_demo_runs(tmp_path, demo):
     # TMPDIR is the test's directory, so a temporary directory the demo
     # failed to remove is left here
     assert not list(tmp_path.glob("ineqsel-demo-*"))
+
+
+def test_readme_python_blocks():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
+    assert blocks
+    names = {}
+    for block in blocks:
+        exec(block, names)
+    # the values the quick start's comments give
+    assert names["est"] == pytest.approx(24221 / 37620, abs=1e-12)
+    assert (names["act"].qualifying, names["act"].total) == (95, 144)

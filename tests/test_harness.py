@@ -434,7 +434,9 @@ class TestCli:
         assert main(["analyze", "--in", str(fx), "--target", "3", "--out", str(sx)]) == 0
         assert main(["estimate", "--stats-x", str(sx), "--stats-y", str(sx),
                      "--op", "strictly-left"]) == 1
-        assert "range statistics" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "range statistics" in err
+        assert f"{sx}: " in err
 
     @pytest.mark.parametrize("good,op,fields", MALFORMED_STATS)
     def test_malformed_stats_exit_1(self, tmp_path, capsys, good, op, fields):
@@ -448,6 +450,9 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "bad.json" in captured.err
+        # an error inside a nested document names its field
+        for name in {"lower_stats", "upper_stats"} & fields.keys():
+            assert f"bad.json: {name}: " in captured.err
 
     @pytest.mark.parametrize("op", ["lt", "overlaps"])
     def test_deeply_nested_stats_exit_1(self, tmp_path, capsys, op):

@@ -21,7 +21,7 @@ from ineqsel import (
     save_range_stats,
 )
 from ineqsel.harness import generate_range_column, write_range_column
-from ineqsel.ranges import EMPTY_RANGE, range_stats_from_dict
+from ineqsel.ranges import EMPTY_RANGE
 
 from conftest import column_row, normalized_row
 
@@ -335,6 +335,15 @@ class TestJoin:
         for op in RangeOp:
             assert range_join_selectivity(s_null, s, op) == 0.0
 
+    @pytest.mark.parametrize("rows", [[None, None], [EMPTY_RANGE], [rv(1, 2), rv(3, 5)]],
+                             ids=["all-null", "all-empty", "positioned"])
+    def test_unknown_operator_raises(self, rows):
+        # checked before the shortcut for a side without positioned rows
+        s = analyze_range_column(rows, 10)
+        for op in ("bogus", "overlaps", ScalarOp.LT, None):
+            with pytest.raises(ValueError, match="unsupported operator"):
+                range_join_selectivity(s, s, op)
+
     def test_all_upper_bounds_infinite(self):
         # equal infinite upper bounds are both open, so every pair ends by
         # the other: no-extend-right holds for all of them
@@ -419,7 +428,7 @@ class TestRoundTrip:
         doc = json.loads(save_range_stats(s))
         del doc["empty_frac"]
         with pytest.raises(ValueError, match="missing field empty_frac"):
-            range_stats_from_dict(doc)
+            load_range_stats(json.dumps(doc))
 
     def test_nested_stats_validated(self):
         rng = np.random.default_rng(13)
@@ -427,4 +436,4 @@ class TestRoundTrip:
         doc = json.loads(save_range_stats(s))
         doc["lower_stats"]["histogram"]["bounds"] = [5.0, 1.0]
         with pytest.raises(ValueError, match="bounds not sorted"):
-            range_stats_from_dict(doc)
+            load_range_stats(json.dumps(doc))

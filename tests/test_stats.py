@@ -26,7 +26,6 @@ from ineqsel.harness import generate_range_column, generate_scalar_column
 from ineqsel.histogram import build_equi_depth
 from ineqsel.mcv import EMPTY_MCV, build_mcv
 from ineqsel.ranges import EMPTY_RANGE, RangeValue
-from ineqsel.stats import stats_from_dict
 
 from conftest import R1_X, multipass_analyze_column
 
@@ -421,6 +420,28 @@ class TestRoundTrip:
         assert set(doc) == {"null_frac", "mcv", "histogram", "row_count", "statistics_target"}
 
 
+# Every field path of both kinds of statistics document: a field added to
+# AttributeStats or RangeStats needs one more entry here.
+SCALAR_FIELDS = ("null_frac", "mcv", "histogram", "row_count", "statistics_target")
+SCALAR_NESTED_FIELDS = (("mcv", "values"), ("mcv", "fractions"), ("histogram", "bounds"))
+RANGE_FIELDS = ("null_frac", "empty_frac", "lower_inf_frac", "upper_inf_frac",
+                "lower_stats", "upper_stats")
+RANGE_NESTED_FIELDS = tuple(
+    (bound, *path)
+    for bound in ("lower_stats", "upper_stats")
+    for path in (*((f,) for f in SCALAR_FIELDS), *SCALAR_NESTED_FIELDS)
+)
+
+# A valid document of each kind with every optional part present: an MCV
+# list and a histogram in each statistics object.
+GOOD_DOCS = {
+    load_stats: lambda: json.loads(save_stats(analyze_column([1, 1, 2, 3, 4], 2))),
+    load_range_stats: lambda: json.loads(save_range_stats(analyze_range_column(
+        [RangeValue(lo, hi, True, True) for lo, hi in ((1, 3), (1, 3), (2, 5), (4, 9), (6, 7))],
+        2))),
+}
+
+
 class TestLoadErrors:
     def good_doc(self):
         return json.loads(save_stats(analyze_column([1, 1, 2, 3, 4], 2)))
@@ -429,40 +450,58 @@ class TestLoadErrors:
         doc = self.good_doc()
         del doc["histogram"]["bounds"]
         with pytest.raises(ValueError, match="missing field bounds"):
-            stats_from_dict(doc)
+            load_stats(json.dumps(doc))
 
-    @pytest.mark.parametrize(
-        "field", ["null_frac", "mcv", "histogram", "row_count", "statistics_target"]
-    )
-    def test_missing_top_level_field(self, field):
-        doc = self.good_doc()
+    @pytest.mark.parametrize("load,field", [
+        *(pytest.param(load_stats, f, id=f) for f in SCALAR_FIELDS),
+        *(pytest.param(load_range_stats, f, id=f"range-{f}") for f in RANGE_FIELDS),
+    ])
+    def test_missing_top_level_field(self, load, field):
+        doc = GOOD_DOCS[load]()
         del doc[field]
-        with pytest.raises(ValueError, match=f"missing field {field}"):
-            stats_from_dict(doc)
+        with pytest.raises(ValueError, match=f"^missing field {field}$"):
+            load(json.dumps(doc))
+
+    @pytest.mark.parametrize("load,path", [
+        *(pytest.param(load_stats, p, id=".".join(p)) for p in SCALAR_NESTED_FIELDS),
+        *(pytest.param(load_range_stats, p, id="range-" + ".".join(p))
+          for p in RANGE_NESTED_FIELDS),
+    ])
+    def test_missing_nested_field(self, load, path):
+        # the error names every field on the way down
+        doc = GOOD_DOCS[load]()
+        *parents, leaf = path
+        node = doc
+        for name in parents:
+            node = node[name]
+        del node[leaf]
+        message = ": ".join((*parents, f"missing field {leaf}"))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load(json.dumps(doc))
 
     def test_unsorted_bounds(self):
         doc = self.good_doc()
         doc["histogram"]["bounds"] = [3.0, 1.0, 2.0]
         with pytest.raises(ValueError, match="bounds not sorted"):
-            stats_from_dict(doc)
+            load_stats(json.dumps(doc))
 
     def test_null_frac_out_of_range(self):
         doc = self.good_doc()
         doc["null_frac"] = 1.5
         with pytest.raises(ValueError, match="null_frac"):
-            stats_from_dict(doc)
+            load_stats(json.dumps(doc))
 
     def test_mcv_length_mismatch(self):
         doc = self.good_doc()
         doc["mcv"]["fractions"].append(0.1)
         with pytest.raises(ValueError, match="length"):
-            stats_from_dict(doc)
+            load_stats(json.dumps(doc))
 
     def test_null_frac_beyond_float_range(self):
         doc = self.good_doc()
         doc["null_frac"] = 10**400
         with pytest.raises(ValueError, match="null_frac holds a number beyond float range"):
-            stats_from_dict(doc)
+            load_stats(json.dumps(doc))
 
     def test_not_json(self):
         with pytest.raises(ValueError, match="JSON"):
