@@ -11,6 +11,7 @@ import argparse
 import math
 import sys
 from collections.abc import Callable
+from dataclasses import fields
 
 from . import harness
 from ._util import from_doc, parse_json
@@ -118,13 +119,21 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+# the fields only a range statistics document holds
+_RANGE_ONLY = ({f.name for f in fields(harness.RANGE.stats_type)}
+               - {f.name for f in fields(harness.SCALAR.stats_type)})
+
+
 def _load_any_stats(path: str):
-    """Load a statistics file, scalar or range (sniffed by its fields)."""
+    """Load a statistics file: range statistics when it holds any field only
+    they declare, so a missing field is reported by its own type, and
+    scalar statistics otherwise."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         doc = parse_json(data)
-        kind = harness.RANGE if isinstance(doc, dict) and "lower_stats" in doc else harness.SCALAR
+        ranged = isinstance(doc, dict) and not _RANGE_ONLY.isdisjoint(doc)
+        kind = harness.RANGE if ranged else harness.SCALAR
         return from_doc(kind.stats_type, doc)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

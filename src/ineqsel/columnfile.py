@@ -6,6 +6,9 @@ as the writers write, is scanned in bulk: numpy finds the lines (and, in a
 range file, each literal's brackets and commas), and the decimal kernel
 reads every number of the form ``-?digits[.digits]`` with at most 15 digits
 from its bytes, bit-identical to float(); float() reads the other numbers.
+The kernel reads 4096 tokens at a time through the last 16 bytes of each,
+or through the last 8 when every token of the 4096 has at most 8 bytes
+after its minus, as the writers' range bounds below 10**6 do.
 Any other file, or one the bulk scan turns down, is read by one per-line
 loop, whose first bad line raises its ``path:line`` error.  A leading
 UTF-8 byte-order mark, as some editors write, is dropped before either.
@@ -188,10 +191,12 @@ def looks_like_range_file(path) -> bool:
 
 # The kernel reads the last _TAIL bytes of each token.  A token it reads
 # itself has at most 15 digits, a dot and a leading minus: 17 bytes, of
-# which the first, the minus, adds no digit.
+# which the first, the minus, adds no digit.  A chunk whose tokens all
+# have at most _SHORT bytes after their minus is read through the last
+# _SHORT bytes instead, which hold all of each token but its minus and
+# take one level fewer of the Horner tree.
 _TAIL = 16
-_TAIL_ROWS = np.arange(_TAIL, dtype=np.uint8)[:, None]
-_BYTES_RIGHT = _TAIL_ROWS[::-1]
+_SHORT = 8
 _POW10 = np.array([float(10**k) for k in range(_TAIL)])     # exact doubles
 _CHUNK = 4096       # tokens per kernel call, whose arrays then stay in the cache
 
@@ -209,15 +214,17 @@ def _read_decimals(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndar
     start indexes data: a token is not empty, or a byte follows it.
     """
     codes = np.frombuffer(data, dtype=np.uint8)
-    # a 16-byte view at every offset of the zero-padded bytes, so that one
-    # gather copies the last 16 bytes of every token
+    # a 16-byte and an 8-byte view at every offset of the zero-padded bytes,
+    # so that one gather copies the last 16 or 8 bytes of every token
     padded = np.concatenate((np.zeros(_TAIL, dtype=np.uint8), codes))
-    windows = np.ndarray((codes.size + 1,), dtype=f"V{_TAIL}", buffer=padded, strides=(1,))
+    windows = {tail: np.ndarray((codes.size + 1,), dtype=f"V{tail}", buffer=padded,
+                                offset=_TAIL - tail, strides=(1,)) for tail in (_SHORT, _TAIL)}
     out, fast = np.empty(ends.size), np.empty(ends.size, dtype=bool)
     for lo in range(0, ends.size, _CHUNK):
         part = slice(lo, lo + _CHUNK)
-        out[part], fast[part] = _decimal_kernel(windows[ends[part]], codes[starts[part]] == ord("-"),
-                                                ends[part] - starts[part])
+        minus, length = codes[starts[part]] == ord("-"), ends[part] - starts[part]
+        tail = _SHORT if (length - minus).max() <= _SHORT else _TAIL
+        out[part], fast[part] = _decimal_kernel(windows[tail][ends[part]], minus, length)
     slow = np.flatnonzero(~fast).tolist()
     try:
         for i, start, end in zip(slow, starts[slow].tolist(), ends[slow].tolist()):
@@ -231,13 +238,15 @@ def _decimal_kernel(tails: np.ndarray, minus: np.ndarray,
                     length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The fast-path value of each token, and whether the token has the fast form.
 
-    ``tails`` holds each token's last 16 bytes, ``minus`` whether it opens
-    with a minus and ``length`` its length in bytes.
+    ``tails`` holds each token's last 16 or 8 bytes, ``minus`` whether it
+    opens with a minus and ``length`` its length in bytes.
     """
+    tail = tails.dtype.itemsize
+    rows = np.arange(tail, dtype=np.uint8)[:, None]
     # one row per byte position; bytes before a token's start become 0,
     # which is no digit and no dot
-    digit = tails.view(np.uint8).reshape(-1, _TAIL).T.copy()
-    digit *= _TAIL_ROWS + np.minimum(length, _TAIL).astype(np.uint8) >= _TAIL
+    digit = tails.view(np.uint8).reshape(-1, tail).T.copy()
+    digit *= rows + np.minimum(length, tail).astype(np.uint8) >= tail
     is_dot = digit == ord(".")
     digit -= np.uint8(ord("0"))               # above 9 for every other byte
     is_digit = digit <= 9
@@ -247,14 +256,15 @@ def _decimal_kernel(tails: np.ndarray, minus: np.ndarray,
     # has more bytes than the window and the minus can hold
     fast = (digits >= 1) & (digits <= 15) & (dots <= 1) & (digits + dots + minus == length)
     # k: the bytes after the dot, all digits in a fast token
-    k = (is_dot * _BYTES_RIGHT).sum(axis=0, dtype=np.uint8) * fast
+    k = (is_dot * rows[::-1]).sum(axis=0, dtype=np.uint8) * fast
     # Horner's rule as a pairwise tree over the rows: a run of bytes is
     # (10**its digits, their value), two adjacent runs (sa, va) and (sb, vb)
     # join as (sa * sb, va * sb + vb), and a byte that is no digit is (1, 0).
-    # Each level's dtype holds its scales: 10**2, 10**4, 10**8, 10**16.
+    # Each level's dtype holds its scales: 10**2, 10**4, 10**8, 10**16; 8
+    # rows take the first three levels.
     value = digit * is_digit
     scale = is_digit * np.uint8(9) + np.uint8(1)
-    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64)[:tail.bit_length() - 1]:
         value, scale = value.astype(dtype, copy=False), scale.astype(dtype, copy=False)
         value = value[0::2] * scale[1::2] + value[1::2]
         scale = scale[0::2] * scale[1::2]

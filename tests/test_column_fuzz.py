@@ -391,6 +391,69 @@ def test_kernel_turns_down_tokens_float_cannot_read(bad):
     assert read_tokens([t for t in tokens if t != bad]) is not None
 
 
+# A chunk whose tokens all have at most 8 bytes after their minus is read
+# through an 8-byte window; these have exactly 8.
+EIGHT_BYTE_TOKENS = ["12345678", "-12345678", "1234567.", ".1234567", "-.1234567"]
+
+
+@pytest.fixture
+def kernel_windows(monkeypatch):
+    """The window width in bytes of each decimal kernel call while the test runs."""
+    widths, kernel = [], columnfile._decimal_kernel
+
+    def spy(tails, minus, length):
+        widths.append(tails.dtype.itemsize)
+        return kernel(tails, minus, length)
+    monkeypatch.setattr(columnfile, "_decimal_kernel", spy)
+    return widths
+
+
+def _short_tokens(rng, n):
+    """n tokens of 1 to 8 digits with a dot anywhere, or none, and a leading
+    minus or none, each at most 8 bytes after its minus."""
+    tokens = []
+    while len(tokens) < n:
+        digits = "".join(rng.choice(list("0123456789"), size=int(rng.integers(1, 9))))
+        dot = int(rng.integers(len(digits) + 2))
+        token = digits if dot > len(digits) else f"{digits[:dot]}.{digits[dot:]}"
+        if len(token) <= 8:
+            tokens.append(("-" if rng.random() < 0.5 else "") + token)
+    return tokens
+
+
+def test_kernel_reads_short_tokens_through_8_bytes(float_calls, kernel_windows):
+    rng = np.random.default_rng(1)
+    short = [t for t in NUMBER_TOKENS if len(t) - t.startswith("-") <= 8]
+    tokens = EIGHT_BYTE_TOKENS + short + _short_tokens(rng, 3 * columnfile._CHUNK)
+    got = read_tokens(tokens)
+    assert got.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+    assert float_calls == [t.encode() for t in tokens if not _fast_token(t)]
+    assert set(float_calls) >= {b"inf", b"-inf", b"1e5", b"+1"}
+    assert kernel_windows == [8] * 4
+
+
+@pytest.mark.parametrize("long", ["123456789", "12345678.", ".12345678", "-123456789"])
+def test_one_long_token_reads_its_chunk_through_16_bytes(float_calls, kernel_windows, long):
+    # the chunk's last token has 9 bytes after its minus; the next chunk is short again
+    cycle = EIGHT_BYTE_TOKENS * columnfile._CHUNK
+    tokens = cycle[:columnfile._CHUNK - 1] + [long] + EIGHT_BYTE_TOKENS
+    got = read_tokens(tokens)
+    assert got.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+    assert float_calls == []
+    assert kernel_windows == [16, 8]
+
+
+def test_file_of_short_tokens_reads_through_8_bytes(tmp_path, float_calls, kernel_windows):
+    rng = np.random.default_rng(2)
+    lines = _short_tokens(rng, 10_000)
+    lines[::7] = [""] * len(lines[::7])     # nulls
+    path = tmp_path / "short.col"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    assert_same_scalar_bytes(read_scalar_column(path), reference_scalar_read(path))
+    assert float_calls == []
+    assert kernel_windows and set(kernel_windows) == {8}
+
+
 @pytest.mark.parametrize("rows", [1, 100, 20_000])
 def test_writer_files_call_float_only_for_infinite_bounds(tmp_path, bulk_only, float_calls, rows):
     # a kernel that gave every bound to float() would make 2 calls a row

@@ -454,6 +454,19 @@ class TestCli:
         for name in {"lower_stats", "upper_stats"} & fields.keys():
             assert f"bad.json: {name}: " in captured.err
 
+    # the fields a range document holds and a scalar one does not
+    @pytest.mark.parametrize("field", ["empty_frac", "lower_inf_frac", "upper_inf_frac",
+                                       "lower_stats", "upper_stats"])
+    def test_range_stats_missing_field_exit_1(self, tmp_path, capsys, field):
+        # the document is still read as range statistics, which name the field
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({k: v for k, v in GOOD_RANGE_STATS.items() if k != field}))
+        assert main(["estimate", "--stats-x", str(bad), "--stats-y", str(bad),
+                     "--op", "overlaps"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: missing field {field}\n"
+
     @pytest.mark.parametrize("op", ["lt", "overlaps"])
     def test_deeply_nested_stats_exit_1(self, tmp_path, capsys, op):
         # deeper than the JSON parser's recursion limit

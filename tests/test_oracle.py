@@ -16,7 +16,7 @@ from ineqsel import (
     range_op_holds,
 )
 from ineqsel._util import as_float_column
-from ineqsel.oracle import _keys, _pair_counts
+from ineqsel.oracle import _count_le, _keys, _pair_counts
 from ineqsel.ranges import EMPTY_RANGE, RangeColumn
 
 from conftest import R1_X, R2_Y, column_row
@@ -281,6 +281,24 @@ def tie_heavy_range(rng):
     if rng.random() < 0.15:
         hi = math.inf
     return column_row(lo, hi, lc, uc)
+
+
+# both zeros, both infinities and few other values, so most keys tie
+KEY_POOL = np.array([-math.inf, -1.0, -0.0, 0.0, 1.0, 2.0, math.inf])
+
+
+@pytest.mark.parametrize("layout", range(16))
+def test_count_le_matches_pairwise(layout):
+    # bit i of the layout: whether run i of (a0, a1, b0, b1) is non-empty
+    rng = np.random.default_rng(layout)
+    for _ in range(30):
+        runs = [np.sort(rng.choice(KEY_POOL, size=int(rng.integers(1, 15))))
+                if layout >> i & 1 else np.empty(0) for i in range(4)]
+        a, b = tuple(runs[:2]), tuple(runs[2:])
+        # a key (value, offset) as a tuple compares value first, then offset
+        a_keys = [(v, offset) for offset, run in enumerate(a) for v in run.tolist()]
+        b_keys = [(v, offset) for offset, run in enumerate(b) for v in run.tolist()]
+        assert _count_le(a, b) == sum(ka <= kb for ka in a_keys for kb in b_keys), runs
 
 
 class TestRangeJoinSortedKeys:
