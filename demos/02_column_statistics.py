@@ -10,7 +10,7 @@ three partitions and are compared with exact counts.
 
 import numpy as np
 
-from ineqsel import ScalarOp, analyze_column, exact_restriction, restriction_selectivity, save_stats
+from ineqsel import ScalarOp, analyze_column, exact_join, restriction_selectivity, save_stats
 
 rng = np.random.default_rng(42)
 
@@ -33,7 +33,7 @@ print(f"{'predicate':>16}  {'estimate':>9}  {'exact':>9}  {'abs err':>8}")
 for c in (50, 100, 250, 500, 700, 900):
     for op, sym in ((ScalarOp.LT, "<"), (ScalarOp.GE, ">=")):
         est = restriction_selectivity(stats, c, op)
-        exact = exact_restriction(values, c, op).selectivity
+        exact = exact_join(values, [c], op).selectivity
         print(f"value {sym:>2} {c:<6}  {est:9.4f}  {exact:9.4f}  {abs(est - exact):8.5f}")
 
 # The statistics serialize to a small JSON document.

@@ -22,7 +22,7 @@ from .ranges import (
     range_op_holds,
     save_range_stats,
 )
-from .oracle import ExactCount, exact_join, exact_range_join, exact_restriction
+from .oracle import ExactCount, exact_join, exact_range_join
 from .harness import (
     ExperimentRow,
     generate_range_column,
@@ -47,7 +47,6 @@ __all__ = [
     "cdf",
     "exact_join",
     "exact_range_join",
-    "exact_restriction",
     "generate_range_column",
     "generate_scalar_column",
     "join_selectivity",

@@ -404,6 +404,5 @@ def write_scalar_column(path, values) -> None:
     _write(path, _scalar_lines, as_float_column(values))
 
 
-def write_range_column(path, values) -> None:
-    column = RangeColumn.from_values(values)
+def write_range_column(path, column: RangeColumn) -> None:
     _write(path, _range_lines, *(getattr(column, name) for name in _COLUMN_FIELDS))

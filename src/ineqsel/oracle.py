@@ -1,4 +1,4 @@
-"""Exact ground-truth counts for restriction and join predicates.
+"""Exact ground-truth counts for join predicates.
 
 These are the reference values the estimators are judged against, so they
 are computed from the data itself.  Both oracles count the same thing: the
@@ -6,9 +6,11 @@ pairs whose keys (value, offset) satisfy key_x <= key_y, with both sides
 sorted.  A scalar join puts each side's values at one offset, so one
 ``searchsorted`` of one side into the other counts it; a range join puts
 each bound at its open/closed offset, and ``_count_le`` counts its keys
-with one stable merge of the sorted runs.  A restriction ``value <op> c``
-is the join of the column with a one-row column holding c.  Null rows
-(and empty ranges) never qualify but still count toward the totals.
+with one stable merge of the sorted runs.  A range pair's five operators
+are counted together, and the counts of the last pair are kept for its
+next operator.  A restriction ``value <op> c`` is the join
+``exact_join(values, [c], op)``.  Null rows (and empty ranges) never
+qualify but still count toward the totals.
 """
 
 from __future__ import annotations
@@ -59,12 +61,6 @@ def _count_le(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
     return int(np.flatnonzero(from_b).sum()) - nb * (nb - 1) // 2
 
 
-def exact_restriction(values, c: float, op: ScalarOp) -> ExactCount:
-    """Count non-null values satisfying ``value <op> c``: the join of the
-    column with a one-row column holding c."""
-    return exact_join(values, [c], op)
-
-
 # x <op> y through the count of pairs with key_x <= key_y, y's keys at
 # offset 0: the side of x's sorted values that y is searched on (x's keys
 # at offset 1 for "left", at offset 0 for "right"), and whether x <op> y
@@ -110,77 +106,52 @@ def exact_join(xs, ys, op: ScalarOp) -> ExactCount:
 
 
 def _keys(column: RangeColumn, bound: str) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted values of one bound of the positioned rows, at offset 0 and at offset 1.
+    """Sorted values of one bound of the positioned rows, at offset 0 and at offset 1."""
+    positioned = column.positioned
+    values = getattr(column, bound)[positioned]
+    closed = getattr(column, f"{bound}_closed")[positioned]
+    late = closed if bound == "upper" else ~closed
+    return np.sort(values[~late]), np.sort(values[late])
 
-    A column's arrays are read-only, so each bound is sorted once per
-    column: the read-only result is kept in the column's private memo,
-    which neither equality nor slicing carries.
+
+def _range_counts(xs: RangeColumn, ys: RangeColumn) -> dict[RangeOp, int]:
+    """The count of every range operator for the pair (xs, ys).
+
+    Each side's bound keys are built once, and each bound inequality is one
+    ``_count_le``.  Each positioned pair is strictly left, strictly right or
+    overlapping, so overlaps is the rest of the positioned pairs.
     """
-    memo = vars(column).setdefault("_sorted_keys", {})
-    if bound not in memo:
-        positioned = column.positioned
-        values = getattr(column, bound)[positioned]
-        closed = getattr(column, f"{bound}_closed")[positioned]
-        late = closed if bound == "upper" else ~closed
-        keys = np.sort(values[~late]), np.sort(values[late])
-        for k in keys:
-            k.flags.writeable = False
-        memo[bound] = keys
-    return memo[bound]
-
-
-def _pair_counts(xs: RangeColumn, ys: RangeColumn) -> dict[RangeOp, int]:
-    """The bound-inequality counts made so far for the pair (xs, ys).
-
-    They are kept in xs's private memo, beside its sorted keys, for the
-    last ys counted against it.  A column defines ``__eq__`` and so cannot
-    be hashed: the memo holds a weak reference to ys and checks identity,
-    so it never keeps ys alive and no other column reads its counts.
-    """
-    memo = vars(xs)
-    ref, counts = memo.get("_pair_counts", (None, None))
-    if ref is None or ref() is not ys:
-        counts = {}
-        memo["_pair_counts"] = (weakref.ref(ys), counts)
+    x_keys = {bound: _keys(xs, bound) for bound in ("lower", "upper")}
+    y_keys = {bound: _keys(ys, bound) for bound in ("lower", "upper")}
+    counts = {}
+    for op, (x_bound, scalar_op, y_bound) in BOUND_INEQUALITY.items():
+        a, b = x_keys[x_bound], y_keys[y_bound]
+        if scalar_op in (ScalarOp.GT, ScalarOp.GE):
+            a, b = b, a
+        counts[op] = _count_le(a, b)
+    nx, ny = (sum(k.size for k in keys["lower"]) for keys in (x_keys, y_keys))
+    strict = counts[RangeOp.STRICTLY_LEFT] + counts[RangeOp.STRICTLY_RIGHT]
+    counts[RangeOp.OVERLAPS] = nx * ny - strict
     return counts
 
 
-def _count_bound_inequality(xs: RangeColumn, ys: RangeColumn, op: RangeOp) -> int:
-    counts = _pair_counts(xs, ys)
-    if op not in counts:
-        x_bound, scalar_op, y_bound = BOUND_INEQUALITY[op]
-        x_keys, y_keys = _keys(xs, x_bound), _keys(ys, y_bound)
-        if scalar_op in (ScalarOp.LT, ScalarOp.LE):
-            counts[op] = _count_le(x_keys, y_keys)
-        else:
-            counts[op] = _count_le(y_keys, x_keys)
-    return counts[op]
+# The last pair counted, as (weakref(xs), weakref(ys), counts): asking for
+# each operator of one pair in turn counts the pair once.  The weak
+# references keep neither column alive, and a freed column's reference
+# reads None, so a later column never reads its counts.  A call reads the
+# slot once and replaces it whole, so calls from several threads never mix
+# two pairs' counts.
+_last_pair = None
 
 
-def exact_range_join(xs, ys, op: RangeOp) -> ExactCount:
-    """Count pairs of non-null, non-empty ranges with ``x <op> y``.
-
-    Either side is a RangeColumn or an iterable of RangeValue and None,
-    which RangeColumn.from_values checks and normalizes.
-    """
-    xs, ys = RangeColumn.from_values(xs), RangeColumn.from_values(ys)
+def exact_range_join(xs: RangeColumn, ys: RangeColumn, op: RangeOp) -> ExactCount:
+    """Count pairs of non-null, non-empty ranges with ``x <op> y``."""
+    global _last_pair
     if not len(xs) or not len(ys):
         raise ValueError("no data")
     if op is not RangeOp.OVERLAPS and op not in BOUND_INEQUALITY:
         raise ValueError(f"unsupported operator {op}")
-    total = len(xs) * len(ys)
-    nx, ny = int(xs.positioned.sum()), int(ys.positioned.sum())
-    if not nx or not ny:
-        return ExactCount(0, total)
-
-    if op is RangeOp.OVERLAPS:
-        # each non-empty pair is strictly left, strictly right, or
-        # overlapping; the two strict counts are reused when already made
-        count = (
-            nx * ny
-            - _count_bound_inequality(xs, ys, RangeOp.STRICTLY_LEFT)
-            - _count_bound_inequality(xs, ys, RangeOp.STRICTLY_RIGHT)
-        )
-    else:
-        count = _count_bound_inequality(xs, ys, op)
-    return ExactCount(int(count), total)
+    slot = _last_pair
+    if slot is None or slot[0]() is not xs or slot[1]() is not ys:
+        slot = _last_pair = (weakref.ref(xs), weakref.ref(ys), _range_counts(xs, ys))
+    return ExactCount(slot[2][op], len(xs) * len(ys))

@@ -2,7 +2,9 @@
 
 A range column is a RangeColumn, six numpy arrays whose constructor is the
 one place a range is checked and normalized.  A RangeValue is a plain
-record of one row's fields, as the column yields it.
+record of one row's fields, as the column yields it.  Every range entry
+point (analyze_range_column, the oracle, the column writer) takes a
+RangeColumn; RangeColumn.from_values makes one from rows.
 
 A range attribute is summarized by two scalar statistics objects (one over
 the finite lower bounds, one over the finite upper bounds) plus fractions
@@ -129,8 +131,6 @@ class RangeColumn:
     def from_values(cls, values) -> RangeColumn:
         """The column of an iterable of RangeValue and None entries, which
         the constructor checks and normalizes."""
-        if isinstance(values, RangeColumn):
-            return values
         rows = list(values)
         null = [r is None for r in rows]
         rows = [EMPTY_RANGE if r is None else r for r in rows]
@@ -166,8 +166,8 @@ class RangeColumn:
         return RangeValue(*(getattr(self, f)[k].item() for f in RangeValue._fields))
 
     def __reduce__(self):
-        # rebuilt by the constructor: read-only arrays, and none of the
-        # oracle's memo, whose weak reference could not be pickled
+        # rebuilt by the constructor, which marks the arrays read-only:
+        # pickling an array drops numpy's read-only flag
         return RangeColumn, tuple(getattr(self, name) for name in _COLUMN_FIELDS)
 
     def __eq__(self, other) -> bool:
@@ -304,17 +304,16 @@ class RangeStats:
 
 
 def analyze_range_column(
-    values,
+    column: RangeColumn,
     statistics_target: int,
     sample_seed: int = 0,
     sample_cap: int | None = None,
 ) -> RangeStats:
-    """Build RangeStats from a RangeColumn or an iterable of RangeValue and None entries."""
+    """Build RangeStats from a RangeColumn."""
     if statistics_target < 1:
         raise ValueError("statistics target must be at least 1")
     if sample_cap is None:
         sample_cap = SAMPLE_ROWS_PER_TARGET * statistics_target
-    column = RangeColumn.from_values(values)
     if not len(column):
         raise ValueError("no data")
 

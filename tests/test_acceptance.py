@@ -16,7 +16,6 @@ from ineqsel import (
     analyze_column,
     analyze_range_column,
     exact_join,
-    exact_restriction,
     generate_range_column,
     join_selectivity,
     load_range_stats,
@@ -30,7 +29,7 @@ from ineqsel.estimator import join_lt_hist
 from ineqsel.histogram import build_equi_depth
 from ineqsel.harness import run_sweep, write_range_column, write_results_csv
 from ineqsel.histogram import cdf
-from ineqsel.ranges import EMPTY_RANGE, RangeValue
+from ineqsel.ranges import EMPTY_RANGE, RangeColumn, RangeValue
 
 from conftest import R1_X, R2_Y, random_histogram, sync_trapezoid
 
@@ -64,7 +63,7 @@ def test_golden_running_example_restriction():
     s = analyze_column(R1_X, 3, sample_seed=0, sample_cap=100)
     hist_ok = s.histogram is not None and s.histogram.bounds.tolist() == [10, 20, 25, 45]
     est = restriction_selectivity(s, 30, ScalarOp.LT)
-    oracle = exact_restriction(R1_X, 30, ScalarOp.LT)
+    oracle = exact_join(R1_X, [30], ScalarOp.LT)
     elapsed = time.monotonic() - start
     _report(
         "golden-restriction",
@@ -193,7 +192,7 @@ def test_identity_suite():
         for _ in range(n):
             start = float(rng.integers(0, 900))
             out.append(RangeValue(start, start + float(rng.integers(1, 60)), True, True))
-        return out
+        return RangeColumn.from_values(out)
 
     for _ in range(10):
         rx = analyze_range_column(clean_ranges(60), 6)
@@ -214,7 +213,7 @@ def test_identity_suite():
     for op in (ScalarOp.LT, ScalarOp.LE, ScalarOp.GT, ScalarOp.GE):
         ok &= join_selectivity(s_null, s_vals, op) == 0.0
         ok &= join_selectivity(s_vals, s_null, op) == 0.0
-    r_null = analyze_range_column([None] * 5, 3)
+    r_null = analyze_range_column(RangeColumn.from_values([None] * 5), 3)
     r_vals = analyze_range_column(clean_ranges(10), 3)
     for rop in RangeOp:
         ok &= range_join_selectivity(r_null, r_vals, rop) == 0.0
@@ -258,7 +257,7 @@ def test_stats_round_trip():
                 lo = float(rng.integers(0, 500))
                 rows.append(RangeValue(lo, lo + float(rng.integers(1, 50)), True, False))
         if not all(r is None for r in rows):
-            rs = analyze_range_column(rows, int(rng.integers(1, 8)))
+            rs = analyze_range_column(RangeColumn.from_values(rows), int(rng.integers(1, 8)))
             rblob = save_range_stats(rs)
             rback = load_range_stats(rblob)
             ok &= rback == rs

@@ -696,7 +696,8 @@ def test_range_writer_bytes_are_per_value(tmp_path, layout_rows, seed):
     mixed = RangeColumn(bounds[0], bounds[1], closed[0], closed[1],
                         rng.random(400) < 0.05, rng.random(400) < 0.05)
     for i, column in enumerate((mixed, _random_bounds_column(300, seed),
-                                generate_range_column(300, seed), list(mixed))):
+                                generate_range_column(300, seed),
+                                RangeColumn.from_values(list(mixed)))):
         path = tmp_path / f"{i}.col"
         write_range_column(path, column)
         assert path.read_bytes() == per_value_range_bytes(column)
@@ -704,19 +705,21 @@ def test_range_writer_bytes_are_per_value(tmp_path, layout_rows, seed):
 
 @pytest.mark.parametrize("write,column,text", [
     # a range file keeps the sign of a zero bound, a scalar file writes one zero
-    (write_range_column, [RangeValue(-0.0, 1.0, True, False), RangeValue(-5.0, -0.0, True, True),
-                          RangeValue(-0.0, 0.0, True, True)],
+    (write_range_column, RangeColumn.from_values([
+        RangeValue(-0.0, 1.0, True, False), RangeValue(-5.0, -0.0, True, True),
+        RangeValue(-0.0, 0.0, True, True)]),
      b"[-0.0,1.0)\n[-5.0,-0.0]\n[-0.0,0.0]\n"),
     (write_scalar_column, [-0.0, 0.0], b"0\n0\n"),
-    (write_range_column, [None, EMPTY_RANGE, RangeValue(-math.inf, math.inf, False, False), None],
+    (write_range_column, RangeColumn.from_values(
+        [None, EMPTY_RANGE, RangeValue(-math.inf, math.inf, False, False), None]),
      b"\nempty\n(-inf,inf)\n\n"),
-    (write_range_column, [None, None], b"\n\n"),
+    (write_range_column, RangeColumn.from_values([None, None]), b"\n\n"),
     (write_scalar_column, [math.nan, math.nan], b"\n\n"),
-    (write_range_column, [], b""),
+    (write_range_column, RangeColumn.from_values([]), b""),
     (write_scalar_column, [], b""),
     (write_scalar_column, [math.inf, -math.inf, 1e16], b"inf\n-inf\n10000000000000000\n"),
-    (write_range_column, [RangeValue(-1e15, 1e16, True, False),
-                          RangeValue(999999999999999, 1e15, True, False)],
+    (write_range_column, RangeColumn.from_values([
+        RangeValue(-1e15, 1e16, True, False), RangeValue(999999999999999, 1e15, True, False)]),
      b"[-1000000000000000.0,1e+16)\n[999999999999999.0,1000000000000000.0)\n"),
 ])
 def test_writer_edge_rows(tmp_path, layout_rows, write, column, text):

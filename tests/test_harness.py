@@ -12,7 +12,6 @@ from ineqsel import (
     RangeOp,
     ScalarOp,
     exact_join,
-    exact_restriction,
     join_selectivity,
     load_stats,
     restriction_selectivity,
@@ -409,7 +408,7 @@ class TestCli:
         sx, sy = load_stats(stats_x.read_bytes()), load_stats(stats_y.read_bytes())
         for op in ScalarOp:
             assert 0.0 <= restriction_selectivity(sx, 30, op) <= 1.0
-            assert exact_restriction(RUNNING_EXAMPLE_R1, 30, op).total == 12
+            assert exact_join(RUNNING_EXAMPLE_R1, [30], op).total == 12
             assert main(["estimate", "--stats-x", str(stats_x), "--stats-y", str(stats_y),
                          "--op", op.value]) == 0
             assert float(capsys.readouterr().out) == join_selectivity(sx, sy, op)

@@ -1,6 +1,9 @@
 import gc
 import math
 import pickle
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -12,11 +15,10 @@ from ineqsel import (
     ScalarOp,
     exact_join,
     exact_range_join,
-    exact_restriction,
     range_op_holds,
 )
 from ineqsel._util import as_float_column
-from ineqsel.oracle import _count_le, _keys, _pair_counts
+from ineqsel.oracle import _count_le
 from ineqsel.ranges import EMPTY_RANGE, RangeColumn
 
 from conftest import R1_X, R2_Y, column_row
@@ -31,6 +33,7 @@ PAIRWISE = {
 # ties, both zeros, the infinities and nulls (a NaN compares false pairwise)
 EDGE_VALUES = np.array([-math.inf, -2.5, -0.0, 0.0, 0.0, 1e-300, 0.1, 0.1, 7.0, math.inf, math.nan])
 NAN = math.nan
+COLUMN_FIELDS = ("lower", "upper", "lower_closed", "upper_closed", "null", "empty")
 
 
 class TestExactCount:
@@ -46,16 +49,16 @@ class TestExactCount:
 
 class TestRestriction:
     def test_running_example(self):
-        c = exact_restriction(R1_X, 30, ScalarOp.LT)
+        c = exact_join(R1_X, [30], ScalarOp.LT)
         assert (c.qualifying, c.total) == (8, 12)
         assert c.selectivity == pytest.approx(2 / 3)
 
     def test_below_minimum(self):
-        c = exact_restriction(R1_X, -1e9, ScalarOp.LT)
+        c = exact_join(R1_X, [-1e9], ScalarOp.LT)
         assert c.qualifying == 0
 
     def test_nulls_never_qualify_but_count(self):
-        c = exact_restriction([1, None, 3], 2, ScalarOp.LT)
+        c = exact_join([1, None, 3], [2], ScalarOp.LT)
         assert (c.qualifying, c.total) == (1, 3)
 
     def test_all_ops_against_loop(self):
@@ -67,7 +70,7 @@ class TestRestriction:
                 expect = sum(
                     1 for v in data if not math.isnan(v) and op.apply(v, c)
                 )
-                assert exact_restriction(data, c, op).qualifying == expect
+                assert exact_join(data, [c], op).qualifying == expect
 
 
 class TestJoin:
@@ -137,8 +140,6 @@ class TestJoin:
         for op in ("bogus", "lt", RangeOp.STRICTLY_LEFT, None):
             with pytest.raises(ValueError, match="unsupported operator"):
                 exact_join(xs, ys, op)
-            with pytest.raises(ValueError, match="unsupported operator"):
-                exact_restriction(xs, ys[0], op)
 
     def test_lt_ge_partition_nonnull_pairs(self):
         rng = np.random.default_rng(2)
@@ -169,8 +170,8 @@ def rv(lo, hi, lc=True, uc=True):
 
 
 # hand-enumerated 4x4 fixture; see the expected counts worked out per pair
-XS_FIXTURE = [rv(1, 2), rv(3, 5, False, True), EMPTY_RANGE, None]
-YS_FIXTURE = [rv(2, 3), rv(5, 7, False, False), rv(0, 10), None]
+XS_FIXTURE = RangeColumn.from_values([rv(1, 2), rv(3, 5, False, True), EMPTY_RANGE, None])
+YS_FIXTURE = RangeColumn.from_values([rv(2, 3), rv(5, 7, False, False), rv(0, 10), None])
 
 HAND_COUNTS = {
     RangeOp.STRICTLY_LEFT: 2,    # [1,2]<<(5,7)  (3,5]<<(5,7)
@@ -189,15 +190,27 @@ class TestRangeJoin:
         assert c.qualifying == expected, op
 
     def test_disjoint_full_count(self):
-        xs = [rv(0, 10)] * 5
-        ys = [rv(20, 30)] * 7
+        xs = RangeColumn.from_values([rv(0, 10)] * 5)
+        ys = RangeColumn.from_values([rv(20, 30)] * 7)
         c = exact_range_join(xs, ys, RangeOp.STRICTLY_LEFT)
         assert (c.qualifying, c.total) == (35, 35)
 
     def test_all_null_side(self):
-        ys = [rv(0, 1), rv(2, 3)]
+        ys = RangeColumn.from_values([rv(0, 1), rv(2, 3)])
         for op in RangeOp:
-            assert exact_range_join([None, None], ys, op).qualifying == 0
+            assert exact_range_join(RangeColumn.from_values([None, None]), ys, op).qualifying == 0
+
+    @pytest.mark.parametrize("blank", [[None], [EMPTY_RANGE] * 3, [None, EMPTY_RANGE, None]],
+                             ids=["null", "empty", "null-and-empty"])
+    def test_side_without_positioned_rows_counts_zero(self, blank):
+        # every run of keys on that side is empty, and _count_le counts them
+        rng = np.random.default_rng(23)
+        others = [blank, [EMPTY_RANGE, None], [tie_heavy_range(rng) for _ in range(9)] + [rv(1, 2)]]
+        for rows in others:
+            for xs, ys in ((blank, rows), (rows, blank)):
+                x, y = RangeColumn.from_values(xs), RangeColumn.from_values(ys)
+                for op in rng.permutation(list(RangeOp)):
+                    assert exact_range_join(x, y, op) == ExactCount(0, len(xs) * len(ys)), op
 
     def test_matches_predicate_loop(self):
         rng = np.random.default_rng(3)
@@ -205,9 +218,10 @@ class TestRangeJoin:
             n, m = rng.integers(1, 60, size=2)
             xs = [random_range(rng) for _ in range(n)]
             ys = [random_range(rng) for _ in range(m)]
+            cx, cy = RangeColumn.from_values(xs), RangeColumn.from_values(ys)
             for op in RangeOp:
                 naive = sum(1 for x in xs for y in ys if range_op_holds(op, x, y))
-                got = exact_range_join(xs, ys, op)
+                got = exact_range_join(cx, cy, op)
                 assert got.qualifying == naive, op
                 assert got.total == n * m
 
@@ -302,7 +316,7 @@ def test_count_le_matches_pairwise(layout):
 
 
 class TestRangeJoinSortedKeys:
-    """A column's bound keys are sorted once; every later count reuses them."""
+    """Counts on columns counted before, and on their slices, are fresh counts."""
 
     def test_warm_columns_count_as_fresh_and_pairwise(self):
         rng = np.random.default_rng(12)
@@ -324,16 +338,6 @@ class TestRangeJoinSortedKeys:
             assert wx == RangeColumn.from_values(xs) and list(wx) == xs
             assert wy == RangeColumn.from_values(ys) and list(wy) == ys
 
-    def test_sorted_once_read_only(self):
-        rng = np.random.default_rng(13)
-        column = RangeColumn.from_values([tie_heavy_range(rng) for _ in range(40)])
-        for bound in ("lower", "upper"):
-            keys = _keys(column, bound)
-            assert _keys(column, bound) is keys
-            for k in keys:
-                assert not k.flags.writeable
-                assert np.array_equal(k, np.sort(k))
-
     def test_slices_sort_their_own_rows(self):
         rng = np.random.default_rng(14)
         rows = [tie_heavy_range(rng) for _ in range(40)]
@@ -353,9 +357,8 @@ class TestRangeJoinSortedKeys:
 
 
 class TestRangeJoinPairCounts:
-    """The strict counts of a pair (xs, ys) are made once; overlaps reuses them."""
-
-    STRICT = (RangeOp.STRICTLY_LEFT, RangeOp.STRICTLY_RIGHT)
+    """A pair's five counts are made together and kept for the last pair
+    counted, which a count of any other pair replaces."""
 
     def test_counts_independent_of_call_order(self):
         rng = np.random.default_rng(15)
@@ -369,18 +372,20 @@ class TestRangeJoinPairCounts:
             for op in order + order:
                 assert exact_range_join(wx, wy, op).qualifying == want[op], (order, op)
 
-    def test_overlaps_reads_the_strict_counts(self):
+    def test_interleaved_pairs_count_as_fresh_and_pairwise(self):
         rng = np.random.default_rng(16)
-        xs = RangeColumn.from_values([tie_heavy_range(rng) for _ in range(30)])
-        ys = RangeColumn.from_values([tie_heavy_range(rng) for _ in range(25)])
-        overlaps = exact_range_join(xs, ys, RangeOp.OVERLAPS).qualifying
-        counts = _pair_counts(xs, ys)
-        assert set(counts) == set(self.STRICT)
-        for op in self.STRICT:
-            assert counts[op] == exact_range_join(xs, ys, op).qualifying
-        # a planted count shows that overlaps takes the memo's values
-        counts[RangeOp.STRICTLY_LEFT] += 1
-        assert exact_range_join(xs, ys, RangeOp.OVERLAPS).qualifying == overlaps - 1
+        for _ in range(10):
+            rows = [[tie_heavy_range(rng) for _ in range(int(rng.integers(1, 25)))]
+                    for _ in range(3)]
+            x, y, z = (RangeColumn.from_values(r) for r in rows)
+            for a, b in ((x, y), (x, z), (x, y), (y, x), (x, x), (y, x)):
+                for op in rng.permutation(list(RangeOp)):
+                    got = exact_range_join(a, b, op)
+                    fresh = exact_range_join(RangeColumn.from_values(list(a)),
+                                             RangeColumn.from_values(list(b)), op)
+                    naive = sum(range_op_holds(op, u, v) for u in a for v in b)
+                    assert got == fresh and got.qualifying == naive, op
+                    assert got.total == len(a) * len(b)
 
     def test_another_column_never_hits_the_memo(self):
         rng = np.random.default_rng(17)
@@ -395,22 +400,67 @@ class TestRangeJoinPairCounts:
                 for op in RangeOp:
                     naive = sum(range_op_holds(op, x, v) for x in rows for v in y)
                     assert exact_range_join(xs, y, op).qualifying == naive, op
-                    assert _pair_counts(xs, y) is _pair_counts(xs, y)
         # a self-join counts against itself
         for op in RangeOp:
             naive = sum(range_op_holds(op, a, b) for a in rows for b in rows)
             assert exact_range_join(xs, xs, op).qualifying == naive, op
+
+    def test_freed_column_never_reads_stale_counts(self):
+        # a column built right after another is freed commonly takes its
+        # place in memory, and so its id
+        rng = np.random.default_rng(18)
+        rows = [tie_heavy_range(rng) for _ in range(30)]
+        xs = RangeColumn.from_values(rows)
+        others = [[tie_heavy_range(rng) for _ in range(int(rng.integers(1, 25)))]
+                  for _ in range(20)]
+        arrays = [[getattr(RangeColumn.from_values(o), f) for f in COLUMN_FIELDS] for o in others]
+        ys = None
+        for other, fields in zip(others, arrays):
+            del ys
+            ys = RangeColumn(*fields)
+            for op in rng.permutation(list(RangeOp)):
+                naive = sum(range_op_holds(op, x, y) for x in rows for y in other)
+                assert exact_range_join(xs, ys, op) == ExactCount(naive, 30 * len(other)), op
+
+    def test_threads_never_mix_pairs(self):
+        # each thread counts its own pair, so the slot changes hands often
+        rng = np.random.default_rng(24)
+        pairs = [tuple(RangeColumn.from_values([tie_heavy_range(rng) for _ in range(20)])
+                       for _ in range(2)) for _ in range(4)]
+        want = [{op: exact_range_join(x, y, op) for op in RangeOp} for x, y in pairs]
+        wrong = []
+        start = threading.Barrier(len(pairs), timeout=60)
+
+        def count(k):
+            x, y = pairs[k]
+            start.wait()
+            for _ in range(1000):
+                for op in RangeOp:
+                    if exact_range_join(x, y, op) != want[k][op]:
+                        wrong.append((k, op))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=count, args=(k,)) for k in range(len(pairs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
     def test_memo_does_not_keep_ys_alive(self):
         rng = np.random.default_rng(18)
         xs = RangeColumn.from_values([tie_heavy_range(rng) for _ in range(30)])
         ys = RangeColumn.from_values([tie_heavy_range(rng) for _ in range(20)])
         exact_range_join(xs, ys, RangeOp.OVERLAPS)
-        ref, _ = vars(xs)["_pair_counts"]
-        assert ref() is ys
-        del ys
+        refs = weakref.ref(xs), weakref.ref(ys)
+        del xs, ys
         gc.collect()
-        assert ref() is None
+        assert [ref() for ref in refs] == [None, None]
 
     def test_warm_column_pickles_as_a_fresh_one(self):
         rng = np.random.default_rng(19)
@@ -420,7 +470,8 @@ class TestRangeJoinPairCounts:
             exact_range_join(xs, xs, op)
         copy = pickle.loads(pickle.dumps(xs))
         assert copy == xs and list(copy) == rows
-        assert "_pair_counts" not in vars(copy) and "_sorted_keys" not in vars(copy)
-        assert not copy.lower.flags.writeable
+        assert copy == RangeColumn.from_values(rows)
+        for name in COLUMN_FIELDS:
+            assert not getattr(copy, name).flags.writeable, name
         for op in RangeOp:
             assert exact_range_join(copy, copy, op) == exact_range_join(xs, xs, op)

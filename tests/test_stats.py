@@ -437,7 +437,8 @@ RANGE_NESTED_FIELDS = tuple(
 GOOD_DOCS = {
     load_stats: lambda: json.loads(save_stats(analyze_column([1, 1, 2, 3, 4], 2))),
     load_range_stats: lambda: json.loads(save_range_stats(analyze_range_column(
-        [RangeValue(lo, hi, True, True) for lo, hi in ((1, 3), (1, 3), (2, 5), (4, 9), (6, 7))],
+        RangeColumn.from_values([RangeValue(lo, hi, True, True)
+                                 for lo, hi in ((1, 3), (1, 3), (2, 5), (4, 9), (6, 7))]),
         2))),
 }
 
