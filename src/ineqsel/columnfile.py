@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from ._util import as_float_column
-from .ranges import _COLUMN_FIELDS, RangeColumn, parse_range
+from .ranges import _COLUMN_FIELDS, RangeColumn, _require_column, parse_range
 
 
 def _read_text(path) -> str:
@@ -405,4 +405,5 @@ def write_scalar_column(path, values) -> None:
 
 
 def write_range_column(path, column: RangeColumn) -> None:
+    _require_column(column)
     _write(path, _range_lines, *(getattr(column, name) for name in _COLUMN_FIELDS))

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._util import as_float_column
 from .operators import RangeOp, ScalarOp
-from .ranges import BOUND_INEQUALITY, RangeColumn
+from .ranges import BOUND_INEQUALITY, RangeColumn, _require_column
 
 
 @dataclass(frozen=True)
@@ -147,6 +147,8 @@ _last_pair = None
 def exact_range_join(xs: RangeColumn, ys: RangeColumn, op: RangeOp) -> ExactCount:
     """Count pairs of non-null, non-empty ranges with ``x <op> y``."""
     global _last_pair
+    _require_column(xs)
+    _require_column(ys)
     if not len(xs) or not len(ys):
         raise ValueError("no data")
     if op is not RangeOp.OVERLAPS and op not in BOUND_INEQUALITY:

@@ -49,7 +49,7 @@ import numpy as np
 from ._util import clamp01, from_doc, parse_json, to_doc
 from .estimator import join_selectivity
 from .operators import RangeOp, ScalarOp
-from .stats import AttributeStats, analyze_column, sample_rows, SAMPLE_ROWS_PER_TARGET
+from .stats import AttributeStats, analyze_column, sample_rows
 
 
 class RangeValue(NamedTuple):
@@ -175,6 +175,12 @@ class RangeColumn:
             return all(np.array_equal(getattr(self, name), getattr(other, name))
                        for name in _COLUMN_FIELDS)
         return NotImplemented
+
+
+def _require_column(column) -> None:
+    if not isinstance(column, RangeColumn):
+        raise TypeError(f"expected a RangeColumn, got {type(column).__name__}; "
+                        "RangeColumn.from_values makes one from rows")
 
 
 _RANGE_RE = re.compile(r"^([\[\(])([^,]*),([^,]*)([\]\)])$")
@@ -309,37 +315,26 @@ def analyze_range_column(
     sample_seed: int = 0,
     sample_cap: int | None = None,
 ) -> RangeStats:
-    """Build RangeStats from a RangeColumn."""
-    if statistics_target < 1:
-        raise ValueError("statistics target must be at least 1")
-    if sample_cap is None:
-        sample_cap = SAMPLE_ROWS_PER_TARGET * statistics_target
-    if not len(column):
-        raise ValueError("no data")
+    """Build RangeStats from the rows of a RangeColumn that sample_rows draws.
 
-    idx = sample_rows(len(column), sample_cap, sample_seed)
-    null, empty = column.null[idx], column.empty[idx]
-    nonnull = idx.size - int(np.count_nonzero(null))
-    null_frac = (idx.size - nonnull) / idx.size
-    positioned = idx[~(null | empty)]
-    empty_frac = (nonnull - positioned.size) / nonnull if nonnull else 0.0
-
-    def bound_stats(bound: np.ndarray) -> tuple[AttributeStats | None, float]:
-        values = bound[positioned]
+    The null share is over the sampled rows, the empty share over the
+    non-null ones and each infinite share over the positioned ones; each
+    bound's finite values in the positioned rows are analyzed in full.
+    """
+    _require_column(column)
+    rows = sample_rows(len(column), statistics_target, sample_seed, sample_cap)
+    null, empty = column.null[rows], column.empty[rows]
+    positioned = ~(null | empty)
+    nonnull = null.size - int(np.count_nonzero(null))
+    empty_frac = (nonnull - int(np.count_nonzero(positioned))) / nonnull if nonnull else 0.0
+    inf_fracs, bound_stats = [], []
+    for bound in (column.lower, column.upper):
+        values = bound[rows][positioned]
         finite = values[np.isfinite(values)]
-        inf_frac = (values.size - finite.size) / values.size if values.size else 0.0
-        # the range rows were already sampled; analyze the bounds in full
-        stats = (
-            analyze_column(finite, statistics_target, sample_seed, finite.size)
-            if finite.size
-            else None
-        )
-        return stats, inf_frac
-
-    lower_stats, lower_inf_frac = bound_stats(column.lower)
-    upper_stats, upper_inf_frac = bound_stats(column.upper)
-    return RangeStats(null_frac, empty_frac, lower_inf_frac, upper_inf_frac,
-                      lower_stats, upper_stats)
+        inf_fracs.append((values.size - finite.size) / values.size if values.size else 0.0)
+        bound_stats.append(analyze_column(finite, statistics_target, sample_seed, finite.size)
+                           if finite.size else None)
+    return RangeStats((null.size - nonnull) / null.size, empty_frac, *inf_fracs, *bound_stats)
 
 
 def _conditional_selectivity(sx: RangeStats, sy: RangeStats, op: RangeOp) -> float:

@@ -9,12 +9,15 @@ from_doc reads them, checking each against its declared type.  Then
 AttributeStats' constructor checks its invariants, so the estimators check
 nothing.
 
-ANALYZE sorts the non-null sample once, as PostgreSQL's
-``compute_scalar_stats`` (``src/backend/commands/analyze.c``) does, and
-builds the MCV list and the histogram from that one sorted array: the
-histogram boundaries are read from it by rank, past the MCV runs.  Every
-zero in the sorted sample is written as +0.0, so a statistics document
-holds one zero whatever signs the column's zeros had.
+ANALYZE draws its rows by one rule, sample_rows, for scalar and range
+columns alike, as ``acquire_sample_rows`` in PostgreSQL's
+``src/backend/commands/analyze.c`` does; a range column's sampled rows then
+have their finite bounds analyzed in full.  ANALYZE sorts the non-null
+sample once, as ``compute_scalar_stats`` does there, and builds the MCV
+list and the histogram from that one sorted array: the histogram
+boundaries are read from it by rank, past the MCV runs.  Every zero in the
+sorted sample is written as +0.0, so a statistics document holds one zero
+whatever signs the column's zeros had.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from ._util import as_float_column, from_doc, parse_json, to_doc
 from .histogram import EquiDepthHistogram
 from .mcv import EMPTY_MCV, MostCommonValues, _mcv_of_runs, _runs
 
-# Sample size grows with the requested resolution, as statistics collectors
-# commonly do; pass an explicit cap >= N to analyze the full column.
+# Rows sampled per unit of statistics target: PostgreSQL's std_typanalyze and
+# range_typanalyze ask for 300 * attstattarget.  A cap >= N reads every row.
 SAMPLE_ROWS_PER_TARGET = 300
 
 
@@ -70,14 +73,21 @@ class AttributeStats:
         return 1.0 - self.mcv.total_fraction
 
 
-def sample_rows(n: int, cap: int, seed: int) -> np.ndarray:
-    """Indices of a uniform sample without replacement; the full column if cap >= n."""
+def sample_rows(n: int, statistics_target: int, seed: int = 0, cap: int | None = None):
+    """The rows ANALYZE reads of n: all (a full slice) when the cap (by
+    default SAMPLE_ROWS_PER_TARGET per unit of target) covers them, else the
+    indices of a seeded uniform sample of cap rows without replacement."""
+    if statistics_target < 1:
+        raise ValueError("statistics target must be at least 1")
+    if n == 0:
+        raise ValueError("no data")
+    if cap is None:
+        cap = SAMPLE_ROWS_PER_TARGET * statistics_target
     if cap < 1:
         raise ValueError("sample cap must be at least 1")
     if cap >= n:
-        return np.arange(n)
-    rng = np.random.default_rng(seed)
-    return rng.choice(n, size=cap, replace=False)
+        return slice(None)
+    return np.random.default_rng(seed).choice(n, size=cap, replace=False)
 
 
 def analyze_column(
@@ -88,10 +98,10 @@ def analyze_column(
 ) -> AttributeStats:
     """Build AttributeStats from a column of nullable scalars (None or NaN = null).
 
-    A seeded uniform sample of min(sample_cap, N) rows is analyzed.  MCV
-    entries are capped at statistics_target; the residual histogram gets
-    statistics_target bins, reduced when the residual has too few distinct
-    values (one bin minimum), and is omitted when nothing is left for it.
+    The rows sample_rows draws are analyzed.  MCV entries are capped at
+    statistics_target; the residual histogram gets statistics_target bins,
+    reduced when the residual has too few distinct values (one bin
+    minimum), and is omitted when nothing is left for it.
 
     The non-null sample is sorted once, as ``compute_scalar_stats`` does,
     and one comparison of neighbours finds its runs of equal values: the
@@ -104,19 +114,10 @@ def analyze_column(
     0.0 compare equal, so the sample's zeros are one run, which is set to
     +0.0: an MCV entry or boundary at zero is always +0.0.
     """
-    if statistics_target < 1:
-        raise ValueError("statistics target must be at least 1")
-    if sample_cap is None:
-        sample_cap = SAMPLE_ROWS_PER_TARGET * statistics_target
     data = as_float_column(values)
     if np.any(np.isinf(data)):
         raise ValueError("values must be finite")
-    if data.size == 0:
-        raise ValueError("no data")
-
-    sample = data
-    if sample_cap < data.size:
-        sample = data[sample_rows(data.size, sample_cap, sample_seed)]
+    sample = data[sample_rows(data.size, statistics_target, sample_seed, sample_cap)]
     nulls = np.isnan(sample)
     null_count = int(np.count_nonzero(nulls))
     null_frac = null_count / sample.size

@@ -7,7 +7,7 @@ from ineqsel import EquiDepthHistogram, RangeColumn, RangeValue, cdf
 from ineqsel.histogram import build_equi_depth
 from ineqsel.mcv import EMPTY_MCV, MostCommonValues
 from ineqsel.ranges import EMPTY_RANGE
-from ineqsel.stats import SAMPLE_ROWS_PER_TARGET, AttributeStats, sample_rows
+from ineqsel.stats import SAMPLE_ROWS_PER_TARGET, AttributeStats
 
 R1_X = [10, 11, 12, 20, 21, 22, 24, 25, 30, 35, 38, 45]
 R2_Y = [15, 16, 17, 20, 30, 35, 38, 39, 40, 42, 45, 50]
@@ -72,12 +72,16 @@ def multipass_analyze_column(values, statistics_target, sample_seed=0, sample_ca
 
     Deliberately naive: ``np.unique`` and ``lexsort`` for the MCV list,
     ``np.isin`` for the residual, a second ``np.unique`` for its distinct
-    count and a fresh sort for the histogram boundaries.
+    count and a fresh sort for the histogram boundaries.  It draws its own
+    rows: every row when the cap covers the column, else the seeded
+    uniform sample ``default_rng(seed).choice`` draws without replacement.
     """
     if sample_cap is None:
         sample_cap = SAMPLE_ROWS_PER_TARGET * statistics_target
-    data = np.asarray(values, dtype=np.float64)
-    sample = data[sample_rows(data.size, sample_cap, sample_seed)]
+    sample = np.asarray(values, dtype=np.float64)
+    if sample_cap < sample.size:
+        rows = np.random.default_rng(sample_seed).choice(sample.size, size=sample_cap, replace=False)
+        sample = sample[rows]
     nulls = np.isnan(sample)
     null_frac = float(nulls.sum() / sample.size)
     nonnull = sample[~nulls] + 0.0     # ANALYZE writes every zero as +0.0

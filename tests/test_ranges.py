@@ -21,7 +21,7 @@ from ineqsel import (
     save_range_stats,
 )
 from ineqsel.harness import generate_range_column, write_range_column
-from ineqsel.ranges import EMPTY_RANGE
+from ineqsel.ranges import _COLUMN_FIELDS, EMPTY_RANGE
 
 from conftest import column_row, normalized_row
 
@@ -258,12 +258,51 @@ class TestAnalyze:
         assert s.lower_stats.histogram.bounds.tolist() == [0, 0]
 
     def test_invalid_target(self):
-        with pytest.raises(ValueError):
+        # named as such: with the target at 0, the default cap is 0 too
+        with pytest.raises(ValueError, match="statistics target must be at least 1"):
             analyze_range_column(RangeColumn.from_values([rv(1, 2)]), 0)
 
     def test_sample_cap_below_one_rejected(self):
         with pytest.raises(ValueError, match="sample cap"):
             analyze_range_column(RangeColumn.from_values([rv(1, 2), rv(3, 4)]), 2, sample_cap=0)
+
+    def test_sampled_rows_analyzed_as_a_column(self):
+        # the rows are drawn as default_rng(seed).choice draws them, and then
+        # analyzed as a column of their own would be, in full
+        col = generate_range_column(5000, 3)
+        for target, seed in ((1, 0), (3, 4), (10, 1)):
+            cap = 300 * target
+            rows = np.random.default_rng(seed).choice(len(col), size=cap, replace=False)
+            sampled = RangeColumn(*(getattr(col, name)[rows] for name in _COLUMN_FIELDS))
+            got = analyze_range_column(col, target, seed)
+            assert got == analyze_range_column(sampled, target, seed, cap), (target, seed)
+
+    def test_bound_values_analyzed_in_full(self):
+        # a cap above the default reads every row, and then every finite bound
+        col = generate_range_column(5000, 3)
+        s = analyze_range_column(col, 1, 0, len(col))
+        for bound in ("lower", "upper"):
+            values = getattr(col, bound)[col.positioned]
+            assert getattr(s, f"{bound}_stats").row_count == np.isfinite(values).sum() > 300
+
+
+class TestColumnRequired:
+    """Every range entry point takes a RangeColumn: a list of rows fails at
+    once, naming RangeColumn and the conversion that makes one."""
+
+    @pytest.mark.parametrize("call", [
+        lambda rows, col, path: exact_range_join(rows, col, RangeOp.OVERLAPS),
+        lambda rows, col, path: exact_range_join(col, rows, RangeOp.STRICTLY_LEFT),
+        lambda rows, col, path: analyze_range_column(rows, 10),
+        lambda rows, col, path: write_range_column(path, rows),
+    ], ids=["exact_range_join-xs", "exact_range_join-ys", "analyze_range_column",
+            "write_range_column"])
+    def test_list_of_rows_rejected(self, call, tmp_path):
+        rows = [rv(1, 2), rv(3, 4), None]
+        path = tmp_path / "col.txt"
+        with pytest.raises(TypeError, match=r"RangeColumn\b.*RangeColumn\.from_values"):
+            call(rows, RangeColumn.from_values(rows), path)
+        assert not path.exists()
 
 
 def uniform_ranges(rng, n, lo=0, hi=1000, max_width=50):

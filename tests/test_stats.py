@@ -26,6 +26,7 @@ from ineqsel.harness import generate_range_column, generate_scalar_column
 from ineqsel.histogram import build_equi_depth
 from ineqsel.mcv import EMPTY_MCV, build_mcv
 from ineqsel.ranges import EMPTY_RANGE, RangeValue
+from ineqsel.stats import SAMPLE_ROWS_PER_TARGET, sample_rows
 
 from conftest import R1_X, multipass_analyze_column
 
@@ -102,7 +103,8 @@ class TestAnalyze:
         assert s.histogram.bounds.tolist() == [1, 1]
 
     def test_invalid_target(self):
-        with pytest.raises(ValueError):
+        # named as such: with the target at 0, the default cap is 0 too
+        with pytest.raises(ValueError, match="statistics target must be at least 1"):
             analyze_column([1, 2, 3], 0)
 
     def test_infinite_values_rejected(self):
@@ -113,6 +115,35 @@ class TestAnalyze:
         # a zero-row sample has no null fraction to write
         with pytest.raises(ValueError, match="sample cap"):
             analyze_column(np.arange(10.0), 5, 0, 0)
+
+
+class TestSampleRows:
+    """The one rule by which ANALYZE draws a column's rows, scalar or range."""
+
+    def test_column_read_in_place_when_the_cap_covers_it(self):
+        assert sample_rows(300, 1) == slice(None)          # default cap 300
+        for cap in (5, 6):
+            assert sample_rows(5, 1, 3, cap) == slice(None)
+
+    def test_seeded_draw_without_replacement(self):
+        for n, target, seed, cap in ((301, 1, 0, None), (1000, 2, 7, None), (50, 9, 3, 49)):
+            want = np.random.default_rng(seed).choice(
+                n, size=cap or SAMPLE_ROWS_PER_TARGET * target, replace=False)
+            got = sample_rows(n, target, seed, cap)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("args,message", [
+        ((10, 0), "statistics target must be at least 1"),
+        ((0, 0, 0, 0), "statistics target must be at least 1"),
+        ((0, 1), "no data"),
+        ((0, 1, 0, 0), "no data"),
+        ((10, 1, 0, 0), "sample cap must be at least 1"),
+        ((10, 1, 0, -3), "sample cap must be at least 1"),
+    ])
+    def test_rejections_in_order(self, args, message):
+        # the target is checked first, then the column, then the cap
+        with pytest.raises(ValueError, match=message):
+            sample_rows(*args)
 
 
 def _one_sort_columns() -> dict[str, np.ndarray]:
@@ -370,6 +401,20 @@ class TestPinnedStatistics:
     ])
     def test_range(self, seed, target, digest):
         doc = save_range_stats(analyze_range_column(generate_range_column(20_000, seed), target))
+        assert hashlib.sha256(doc).hexdigest() == digest
+
+    # 200k-row columns, which every target samples: caps 3000 and 30000
+    @pytest.mark.parametrize("seed,target,sample_seed,digest", [
+        (1, 10, 0, "5101a9a2106e47ea150f43f076962fbc9b992cc013a2573835c3a2afe08a0673"),
+        (1, 100, 0, "12f99c13b29c7f109b30f3873ece362026edf54b589bbcd4ff0fc9398f436dc1"),
+        (2, 10, 0, "76432d2c8817fca22ed01eb3e834f2824cde0a01fea338a373f207605d4330dc"),
+        (2, 100, 0, "e9a6011bdc09ee8fe0922bbd22abe1adc0c428851fcec6ff9962974f899f4d4e"),
+        (1, 10, 7, "cf9aa8636c9d1aff603025d3e2544ab00dedc6441285a4e427069cc84974da87"),
+        (2, 100, 7, "8a4adf80221de82b81fb3f4039ca219a8ac9f2252b2f68bd93ade06560cb750a"),
+    ])
+    def test_range_sampled(self, seed, target, sample_seed, digest):
+        column = generate_range_column(200_000, seed)
+        doc = save_range_stats(analyze_range_column(column, target, sample_seed))
         assert hashlib.sha256(doc).hexdigest() == digest
 
     # documents with null parts, which generated columns never write
