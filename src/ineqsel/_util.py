@@ -1,4 +1,5 @@
-"""Small internal helpers, and the statistics document format."""
+"""Small internal helpers, the ownership rule of the array-holding types,
+and the statistics document format."""
 
 from __future__ import annotations
 
@@ -10,12 +11,41 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 
 
+class ArrayFields:
+    """Base of the frozen dataclasses that hold numpy arrays: one ownership rule.
+
+    A constructor copies its array inputs, checks them and hands them to
+    _freeze, which marks each read-only, so no view the caller kept can
+    change what was checked.  Two objects of one type are equal when every
+    field is equal as an array.  Pickling or copying an array drops numpy's
+    read-only flag, so an object is rebuilt by its constructor from its
+    fields, which checks and freezes them again.
+    """
+
+    def _freeze(self, **arrays: np.ndarray) -> None:
+        for name, a in arrays.items():
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 def as_float_column(values) -> np.ndarray:
     """Coerce a sequence of nullable scalars to a float64 array, nulls as NaN.
 
     A bool, integer or float array is cast in one step, which rounds as
-    float() does; any other values are converted one by one.
+    float() does; any other values are converted one by one.  An array
+    must be one-dimensional.
     """
+    if isinstance(values, np.ndarray) and values.ndim != 1:
+        raise ValueError(f"expected a one-dimensional column, got shape {values.shape}")
     if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
         return values.astype(np.float64, copy=False)
     return np.array([np.nan if v is None else float(v) for v in values], dtype=np.float64)

@@ -40,6 +40,8 @@ and GE is the complement of LT.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from ._util import clamp01
@@ -53,8 +55,11 @@ def restriction_selectivity(s: AttributeStats, c: float, op: ScalarOp) -> float:
     """Estimate the fraction of rows with ``value <op> c``.
 
     The join of the column with a one-row column holding c, whose
-    statistics are the one-entry MCV list {c: 1.0}.
+    statistics are the one-entry MCV list {c: 1.0}.  The constant must be a
+    real number, neither NaN nor infinite.
     """
+    if not isinstance(c, numbers.Real):
+        raise TypeError(f"restriction constant must be a real number, got {c!r}")
     if np.isnan(c):
         raise ValueError("restriction constant is NaN")
     if np.isinf(c):

@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import sorted_finite
+from ._util import ArrayFields, sorted_finite
 
 
 @dataclass(frozen=True, eq=False)
-class EquiDepthHistogram:
+class EquiDepthHistogram(ArrayFields):
     """Sorted bin boundaries; bounds[0] is the observed min, bounds[-1] the max.
 
     Boundaries may repeat when the underlying data is heavily tied.  A
@@ -27,15 +27,14 @@ class EquiDepthHistogram:
     bounds: np.ndarray = field(repr=True)
 
     def __post_init__(self):
-        bounds = np.asarray(self.bounds, dtype=np.float64)
+        bounds = np.array(self.bounds, dtype=np.float64)
         if bounds.ndim != 1 or bounds.size < 2:
             raise ValueError("histogram needs at least two boundaries")
         if not np.all(np.isfinite(bounds)):
             raise ValueError("histogram boundaries must be finite")
         if np.any(bounds[1:] < bounds[:-1]):
             raise ValueError("bounds not sorted")
-        bounds.setflags(write=False)
-        object.__setattr__(self, "bounds", bounds)
+        self._freeze(bounds=bounds)
 
     @property
     def bin_count(self) -> int:
@@ -48,11 +47,6 @@ class EquiDepthHistogram:
     @property
     def hi(self) -> float:
         return float(self.bounds[-1])
-
-    def __eq__(self, other):
-        if not isinstance(other, EquiDepthHistogram):
-            return NotImplemented
-        return np.array_equal(self.bounds, other.bounds)
 
 
 def build_equi_depth(values, bin_count: int) -> EquiDepthHistogram:

@@ -6,12 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import sorted_finite
+from ._util import ArrayFields, sorted_finite
 from .operators import ScalarOp
 
 
 @dataclass(frozen=True, eq=False)
-class MostCommonValues:
+class MostCommonValues(ArrayFields):
     """Distinct values with their exact fractions of the analyzed (non-null) rows.
 
     Fractions are stored in non-increasing order; their sum is the share of
@@ -22,8 +22,8 @@ class MostCommonValues:
     fractions: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        fractions = np.asarray(self.fractions, dtype=np.float64)
+        values = np.array(self.values, dtype=np.float64)
+        fractions = np.array(self.fractions, dtype=np.float64)
         if values.shape != fractions.shape or values.ndim != 1:
             raise ValueError("values and fractions must be 1-d arrays of equal length")
         # sorted, equal values are adjacent and NaNs come last; several NaNs
@@ -38,20 +38,10 @@ class MostCommonValues:
             raise ValueError("fractions must lie in (0, 1]")
         if fractions.sum() > 1 + 1e-12:
             raise ValueError("fractions sum exceeds 1")
-        values.setflags(write=False)
-        fractions.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "fractions", fractions)
+        self._freeze(values=values, fractions=fractions)
 
     def __len__(self) -> int:
         return self.values.size
-
-    def __eq__(self, other):
-        if not isinstance(other, MostCommonValues):
-            return NotImplemented
-        return np.array_equal(self.values, other.values) and np.array_equal(
-            self.fractions, other.fractions
-        )
 
     @property
     def total_fraction(self) -> float:

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import clamp01, from_doc, parse_json, to_doc
+from ._util import ArrayFields, clamp01, from_doc, parse_json, to_doc
 from .estimator import join_selectivity
 from .operators import RangeOp, ScalarOp
 from .stats import AttributeStats, analyze_column, sample_rows
@@ -72,7 +72,7 @@ _COLUMN_FIELDS = ("lower", "upper", "lower_closed", "upper_closed", "null", "emp
 
 
 @dataclass(frozen=True, eq=False)
-class RangeColumn:
+class RangeColumn(ArrayFields):
     """A column of nullable ranges as six parallel numpy arrays.
 
     The constructor is the one place a range is checked and normalized.
@@ -123,9 +123,7 @@ class RangeColumn:
         lower[blank] = upper[blank] = 0.0
         lower_closed &= ~blank
         upper_closed &= ~blank
-        for name, a in zip(_COLUMN_FIELDS, arrays):
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        self._freeze(**dict(zip(_COLUMN_FIELDS, arrays)))
 
     @classmethod
     def from_values(cls, values) -> RangeColumn:
@@ -164,17 +162,6 @@ class RangeColumn:
         if self.null[k]:
             return None
         return RangeValue(*(getattr(self, f)[k].item() for f in RangeValue._fields))
-
-    def __reduce__(self):
-        # rebuilt by the constructor, which marks the arrays read-only:
-        # pickling an array drops numpy's read-only flag
-        return RangeColumn, tuple(getattr(self, name) for name in _COLUMN_FIELDS)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RangeColumn):
-            return all(np.array_equal(getattr(self, name), getattr(other, name))
-                       for name in _COLUMN_FIELDS)
-        return NotImplemented
 
 
 def _require_column(column) -> None:

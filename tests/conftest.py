@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +11,24 @@ from ineqsel.histogram import build_equi_depth
 from ineqsel.mcv import EMPTY_MCV, MostCommonValues
 from ineqsel.ranges import EMPTY_RANGE
 from ineqsel.stats import SAMPLE_ROWS_PER_TARGET, AttributeStats
+
+
+def nested_arrays(obj):
+    """Every numpy array an object holds, in its nested dataclasses too."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from nested_arrays(getattr(obj, f.name))
+
+
+def assert_copies_rebuilt(obj):
+    """A pickled, a copied and a deep-copied ``obj`` each equal it and
+    hold only read-only arrays."""
+    for back in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert back == obj, back
+        assert not any(a.flags.writeable for a in nested_arrays(back)), back
+
 
 R1_X = [10, 11, 12, 20, 21, 22, 24, 25, 30, 35, 38, 45]
 R2_Y = [15, 16, 17, 20, 30, 35, 38, 39, 40, 42, 45, 50]

@@ -5,6 +5,7 @@ criteria execute; each one also asserts, so a plain pytest run fails if
 any criterion does.
 """
 
+import pickle
 import time
 
 import numpy as np
@@ -31,7 +32,7 @@ from ineqsel.harness import run_sweep, write_range_column, write_results_csv
 from ineqsel.histogram import cdf
 from ineqsel.ranges import EMPTY_RANGE, RangeColumn, RangeValue
 
-from conftest import R1_X, R2_Y, random_histogram, sync_trapezoid
+from conftest import R1_X, R2_Y, nested_arrays, random_histogram, sync_trapezoid
 
 GOLDEN_JOIN = 24221 / 37620
 
@@ -245,6 +246,9 @@ def test_stats_round_trip():
         back = load_stats(blob)
         ok &= back == s
         ok &= save_stats(back) == blob  # byte-for-byte stable
+        pickled = pickle.loads(pickle.dumps(back))
+        ok &= save_stats(pickled) == blob
+        ok &= not any(a.flags.writeable for a in nested_arrays(pickled))
 
         rows = []
         for _ in range(int(rng.integers(1, 60))):
@@ -262,4 +266,7 @@ def test_stats_round_trip():
             rback = load_range_stats(rblob)
             ok &= rback == rs
             ok &= save_range_stats(rback) == rblob
+            rpickled = pickle.loads(pickle.dumps(rback))
+            ok &= save_range_stats(rpickled) == rblob
+            ok &= not any(a.flags.writeable for a in nested_arrays(rpickled))
     _report("stats-round-trip", ok, "100 scalar + range stats, bit-stable documents")

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,14 +90,30 @@ class TestRestriction:
 
     def test_nan_constant_rejected(self, r1_x):
         s = analyze_column(r1_x, 3)
-        with pytest.raises(ValueError, match="NaN"):
-            restriction_selectivity(s, float("nan"), ScalarOp.LT)
+        for c in (float("nan"), np.float64("nan")):
+            with pytest.raises(ValueError, match="^restriction constant is NaN$"):
+                restriction_selectivity(s, c, ScalarOp.LT)
 
-    @pytest.mark.parametrize("c", [math.inf, -math.inf])
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, np.float64(-math.inf)],
+                             ids=["inf", "-inf", "np-minus-inf"])
     def test_infinite_constant_rejected(self, r1_x, c):
         s = analyze_column(r1_x, 3)
-        with pytest.raises(ValueError, match="infinite"):
+        with pytest.raises(ValueError, match="^restriction constant is infinite$"):
             restriction_selectivity(s, c, ScalarOp.LT)
+
+    @pytest.mark.parametrize("c", [np.array([1.0, 2.0]), np.array(3.0), "3", None],
+                             ids=["array", "0-d array", "str", "None"])
+    def test_non_number_constant_rejected(self, r1_x, c):
+        s = analyze_column(r1_x, 3)
+        message = f"restriction constant must be a real number, got {c!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            restriction_selectivity(s, c, ScalarOp.LT)
+
+    def test_numpy_number_constant_accepted(self, r1_x):
+        s = analyze_column(r1_x, 3)
+        for c in (np.int64(30), np.float64(30.0)):
+            assert restriction_selectivity(s, c, ScalarOp.LT) == restriction_selectivity(
+                s, 30.0, ScalarOp.LT)
 
     def test_eq_not_supported(self, r1_x):
         s = analyze_column(r1_x, 3)

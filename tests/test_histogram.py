@@ -4,7 +4,7 @@ import pytest
 from ineqsel import EquiDepthHistogram, cdf
 from ineqsel.histogram import build_equi_depth
 
-from conftest import R1_X, R2_Y
+from conftest import R1_X, R2_Y, assert_copies_rebuilt
 
 
 class TestBuild:
@@ -88,6 +88,17 @@ class TestValidation:
     def test_immutable_bounds(self, hist_x):
         with pytest.raises(ValueError):
             hist_x.bounds[0] = 99.0
+
+    def test_owns_its_bounds(self):
+        bounds = np.array([1.0, 2.0, 3.0])
+        view = bounds[:]
+        h = EquiDepthHistogram(bounds)
+        view[0] = 50.0      # unsorted, past the check
+        assert h.bounds.tolist() == [1.0, 2.0, 3.0]
+        assert bounds.flags.writeable
+
+    def test_copies_are_rebuilt(self, hist_x):
+        assert_copies_rebuilt(hist_x)
 
 
 class TestCdf:

@@ -4,6 +4,8 @@ import pytest
 from ineqsel import MostCommonValues, ScalarOp
 from ineqsel.mcv import build_mcv, mcv_restriction_selectivity
 
+from conftest import assert_copies_rebuilt
+
 
 def make_mcv(pairs):
     values, fractions = zip(*pairs) if pairs else ((), ())
@@ -112,6 +114,17 @@ class TestValidation:
     def test_non_finite_values_rejected(self, data):
         with pytest.raises(ValueError, match="finite"):
             build_mcv(data, max_entries=3)
+
+    def test_owns_its_arrays(self):
+        values, fractions = np.array([1.0, 2.0]), np.array([0.5, 0.4])
+        view = fractions[:]
+        m = MostCommonValues(values, fractions)
+        view[:] = 0.9       # a sum of 1.8, past the check
+        assert m.fractions.tolist() == [0.5, 0.4]
+        assert values.flags.writeable and fractions.flags.writeable
+
+    def test_copies_are_rebuilt(self):
+        assert_copies_rebuilt(make_mcv([(1.0, 0.5), (2.0, 0.4)]))
 
     def test_negative_max_entries(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ineqsel import (
+    AttributeStats,
+    EquiDepthHistogram,
     RangeColumn,
     RangeOp,
     RangeStats,
@@ -21,9 +23,10 @@ from ineqsel import (
     save_range_stats,
 )
 from ineqsel.harness import generate_range_column, write_range_column
+from ineqsel.mcv import EMPTY_MCV
 from ineqsel.ranges import _COLUMN_FIELDS, EMPTY_RANGE
 
-from conftest import column_row, normalized_row
+from conftest import assert_copies_rebuilt, column_row, normalized_row
 
 
 def rv(lo, hi, lc=True, uc=True):
@@ -443,6 +446,25 @@ class TestRangeStatsInvariants:
     def test_analyze_leaves_out_only_bounds_without_finite_values(self, rows, missing):
         s = analyze_range_column(RangeColumn.from_values(rows), 3)
         assert tuple(b for b in ("lower", "upper") if getattr(s, f"{b}_stats") is None) == missing
+
+
+class TestOwnership:
+    def test_checked_arrays_cannot_change(self):
+        bounds = np.array([1.0, 2.0, 5.0])
+        view = bounds[:]
+        bound = AttributeStats(0.0, EMPTY_MCV, EquiDepthHistogram(bounds), 3, 2)
+        s = RangeStats(0.0, 0.0, 0.0, 0.0, bound, bound)
+        doc = save_range_stats(s)
+        view[0] = 9.0       # unsorted, past the check
+        assert save_range_stats(s) == doc
+        assert bounds.flags.writeable
+
+    def test_copies_are_rebuilt(self):
+        rng = np.random.default_rng(14)
+        rows = list(uniform_ranges(rng, 50)) + [None, EMPTY_RANGE, rv(-math.inf, 3)]
+        column = RangeColumn.from_values(rows)
+        assert_copies_rebuilt(column)
+        assert_copies_rebuilt(analyze_range_column(column, 4))
 
 
 class TestRoundTrip:

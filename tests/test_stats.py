@@ -1,10 +1,16 @@
+import dataclasses
 import hashlib
+import importlib
 import json
 import math
+import pkgutil
+import re
+import typing
 
 import numpy as np
 import pytest
 
+import ineqsel
 from ineqsel import (
     AttributeStats,
     EquiDepthHistogram,
@@ -14,6 +20,7 @@ from ineqsel import (
     ScalarOp,
     analyze_column,
     analyze_range_column,
+    exact_join,
     join_selectivity,
     load_range_stats,
     load_stats,
@@ -22,13 +29,14 @@ from ineqsel import (
     save_range_stats,
     save_stats,
 )
-from ineqsel.harness import generate_range_column, generate_scalar_column
+from ineqsel._util import ArrayFields
+from ineqsel.harness import generate_range_column, generate_scalar_column, write_scalar_column
 from ineqsel.histogram import build_equi_depth
 from ineqsel.mcv import EMPTY_MCV, build_mcv
 from ineqsel.ranges import EMPTY_RANGE, RangeValue
 from ineqsel.stats import SAMPLE_ROWS_PER_TARGET, sample_rows
 
-from conftest import R1_X, multipass_analyze_column
+from conftest import R1_X, assert_copies_rebuilt, multipass_analyze_column
 
 
 class TestAnalyze:
@@ -115,6 +123,54 @@ class TestAnalyze:
         # a zero-row sample has no null fraction to write
         with pytest.raises(ValueError, match="sample cap"):
             analyze_column(np.arange(10.0), 5, 0, 0)
+
+
+@pytest.mark.parametrize("shape", [(), (2, 2)], ids=["0-d", "2-d"])
+@pytest.mark.parametrize("entry", ["analyze_column", "exact_join", "write_scalar_column"])
+def test_scalar_columns_are_one_dimensional(tmp_path, entry, shape):
+    values = np.full(shape, 3.0)
+    calls = {
+        "analyze_column": lambda: analyze_column(values, 10),
+        "exact_join": lambda: exact_join(values, [1.0], ScalarOp.LT),
+        "write_scalar_column": lambda: write_scalar_column(tmp_path / "c.col", values),
+    }
+    message = f"expected a one-dimensional column, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        calls[entry]()
+
+
+class TestOwnership:
+    """Statistics own their arrays: copied in, read-only, rebuilt when copied."""
+
+    def test_checked_arrays_cannot_change(self):
+        values, fractions, bounds = np.array([1.0, 2.0]), np.array([0.3, 0.2]), np.array([3.0, 4.0])
+        views = values[:], fractions[:], bounds[:]
+        mcv = MostCommonValues(values, fractions)
+        s = AttributeStats(0.0, mcv, EquiDepthHistogram(bounds), 10, 2)
+        doc = save_stats(s)
+        for view in views:
+            view[0] = 9.0   # repeated values, a sum of 9.2, unsorted bounds
+        assert save_stats(s) == doc
+        assert all(a.flags.writeable for a in (values, fractions, bounds))
+
+    def test_copies_are_rebuilt(self):
+        assert_copies_rebuilt(analyze_column(generate_scalar_column("skewed-int", 500, 4), 8))
+
+    def test_every_array_holding_type_subclasses_array_fields(self):
+        holders = []
+        for info in pkgutil.iter_modules(ineqsel.__path__):
+            if info.name == "__main__":     # importing it runs the CLI
+                continue
+            module = importlib.import_module(f"ineqsel.{info.name}")
+            for cls in vars(module).values():
+                if not (dataclasses.is_dataclass(cls) and isinstance(cls, type)
+                        and cls.__module__ == module.__name__):
+                    continue
+                hints = typing.get_type_hints(cls).values()
+                if any(np.ndarray in (tp, *typing.get_args(tp)) for tp in hints):
+                    holders.append(cls.__name__)
+                    assert issubclass(cls, ArrayFields), cls.__name__
+        assert sorted(holders) == ["EquiDepthHistogram", "MostCommonValues", "RangeColumn"]
 
 
 class TestSampleRows:

@@ -12,6 +12,7 @@ exit status 1 and one ``error:`` line.
 import copy
 import json
 import math
+import pickle
 import subprocess
 import sys
 
@@ -33,6 +34,8 @@ from ineqsel import (
 )
 from ineqsel.cli import main
 from ineqsel.harness import generate_range_column, generate_scalar_column
+
+from conftest import nested_arrays
 
 SEEDS = range(3000)
 CLI_EVERY = 20       # every 20th seed's rejected document also goes through the CLI
@@ -118,17 +121,22 @@ def range_estimates(s, ref):
 
 
 KINDS = {
-    "scalar": (SCALAR_DOCS, load_stats, scalar_estimates, "lt"),
-    "range": (RANGE_DOCS, load_range_stats, range_estimates, "overlaps"),
+    "scalar": (SCALAR_DOCS, load_stats, save_stats, scalar_estimates, "lt"),
+    "range": (RANGE_DOCS, load_range_stats, save_range_stats, range_estimates, "overlaps"),
 }
 
 
-def check_document(text, load, estimates, ref):
-    """True when the document is rejected; its estimates must lie in [0, 1] otherwise."""
+def check_document(text, load, save, estimates, ref):
+    """True when the document is rejected.  Otherwise its estimates must lie
+    in [0, 1], and a pickled copy must give the same document and hold only
+    read-only arrays."""
     try:
         s = load(text)
     except ValueError:
         return True
+    back = pickle.loads(pickle.dumps(s))
+    assert save(back) == save(s), text
+    assert not any(a.flags.writeable for a in nested_arrays(back)), text
     values = list(estimates(s, ref))
     assert all(0.0 <= v <= 1.0 for v in values), (text, values)
     return False
@@ -136,14 +144,14 @@ def check_document(text, load, estimates, ref):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_seeded_fuzz_loads_or_raises_value_error(tmp_path, capsys, kind):
-    docs, load, estimates, op = KINDS[kind]
+    docs, load, save, estimates, op = KINDS[kind]
     ref_path = tmp_path / "ref.json"
     ref_path.write_text(json.dumps(docs[0]))
     ref = load(ref_path.read_text())
     rejected = 0
     for seed in SEEDS:
         text = fuzzed_text(docs[seed % len(docs)], seed)
-        if not check_document(text, load, estimates, ref):
+        if not check_document(text, load, save, estimates, ref):
             continue
         rejected += 1
         if seed % CLI_EVERY:
@@ -161,7 +169,7 @@ def test_seeded_fuzz_loads_or_raises_value_error(tmp_path, capsys, kind):
 
 @pytest.mark.parametrize("kind,seed", [("scalar", 3), ("scalar", 11), ("range", 5)])
 def test_module_entry_point_rejects_fuzzed_document(tmp_path, kind, seed):
-    docs, load, _, op = KINDS[kind]
+    docs, load, _, _, op = KINDS[kind]
     bad, ref = tmp_path / "bad.json", tmp_path / "ref.json"
     ref.write_text(json.dumps(docs[0]))
     # the first seed from ``seed`` on whose document the library rejects
