@@ -40,15 +40,18 @@ class ArrayFields:
 def as_float_column(values) -> np.ndarray:
     """Coerce a sequence of nullable scalars to a float64 array, nulls as NaN.
 
-    A bool, integer or float array is cast in one step, which rounds as
-    float() does; any other values are converted one by one.  An array
-    must be one-dimensional.
+    The values, as an array, must be one-dimensional and not complex.  A
+    bool, integer or float array is cast in one step, which rounds as
+    float() does; any other values are converted one by one.
     """
-    if isinstance(values, np.ndarray) and values.ndim != 1:
-        raise ValueError(f"expected a one-dimensional column, got shape {values.shape}")
-    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
-        return values.astype(np.float64, copy=False)
-    return np.array([np.nan if v is None else float(v) for v in values], dtype=np.float64)
+    data = values if isinstance(values, np.ndarray) else np.asarray(list(values))
+    if data.ndim != 1:
+        raise ValueError(f"expected a one-dimensional column, got shape {data.shape}")
+    if data.dtype.kind == "c":
+        raise TypeError("expected real values, got a complex column")
+    if data.dtype.kind in "biuf":
+        return data.astype(np.float64, copy=False)
+    return np.array([np.nan if v is None else float(v) for v in data], dtype=np.float64)
 
 
 def sorted_finite(values) -> np.ndarray:

@@ -56,9 +56,9 @@ def restriction_selectivity(s: AttributeStats, c: float, op: ScalarOp) -> float:
 
     The join of the column with a one-row column holding c, whose
     statistics are the one-entry MCV list {c: 1.0}.  The constant must be a
-    real number, neither NaN nor infinite.
+    real number, not a bool, neither NaN nor infinite.
     """
-    if not isinstance(c, numbers.Real):
+    if isinstance(c, bool) or not isinstance(c, numbers.Real):
         raise TypeError(f"restriction constant must be a real number, got {c!r}")
     if np.isnan(c):
         raise ValueError("restriction constant is NaN")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import ArrayFields, sorted_finite
+from ._util import ArrayFields, as_float_column, sorted_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +58,7 @@ def build_equi_depth(values, bin_count: int) -> EquiDepthHistogram:
     """
     if bin_count < 1:
         raise ValueError("invalid bin count")
-    data = np.asarray(values, dtype=np.float64)
+    data = as_float_column(values)
     if data.size == 0:
         raise ValueError("no data")
     data = sorted_finite(data)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ArrayFields, sorted_finite
+from ._util import ArrayFields, as_float_column, sorted_finite
 from .operators import ScalarOp
 
 
@@ -85,7 +85,7 @@ def build_mcv(values, max_entries: int) -> MostCommonValues:
     """
     if max_entries < 0:
         raise ValueError("max_entries must be non-negative")
-    data = np.asarray(values, dtype=np.float64)
+    data = as_float_column(values)
     if data.size == 0 or max_entries == 0:
         return EMPTY_MCV
     data = sorted_finite(data)

@@ -17,7 +17,12 @@ the scalar join estimator does the real work:
 * X strictly right of Y  ->  X.lower >  Y.upper
 * X no-extend-right of Y ->  X.upper <= Y.upper
 * X no-extend-left of Y  ->  X.lower >= Y.lower
-* X overlaps Y           ->  complement of the two strict cases
+* X overlaps Y           ->  the positioned pairs less the two strict cases
+
+An infinite bound is open and lies beyond every finite bound on its side,
+so the operator alone fixes how it compares: never in a strict case, and
+in a no-extend case Y's infinite bound holds against every bound of X.
+Only the pairs with both bounds finite reach the scalar estimator.
 
 Containment cannot be derived this way: it ties a range's own bounds
 together, which the two independent bound histograms cannot express, so it
@@ -232,6 +237,8 @@ def _starts_at_or_after(x: RangeValue, y: RangeValue) -> bool:
 def range_op_holds(op: RangeOp, x: RangeValue | None, y: RangeValue | None) -> bool:
     """Whether ``x <op> y`` holds for two rows of a RangeColumn, which are
     normalized; null and empty operands never qualify."""
+    if op is not RangeOp.OVERLAPS and op not in BOUND_INEQUALITY:
+        raise ValueError(f"unsupported operator {op}")
     if x is None or y is None or x.empty or y.empty:
         return False
     if op is RangeOp.STRICTLY_LEFT:
@@ -242,24 +249,19 @@ def range_op_holds(op: RangeOp, x: RangeValue | None, y: RangeValue | None) -> b
         return _ends_by(x, y)
     if op is RangeOp.NO_EXTEND_LEFT:
         return _starts_at_or_after(x, y)
-    if op is RangeOp.OVERLAPS:
-        return not _ends_before_starts(x, y) and not _ends_before_starts(y, x)
-    raise ValueError(f"unsupported operator {op}")
+    return not _ends_before_starts(x, y) and not _ends_before_starts(y, x)
 
 
 # Each positional operator but overlaps as a scalar inequality
 # ``X.<bound> <op> Y.<bound>``.  The estimator applies it to the bound
 # statistics; the oracle counts it exactly over the bound cuts.  Overlaps is
-# the complement of the two strict operators.
+# what the two strict operators leave of the positioned pairs.
 BOUND_INEQUALITY: dict[RangeOp, tuple[str, ScalarOp, str]] = {
     RangeOp.STRICTLY_LEFT: ("upper", ScalarOp.LT, "lower"),
     RangeOp.STRICTLY_RIGHT: ("lower", ScalarOp.GT, "upper"),
     RangeOp.NO_EXTEND_RIGHT: ("upper", ScalarOp.LE, "upper"),
     RangeOp.NO_EXTEND_LEFT: ("lower", ScalarOp.GE, "lower"),
 }
-
-_INFINITE_BOUND = {"lower": -math.inf, "upper": math.inf}
-
 
 # ---------------------------------------------------------------------------
 # Statistics over a range column.
@@ -324,38 +326,16 @@ def analyze_range_column(
     return RangeStats((null.size - nonnull) / null.size, empty_frac, *inf_fracs, *bound_stats)
 
 
-def _conditional_selectivity(sx: RangeStats, sy: RangeStats, op: RangeOp) -> float:
-    """P(X <op> Y) given both sides non-null and non-empty."""
-    if op is RangeOp.OVERLAPS:
-        left = _conditional_selectivity(sx, sy, RangeOp.STRICTLY_LEFT)
-        right = _conditional_selectivity(sx, sy, RangeOp.STRICTLY_RIGHT)
-        return 1.0 - left - right
-    x_bound, scalar_op, y_bound = BOUND_INEQUALITY[op]
-    ix = getattr(sx, f"{x_bound}_inf_frac")
-    iy = getattr(sy, f"{y_bound}_inf_frac")
-    # An infinite bound is open, so it compares the same way against every
-    # finite value, and two equal infinite bounds compare as equal.
-    x_inf, y_inf = _INFINITE_BOUND[x_bound], _INFINITE_BOUND[y_bound]
-    infinite_mass = (
-        ix * (1.0 - iy) * scalar_op.apply(x_inf, 0.0)
-        + (1.0 - ix) * iy * scalar_op.apply(0.0, y_inf)
-        + ix * iy * scalar_op.apply(x_inf, y_inf)
-    )
-    # Both bounds finite: RangeStats holds their statistics when this has mass.
-    weight = (1.0 - ix) * (1.0 - iy)
-    if weight > 0.0:
-        sx_bound, sy_bound = getattr(sx, f"{x_bound}_stats"), getattr(sy, f"{y_bound}_stats")
-        return infinite_mass + weight * join_selectivity(sx_bound, sy_bound, scalar_op)
-    return infinite_mass
-
-
 def range_join_selectivity(sx: RangeStats, sy: RangeStats, op: RangeOp) -> float:
     """Estimate the fraction of the Cartesian product with ``x <op> y``.
 
-    Each operator but overlaps is the scalar inequality of its
-    BOUND_INEQUALITY entry, estimated from the bound statistics over the
-    finite bounds plus the exact contribution of the infinite ones;
-    overlaps is the complement of strictly-left and strictly-right.
+    Only positioned pairs (neither side null nor empty) qualify.  For each
+    operator but overlaps, its BOUND_INEQUALITY entry fixes the infinite
+    bounds' share, as the module docstring states: none for << and >>, and
+    Y's infinite share for &< and &>.  The pairs with both bounds finite add
+    their share times the scalar estimate over the bound statistics.
+    Overlaps is the positioned share less the strictly-left and
+    strictly-right estimates.
     """
     if op is not RangeOp.OVERLAPS and op not in BOUND_INEQUALITY:
         raise ValueError(f"unsupported operator {op}")
@@ -363,7 +343,18 @@ def range_join_selectivity(sx: RangeStats, sy: RangeStats, op: RangeOp) -> float
     nn_y = (1.0 - sy.null_frac) * (1.0 - sy.empty_frac)
     if nn_x <= 0.0 or nn_y <= 0.0:
         return 0.0
-    return clamp01(nn_x * nn_y * _conditional_selectivity(sx, sy, op))
+    if op is RangeOp.OVERLAPS:
+        return clamp01(nn_x * nn_y - range_join_selectivity(sx, sy, RangeOp.STRICTLY_LEFT)
+                       - range_join_selectivity(sx, sy, RangeOp.STRICTLY_RIGHT))
+    x_bound, scalar_op, y_bound = BOUND_INEQUALITY[op]
+    ix = getattr(sx, f"{x_bound}_inf_frac")
+    iy = getattr(sy, f"{y_bound}_inf_frac")
+    cond = iy if x_bound == y_bound else 0.0
+    # RangeStats holds both bounds' statistics when both have finite values
+    if ix < 1.0 and iy < 1.0:
+        sx_bound, sy_bound = getattr(sx, f"{x_bound}_stats"), getattr(sy, f"{y_bound}_stats")
+        cond += (1.0 - ix) * (1.0 - iy) * join_selectivity(sx_bound, sy_bound, scalar_op)
+    return clamp01(nn_x * nn_y * cond)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ whatever signs the column's zeros had.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,10 @@ class AttributeStats:
     MCV fractions are relative to the non-null rows; the null fraction
     applies multiplicatively on top.  The histogram covers the non-null
     rows that are not in the MCV list, so without a histogram the MCV list
-    covers them all, unless every row is null.  The row count is at least 0
-    and the statistics target at least 1.  The constructor rejects
-    statistics that break these rules, so an estimate never has to check.
+    covers them all, unless every row is null.  The row count is an int of
+    at least 0 and the statistics target an int of at least 1.  The
+    constructor rejects statistics that break these rules, so an estimate
+    never has to check.
     """
 
     null_frac: float
@@ -58,6 +60,10 @@ class AttributeStats:
         # written so that NaN fails too
         if not 0.0 <= self.null_frac <= 1.0:
             raise ValueError("null_frac out of range")
+        for fld in ("row_count", "statistics_target"):
+            # neither a bool nor a numpy integer, which a document cannot hold
+            if type(getattr(self, fld)) is not int:
+                raise TypeError(f"{fld} must be an int, got {getattr(self, fld)!r}")
         if self.row_count < 0:
             raise ValueError("row_count must be at least 0")
         if self.statistics_target < 1:
@@ -73,10 +79,22 @@ class AttributeStats:
         return 1.0 - self.mcv.total_fraction
 
 
+def _require_integer(value, name: str) -> None:
+    # a Python or numpy integer; a bool is refused, as a statistics document refuses it
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def sample_rows(n: int, statistics_target: int, seed: int = 0, cap: int | None = None):
     """The rows ANALYZE reads of n: all (a full slice) when the cap (by
     default SAMPLE_ROWS_PER_TARGET per unit of target) covers them, else the
-    indices of a seeded uniform sample of cap rows without replacement."""
+    indices of a seeded uniform sample of cap rows without replacement.
+
+    The target and the cap are Python or numpy integers, never a bool.
+    """
+    _require_integer(statistics_target, "statistics_target")
+    if cap is not None:
+        _require_integer(cap, "sample_cap")
     if statistics_target < 1:
         raise ValueError("statistics target must be at least 1")
     if n == 0:
@@ -118,6 +136,7 @@ def analyze_column(
     if np.any(np.isinf(data)):
         raise ValueError("values must be finite")
     sample = data[sample_rows(data.size, statistics_target, sample_seed, sample_cap)]
+    statistics_target = int(statistics_target)    # sample_rows checked it is an integer
     nulls = np.isnan(sample)
     null_count = int(np.count_nonzero(nulls))
     null_frac = null_count / sample.size

@@ -101,8 +101,8 @@ class TestRestriction:
         with pytest.raises(ValueError, match="^restriction constant is infinite$"):
             restriction_selectivity(s, c, ScalarOp.LT)
 
-    @pytest.mark.parametrize("c", [np.array([1.0, 2.0]), np.array(3.0), "3", None],
-                             ids=["array", "0-d array", "str", "None"])
+    @pytest.mark.parametrize("c", [np.array([1.0, 2.0]), np.array(3.0), "3", None, True],
+                             ids=["array", "0-d array", "str", "None", "bool"])
     def test_non_number_constant_rejected(self, r1_x, c):
         s = analyze_column(r1_x, 3)
         message = f"restriction constant must be a real number, got {c!r}"

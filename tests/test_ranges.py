@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -24,7 +25,7 @@ from ineqsel import (
 )
 from ineqsel.harness import generate_range_column, write_range_column
 from ineqsel.mcv import EMPTY_MCV
-from ineqsel.ranges import _COLUMN_FIELDS, EMPTY_RANGE
+from ineqsel.ranges import _COLUMN_FIELDS, BOUND_INEQUALITY, EMPTY_RANGE
 
 from conftest import assert_copies_rebuilt, column_row, normalized_row
 
@@ -223,6 +224,14 @@ class TestOperatorSemantics:
             assert not range_op_holds(op, None, x)
             assert not range_op_holds(op, x, None)
 
+    @pytest.mark.parametrize("x", [None, EMPTY_RANGE, rv(1, 2)],
+                             ids=["null", "empty", "positioned"])
+    def test_unknown_operator_raises(self, x):
+        # checked before the shortcut for null and empty operands
+        for op in ("bogus", "overlaps", ScalarOp.LT, None):
+            with pytest.raises(ValueError, match="unsupported operator"):
+                range_op_holds(op, x, rv(3, 4))
+
     def test_exactly_one_positional_class(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
@@ -398,6 +407,78 @@ class TestJoin:
         # is ever estimated from them
         with pytest.raises(ValueError, match="lower_stats missing"):
             RangeStats(0.0, 0.0, 0.0, 0.0, None, None)
+
+
+def bound_column(seed, lower_inf, upper_inf, mixed_flags=False):
+    """A column with null and empty rows whose finite bounds take a few
+    values, each at least twice (every drawn row appears twice), and about
+    the given shares of infinite lower and upper bounds.  The finite bounds
+    are closed unless mixed_flags."""
+    rng, rows = np.random.default_rng(seed), 150
+    lower = rng.integers(0, 8, rows).astype(float)
+    upper = lower + rng.integers(0, 4, rows)
+    lower[rng.random(rows) < lower_inf] = -math.inf
+    upper[rng.random(rows) < upper_inf] = math.inf
+    lower_closed = upper_closed = np.ones(rows, dtype=bool)
+    if mixed_flags:
+        lower_closed, upper_closed = rng.random((2, rows)) < 0.5
+    null, empty = rng.random((2, rows)) < 0.1
+    arrays = (lower, upper, lower_closed, upper_closed, null, empty)
+    return RangeColumn(*(np.tile(a, 2) for a in arrays))
+
+
+# (X lower, X upper, Y lower, Y upper) shares of infinite bounds
+INFINITE_SHARES = [
+    (0.0, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0), (0.0, 0.5, 0.0, 0.0), (0.0, 0.0, 0.5, 0.0),
+    (0.0, 0.0, 0.0, 0.5), (0.5, 0.5, 0.5, 0.5), (0.1, 0.3, 0.5, 0.2), (0.4, 0.0, 0.0, 0.25),
+    (0.0, 0.35, 0.15, 0.0),
+]
+
+BOUNDS = [("x", "lower"), ("x", "upper"), ("y", "lower"), ("y", "upper")]
+
+
+def _decided(op, infinite) -> bool:
+    """Whether every pair op compares has an infinite bound, those in
+    ``infinite`` being infinite on every row."""
+    ops = (RangeOp.STRICTLY_LEFT, RangeOp.STRICTLY_RIGHT) if op is RangeOp.OVERLAPS else (op,)
+    return all(("x", x_bound) in infinite or ("y", y_bound) in infinite
+               for x_bound, _, y_bound in map(BOUND_INEQUALITY.get, ops))
+
+
+DECIDED_LAYOUTS = [
+    (op, infinite) for op in RangeOp
+    for k in range(1, 5) for infinite in itertools.combinations(BOUNDS, k)
+    if _decided(op, infinite)
+]
+
+
+class TestInfiniteBoundRule:
+    """An infinite bound never holds in a strict comparison, and Y's holds in
+    full in a same-bound one: the estimate meets the oracle wherever the
+    scalar part is exact or absent."""
+
+    @pytest.mark.parametrize("shares", INFINITE_SHARES, ids=str)
+    @pytest.mark.parametrize("op", list(RangeOp), ids=lambda op: op.value)
+    def test_exact_statistics_meet_the_oracle(self, op, shares):
+        xs, ys = bound_column(1, *shares[:2]), bound_column(2, *shares[2:])
+        # the full columns are analyzed, and every finite value is an MCV
+        # entry, so the scalar estimate over the bounds is exact
+        sx, sy = (analyze_range_column(c, 20) for c in (xs, ys))
+        for s in (sx, sy):
+            assert s.lower_stats.histogram is None and s.upper_stats.histogram is None
+        want = exact_range_join(xs, ys, op).selectivity
+        assert range_join_selectivity(sx, sy, op) == pytest.approx(want, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("op,infinite", DECIDED_LAYOUTS, ids=[
+        f"{op.value}-" + "+".join(f"{side}.{bound}" for side, bound in infinite)
+        for op, infinite in DECIDED_LAYOUTS])
+    def test_infinite_bounds_decide_whatever_the_flags(self, op, infinite):
+        share = {b: 1.0 if b in infinite else 0.0 for b in BOUNDS}
+        xs, ys = (bound_column(seed, share[side, "lower"], share[side, "upper"], mixed_flags=True)
+                  for seed, side in ((3, "x"), (4, "y")))
+        sx, sy = (analyze_range_column(c, 5) for c in (xs, ys))
+        want = exact_range_join(xs, ys, op).selectivity
+        assert range_join_selectivity(sx, sy, op) == pytest.approx(want, rel=0, abs=1e-12)
 
 
 class TestRangeStatsInvariants:

@@ -125,18 +125,40 @@ class TestAnalyze:
             analyze_column(np.arange(10.0), 5, 0, 0)
 
 
+def _scalar_entry(entry, tmp_path):
+    """The scalar-column entry point ``entry`` as a function of the column."""
+    return {
+        "analyze_column": lambda values: analyze_column(values, 10),
+        "exact_join": lambda values: exact_join(values, [1.0], ScalarOp.LT),
+        "write_scalar_column": lambda values: write_scalar_column(tmp_path / "c.col", values),
+        "build_mcv": lambda values: build_mcv(values, 10),
+        "build_equi_depth": lambda values: build_equi_depth(values, 10),
+    }[entry]
+
+
+SCALAR_ENTRIES = ["analyze_column", "exact_join", "write_scalar_column", "build_mcv",
+                  "build_equi_depth"]
+
+
 @pytest.mark.parametrize("shape", [(), (2, 2)], ids=["0-d", "2-d"])
-@pytest.mark.parametrize("entry", ["analyze_column", "exact_join", "write_scalar_column"])
+@pytest.mark.parametrize("entry", SCALAR_ENTRIES)
 def test_scalar_columns_are_one_dimensional(tmp_path, entry, shape):
-    values = np.full(shape, 3.0)
-    calls = {
-        "analyze_column": lambda: analyze_column(values, 10),
-        "exact_join": lambda: exact_join(values, [1.0], ScalarOp.LT),
-        "write_scalar_column": lambda: write_scalar_column(tmp_path / "c.col", values),
-    }
     message = f"expected a one-dimensional column, got shape {shape}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        calls[entry]()
+        _scalar_entry(entry, tmp_path)(np.full(shape, 3.0))
+
+
+@pytest.mark.parametrize("values,error,message", [
+    ([[3.0, 1.0], [2.0, 2.0]], ValueError, "expected a one-dimensional column, got shape (2, 2)"),
+    (np.array([1 + 2j, 3.0]), TypeError, "expected real values, got a complex column"),
+    ([1 + 2j, 3.0], TypeError, "expected real values, got a complex column"),
+], ids=["nested-list", "complex-array", "complex-list"])
+@pytest.mark.parametrize("entry", SCALAR_ENTRIES)
+def test_scalar_columns_are_coerced_by_one_rule(tmp_path, entry, values, error, message):
+    # a list is made an array first, so it meets the same checks an array does
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        _scalar_entry(entry, tmp_path)(values)
+    assert not (tmp_path / "c.col").exists()
 
 
 class TestOwnership:
@@ -200,6 +222,61 @@ class TestSampleRows:
         # the target is checked first, then the column, then the cap
         with pytest.raises(ValueError, match=message):
             sample_rows(*args)
+
+    @pytest.mark.parametrize("value", [True, np.True_, 2.5, np.float64(3.0), "3"],
+                             ids=["bool", "numpy-bool", "float", "numpy-float", "str"])
+    @pytest.mark.parametrize("name", ["statistics_target", "sample_cap"])
+    def test_target_and_cap_are_integers(self, name, value):
+        # an empty column: the types are checked before anything else
+        target, cap = (value, None) if name == "statistics_target" else (1, value)
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            sample_rows(0, target, 0, cap)
+
+
+def _range_column_of(values):
+    # closed ranges [v, v + 1], so each bound holds the values
+    return RangeColumn(values, values + 1, np.ones(values.size, bool), np.ones(values.size, bool),
+                       np.zeros(values.size, bool), np.zeros(values.size, bool))
+
+
+class TestStatisticsTargetIsAnInteger:
+    """Both ANALYZE functions take a Python or numpy integer target, store
+    it as an int, so that the document loads back, and refuse anything else
+    before a row is drawn."""
+
+    ANALYZE = {
+        "analyze_column": (analyze_column, save_stats, load_stats),
+        "analyze_range_column": (lambda v, *a: analyze_range_column(_range_column_of(v), *a),
+                                 save_range_stats, load_range_stats),
+    }
+
+    @pytest.mark.parametrize("target", [np.int64(3), np.int32(3), np.uint16(3)],
+                             ids=lambda t: type(t).__name__)
+    @pytest.mark.parametrize("entry", list(ANALYZE))
+    def test_numpy_integer_target_round_trips(self, entry, target):
+        analyze, save, load = self.ANALYZE[entry]
+        values = np.arange(20.0) % 7
+        s = analyze(values, target, 0, np.int64(15))
+        assert s == analyze(values, 3, 0, 15)
+        assert load(save(s)) == s
+        assert save(s) == save(analyze(values, 3, 0, 15))
+
+    @pytest.mark.parametrize("target", [True, 2.5, "3"], ids=["bool", "float", "str"])
+    @pytest.mark.parametrize("entry", list(ANALYZE))
+    def test_non_integer_target_rejected(self, entry, target):
+        analyze = self.ANALYZE[entry][0]
+        message = f"statistics_target must be an integer, got {target!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            analyze(np.arange(20.0), target)
+
+    @pytest.mark.parametrize("value", [True, np.int64(2), 2.0], ids=["bool", "numpy-int", "float"])
+    @pytest.mark.parametrize("fld", ["row_count", "statistics_target"])
+    def test_attribute_stats_fields_are_ints(self, fld, value):
+        args = {"row_count": 2, "statistics_target": 1} | {fld: value}
+        message = f"{fld} must be an int, got {value!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            AttributeStats(0.0, MostCommonValues([5.0], [1.0]), None, **args)
 
 
 def _one_sort_columns() -> dict[str, np.ndarray]:
