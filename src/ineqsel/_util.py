@@ -40,7 +40,9 @@ class ArrayFields:
 def as_float_column(values) -> np.ndarray:
     """Coerce a sequence of nullable scalars to a float64 array, nulls as NaN.
 
-    The values, as an array, must be one-dimensional and not complex.  A
+    The values, as an array, must be one-dimensional and not complex.
+    Strings are refused, since float() would read their digits: a str or
+    bytes column, a str or bytes array, and a str or bytes element.  A
     bool, integer or float array is cast in one step, which rounds as
     float() does; any other values are converted one by one.
     """
@@ -49,6 +51,9 @@ def as_float_column(values) -> np.ndarray:
         raise ValueError(f"expected a one-dimensional column, got shape {data.shape}")
     if data.dtype.kind == "c":
         raise TypeError("expected real values, got a complex column")
+    if (isinstance(values, (str, bytes)) or data.dtype.kind in "US"
+            or data.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in data)):
+        raise TypeError("expected real values, got a string column")
     if data.dtype.kind in "biuf":
         return data.astype(np.float64, copy=False)
     return np.array([np.nan if v is None else float(v) for v in data], dtype=np.float64)

@@ -143,10 +143,11 @@ def parse_range_bytes(data: bytes) -> RangeColumn | None:
     n = first.size
     commas = np.flatnonzero(codes == ord(","))
     # Each literal opens at its first byte, closes at its last and holds one
-    # comma, and the counts leave no bracket or comma anywhere else.
+    # comma, and the count leaves no comma anywhere else.  A bracket anywhere
+    # else lands in a bound, which then reads as no number.
     if (
-        not _count(codes, b"[(") == _count(codes[first], b"[(") == n
-        or not _count(codes, b"])") == _count(codes[last], b"])") == n
+        _count(codes[first], b"[(") != n
+        or _count(codes[last], b"])") != n
         or commas.size != n
         or not ((first < commas) & (commas < last)).all()
     ):
@@ -176,13 +177,12 @@ def looks_like_range_file(path) -> bool:
     """Sniff a column file by its first non-blank line, and read no further:
     range literals start with a bracket or are 'empty'.  A byte that is not
     UTF-8 is left to the reader to report."""
-    with open(path, "rb") as fh:
-        for raw in fh:
-            # the reader takes a carriage return for a line break too
-            for line in raw.decode("utf-8-sig", "replace").split("\r"):
-                line = line.strip()
-                if line:
-                    return line[0] in "[(" or line.lower() == "empty"
+    # text mode splits lines as the reader does, a carriage return included
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                return line[0] in "[(" or line.lower() == "empty"
     return False
 
 
@@ -309,7 +309,9 @@ def _literal(lower: float, upper: float, lower_closed: bool, upper_closed: bool)
 def _whole(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Which values are whole numbers below _WHOLE_LIMIT in magnitude, and
     their magnitudes, with 0.0 for the others."""
-    whole = (np.abs(values) < _WHOLE_LIMIT) & (np.trunc(values) == values)
+    whole = np.abs(values) < _WHOLE_LIMIT     # false for NaN and inf
+    # trunc of a NaN with a payload warns, so only the finite values are tested
+    whole &= np.trunc(values, out=np.zeros_like(values), where=whole) == values
     return whole, np.abs(np.where(whole, values, 0.0))
 
 

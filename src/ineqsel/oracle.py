@@ -97,16 +97,17 @@ def exact_join(xs, ys, op: ScalarOp) -> ExactCount:
 
 
 # ---------------------------------------------------------------------------
-# Range joins.  Bound comparisons must honor open/closed flags exactly: at
-# the same value, a closed lower bound (offset 0) starts before an open one
-# (offset 1), and an open upper bound (offset 0) ends before a closed one
-# (offset 1).  Every entry of BOUND_INEQUALITY then becomes key_x <= key_y
-# (for < and <=) or key_y <= key_x (for > and >=), which _count_le counts
-# over each side's values sorted and split by offset.
+# Range joins.  A bound's key is its end in the bound order of the ranges
+# module, (value, nudge), with the nudge shifted up by one on upper bounds:
+# every offset is then 0 or 1, and an upper end below a lower end is an
+# upper key at most the lower key.  Every entry of BOUND_INEQUALITY becomes
+# key_x <= key_y (for < and <=) or key_y <= key_x (for > and >=), which
+# _count_le counts over each side's values sorted and split by offset.
 
 
 def _keys(column: RangeColumn, bound: str) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted values of one bound of the positioned rows, at offset 0 and at offset 1."""
+    """Sorted values of one bound of the positioned rows, at offset 0 and at
+    offset 1: the nudges of the bound order, shifted up by one on upper bounds."""
     positioned = column.positioned
     values = getattr(column, bound)[positioned]
     closed = getattr(column, f"{bound}_closed")[positioned]

@@ -24,6 +24,14 @@ so the operator alone fixes how it compares: never in a strict case, and
 in a no-extend case Y's infinite bound holds against every bound of X.
 Only the pairs with both bounds finite reach the scalar estimator.
 
+Bounds compare in one order, as ``range_cmp_bounds`` in PostgreSQL's
+``src/backend/utils/adt/rangetypes.c`` orders them: a bound is an end
+(value, nudge), compared as a tuple, whose nudge is +1 for an open lower
+bound, -1 for an open upper bound and 0 for a closed bound, so an open
+bound lies just inside its value.  Each inequality above holds between
+ends, and a range whose lower end lies above its upper end (coinciding
+bounds not both closed) is empty.
+
 Containment cannot be derived this way: it ties a range's own bounds
 together, which the two independent bound histograms cannot express, so it
 is rejected rather than guessed.
@@ -208,30 +216,15 @@ def parse_range(text: str) -> RangeValue | None:
 
 
 # ---------------------------------------------------------------------------
-# Operator semantics over individual range pairs.  The exact-count oracle
-# must agree with these definitions, so they live here as the single source
-# of truth.  Empty operands never qualify.
+# Operator semantics over individual range pairs, in the bound order of the
+# module docstring.  The exact-count oracle must agree with these
+# definitions, so they live here as the single source of truth.  Empty
+# operands never qualify.
 
 
-def _ends_before_starts(x: RangeValue, y: RangeValue) -> bool:
-    if x.upper != y.lower:
-        return x.upper < y.lower
-    return not (x.upper_closed and y.lower_closed)
-
-
-def _ends_by(x: RangeValue, y: RangeValue) -> bool:
-    # X's upper bound is at or before Y's: at equal values an open bound
-    # ends earlier than a closed one.
-    if x.upper != y.upper:
-        return x.upper < y.upper
-    return not (x.upper_closed and not y.upper_closed)
-
-
-def _starts_at_or_after(x: RangeValue, y: RangeValue) -> bool:
-    # at equal values a closed bound starts earlier than an open one
-    if x.lower != y.lower:
-        return x.lower > y.lower
-    return not (x.lower_closed and not y.lower_closed)
+def _ends(row: RangeValue) -> tuple[tuple[float, int], tuple[float, int]]:
+    """The lower and upper ends (value, nudge) of a row."""
+    return (row.lower, 0 if row.lower_closed else 1), (row.upper, 0 if row.upper_closed else -1)
 
 
 def range_op_holds(op: RangeOp, x: RangeValue | None, y: RangeValue | None) -> bool:
@@ -241,15 +234,16 @@ def range_op_holds(op: RangeOp, x: RangeValue | None, y: RangeValue | None) -> b
         raise ValueError(f"unsupported operator {op}")
     if x is None or y is None or x.empty or y.empty:
         return False
+    (x_lower, x_upper), (y_lower, y_upper) = _ends(x), _ends(y)
     if op is RangeOp.STRICTLY_LEFT:
-        return _ends_before_starts(x, y)
+        return x_upper < y_lower
     if op is RangeOp.STRICTLY_RIGHT:
-        return _ends_before_starts(y, x)
+        return x_lower > y_upper
     if op is RangeOp.NO_EXTEND_RIGHT:
-        return _ends_by(x, y)
+        return x_upper <= y_upper
     if op is RangeOp.NO_EXTEND_LEFT:
-        return _starts_at_or_after(x, y)
-    return not _ends_before_starts(x, y) and not _ends_before_starts(y, x)
+        return x_lower >= y_lower
+    return not (x_upper < y_lower or x_lower > y_upper)
 
 
 # Each positional operator but overlaps as a scalar inequality

@@ -90,11 +90,14 @@ def sample_rows(n: int, statistics_target: int, seed: int = 0, cap: int | None =
     default SAMPLE_ROWS_PER_TARGET per unit of target) covers them, else the
     indices of a seeded uniform sample of cap rows without replacement.
 
-    The target and the cap are Python or numpy integers, never a bool.
+    The target, the cap and the seed are Python or numpy integers, never a
+    bool, and the seed is at least 0; all are checked before a row is drawn,
+    even when none is, so the same arguments always draw the same rows.
     """
     _require_integer(statistics_target, "statistics_target")
     if cap is not None:
         _require_integer(cap, "sample_cap")
+    _require_integer(seed, "sample_seed")
     if statistics_target < 1:
         raise ValueError("statistics target must be at least 1")
     if n == 0:
@@ -103,6 +106,8 @@ def sample_rows(n: int, statistics_target: int, seed: int = 0, cap: int | None =
         cap = SAMPLE_ROWS_PER_TARGET * statistics_target
     if cap < 1:
         raise ValueError("sample cap must be at least 1")
+    if seed < 0:
+        raise ValueError("sample seed must be at least 0")
     if cap >= n:
         return slice(None)
     return np.random.default_rng(seed).choice(n, size=cap, replace=False)

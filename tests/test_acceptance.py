@@ -231,6 +231,35 @@ def test_identity_suite():
             ok &= cdf(h, h.lo) == 0.0
     details.append("cdf-monotone+normalized")
 
+    # the range partition on the statistics ANALYZE builds from messy
+    # columns: mixed flags, infinite bounds, null and empty rows (coinciding
+    # bounds not both closed are empty too) over a 50-value domain, sampled
+    # by default and in full
+    mrng = np.random.default_rng(56)
+
+    def messy_ranges(n):
+        lower = mrng.integers(0, 50, n).astype(float)
+        upper = lower + mrng.integers(0, 5, n)
+        lower[mrng.random(n) < 0.1] = -np.inf
+        upper[mrng.random(n) < 0.1] = np.inf
+        flags = mrng.random((2, n)) < 0.5
+        return RangeColumn(lower, upper, flags[0], flags[1],
+                           mrng.random(n) < 0.1, mrng.random(n) < 0.05)
+
+    worst = 0.0
+    for target in (1, 3, 10, 30, 100, 300, 1000):
+        for cap in (None, 1000):
+            for _ in range(10):
+                rx, ry = (analyze_range_column(messy_ranges(1000), target, 0, cap)
+                          for _ in range(2))
+                share = ((1.0 - rx.null_frac) * (1.0 - rx.empty_frac)
+                         * (1.0 - ry.null_frac) * (1.0 - ry.empty_frac))
+                total = sum(range_join_selectivity(rx, ry, op) for op in (
+                    RangeOp.STRICTLY_LEFT, RangeOp.STRICTLY_RIGHT, RangeOp.OVERLAPS))
+                worst = max(worst, abs(total - share))
+    ok &= worst <= 1e-12
+    details.append(f"messy-range-partition(worst {worst:.1e})")
+
     _report("identity-suite", ok, ", ".join(details))
 
 

@@ -718,6 +718,12 @@ def test_range_writer_bytes_are_per_value(tmp_path, layout_rows, seed):
     (write_range_column, RangeColumn.from_values([]), b""),
     (write_scalar_column, [], b""),
     (write_scalar_column, [math.inf, -math.inf, 1e16], b"inf\n-inf\n10000000000000000\n"),
+    # a NaN with any payload is a null line: 1.0, a signalling NaN, a quiet
+    # NaN with a payload, and -NaN
+    (write_scalar_column,
+     np.array([0x3FF0000000000000, 0x7FF0000000000001, 0x7FF8000000000123, 0xFFF8000000000000],
+              dtype=np.uint64).view(np.float64),
+     b"1\n\n\n\n"),
     (write_range_column, RangeColumn.from_values([
         RangeValue(-1e15, 1e16, True, False), RangeValue(999999999999999, 1e15, True, False)]),
      b"[-1000000000000000.0,1e+16)\n[999999999999999.0,1000000000000000.0)\n"),

@@ -152,7 +152,15 @@ def test_scalar_columns_are_one_dimensional(tmp_path, entry, shape):
     ([[3.0, 1.0], [2.0, 2.0]], ValueError, "expected a one-dimensional column, got shape (2, 2)"),
     (np.array([1 + 2j, 3.0]), TypeError, "expected real values, got a complex column"),
     ([1 + 2j, 3.0], TypeError, "expected real values, got a complex column"),
-], ids=["nested-list", "complex-array", "complex-list"])
+    # float() would read a string's digits, or iterating bytes its byte codes
+    ("3141", TypeError, "expected real values, got a string column"),
+    (b"12", TypeError, "expected real values, got a string column"),
+    (np.array(["1", "2"]), TypeError, "expected real values, got a string column"),
+    (np.array([b"1", b"2"]), TypeError, "expected real values, got a string column"),
+    ([None, "1.5"], TypeError, "expected real values, got a string column"),
+    ([None, b"1"], TypeError, "expected real values, got a string column"),
+], ids=["nested-list", "complex-array", "complex-list", "str-column", "bytes-column",
+        "str-array", "bytes-array", "str-element", "bytes-element"])
 @pytest.mark.parametrize("entry", SCALAR_ENTRIES)
 def test_scalar_columns_are_coerced_by_one_rule(tmp_path, entry, values, error, message):
     # a list is made an array first, so it meets the same checks an array does
@@ -217,21 +225,28 @@ class TestSampleRows:
         ((0, 1, 0, 0), "no data"),
         ((10, 1, 0, 0), "sample cap must be at least 1"),
         ((10, 1, 0, -3), "sample cap must be at least 1"),
+        ((10, 1, -1), "sample seed must be at least 0"),
     ])
     def test_rejections_in_order(self, args, message):
-        # the target is checked first, then the column, then the cap
+        # the target is checked first, then the column, then the cap, then
+        # the seed, which is checked when the cap covers the column too
         with pytest.raises(ValueError, match=message):
             sample_rows(*args)
 
-    @pytest.mark.parametrize("value", [True, np.True_, 2.5, np.float64(3.0), "3"],
-                             ids=["bool", "numpy-bool", "float", "numpy-float", "str"])
-    @pytest.mark.parametrize("name", ["statistics_target", "sample_cap"])
+    @pytest.mark.parametrize("name,value", [
+        pytest.param(name, value, id=f"{name}-{value_id}")
+        for name in ("statistics_target", "sample_cap", "sample_seed")
+        for value, value_id in ((True, "bool"), (np.True_, "numpy-bool"), (2.5, "float"),
+                                (np.float64(3.0), "numpy-float"), ("3", "str"), (None, "None"))
+        if not (name == "sample_cap" and value is None)     # no cap is the default
+    ])
     def test_target_and_cap_are_integers(self, name, value):
         # an empty column: the types are checked before anything else
-        target, cap = (value, None) if name == "statistics_target" else (1, value)
+        args = [1, 0, None]     # sample_rows' target, seed and cap
+        args[["statistics_target", "sample_seed", "sample_cap"].index(name)] = value
         message = f"{name} must be an integer, got {value!r}"
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
-            sample_rows(0, target, 0, cap)
+            sample_rows(0, *args)
 
 
 def _range_column_of(values):

@@ -5,7 +5,8 @@ or corrupted documents go wrong: a field or an array element is dropped, or
 a value anywhere in the document is swapped for null, a bool, a string, a
 list, NaN or Infinity, a huge integer, or a negative or overfull fraction.
 Each document must either load and give estimates in [0, 1] for every
-operator, or raise ValueError.  The CLI must end a rejected document with
+operator, or raise ValueError.  A scalar document that loads must keep the
+operator identities too.  The CLI must end a rejected document with
 exit status 1 and one ``error:`` line.
 """
 
@@ -114,22 +115,44 @@ def scalar_estimates(s, ref):
             yield restriction_selectivity(s, c, op)
 
 
+def scalar_identities(s, ref):
+    """The operator identities, for s on either side of ref and against
+    itself: LT + GE and LE + GT each equal the non-null share of the pairs,
+    and LT <= LE.  A restriction is monotone in its constant, over the
+    probes and s's own MCV values and histogram bounds."""
+    lt, le, gt, ge = SCALAR_OPS
+    for x, y in ((s, ref), (ref, s), (s, s)):
+        est = {op: join_selectivity(x, y, op) for op in SCALAR_OPS}
+        nonnull = (1.0 - x.null_frac) * (1.0 - y.null_frac)
+        assert abs(est[lt] + est[ge] - nonnull) <= 1e-12, est
+        assert abs(est[le] + est[gt] - nonnull) <= 1e-12, est
+        assert est[lt] <= est[le], est
+    bounds = s.histogram.bounds.tolist() if s.histogram else []
+    probes = sorted({*PROBES, *s.mcv.values.tolist(), *bounds})
+    for op, sign in ((lt, 1), (le, 1), (gt, -1), (ge, -1)):
+        sel = [restriction_selectivity(s, c, op) for c in probes]
+        assert all(sign * (b - a) >= 0.0 for a, b in zip(sel, sel[1:])), (op, sel)
+
+
 def range_estimates(s, ref):
     for op in RangeOp:
         yield range_join_selectivity(s, ref, op)
         yield range_join_selectivity(ref, s, op)
 
 
+# A range document that loads is held to no identity: an edited one can
+# hold lower and upper bound statistics that cross, and then << + >> + &&
+# exceeds the positioned share, since overlaps is clamped at 0.
 KINDS = {
-    "scalar": (SCALAR_DOCS, load_stats, save_stats, scalar_estimates, "lt"),
-    "range": (RANGE_DOCS, load_range_stats, save_range_stats, range_estimates, "overlaps"),
+    "scalar": (SCALAR_DOCS, load_stats, save_stats, scalar_estimates, scalar_identities, "lt"),
+    "range": (RANGE_DOCS, load_range_stats, save_range_stats, range_estimates, None, "overlaps"),
 }
 
 
-def check_document(text, load, save, estimates, ref):
+def check_document(text, load, save, estimates, identities, ref):
     """True when the document is rejected.  Otherwise its estimates must lie
-    in [0, 1], and a pickled copy must give the same document and hold only
-    read-only arrays."""
+    in [0, 1] and keep the kind's identities, and a pickled copy must give
+    the same document and hold only read-only arrays."""
     try:
         s = load(text)
     except ValueError:
@@ -139,19 +162,21 @@ def check_document(text, load, save, estimates, ref):
     assert not any(a.flags.writeable for a in nested_arrays(back)), text
     values = list(estimates(s, ref))
     assert all(0.0 <= v <= 1.0 for v in values), (text, values)
+    if identities:
+        identities(s, ref)
     return False
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_seeded_fuzz_loads_or_raises_value_error(tmp_path, capsys, kind):
-    docs, load, save, estimates, op = KINDS[kind]
+    docs, load, save, estimates, identities, op = KINDS[kind]
     ref_path = tmp_path / "ref.json"
     ref_path.write_text(json.dumps(docs[0]))
     ref = load(ref_path.read_text())
     rejected = 0
     for seed in SEEDS:
         text = fuzzed_text(docs[seed % len(docs)], seed)
-        if not check_document(text, load, save, estimates, ref):
+        if not check_document(text, load, save, estimates, identities, ref):
             continue
         rejected += 1
         if seed % CLI_EVERY:
@@ -169,7 +194,7 @@ def test_seeded_fuzz_loads_or_raises_value_error(tmp_path, capsys, kind):
 
 @pytest.mark.parametrize("kind,seed", [("scalar", 3), ("scalar", 11), ("range", 5)])
 def test_module_entry_point_rejects_fuzzed_document(tmp_path, kind, seed):
-    docs, load, _, _, op = KINDS[kind]
+    docs, load, _, _, _, op = KINDS[kind]
     bad, ref = tmp_path / "bad.json", tmp_path / "ref.json"
     ref.write_text(json.dumps(docs[0]))
     # the first seed from ``seed`` on whose document the library rejects
