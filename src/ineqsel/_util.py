@@ -51,12 +51,18 @@ def as_float_column(values) -> np.ndarray:
         raise ValueError(f"expected a one-dimensional column, got shape {data.shape}")
     if data.dtype.kind == "c":
         raise TypeError("expected real values, got a complex column")
-    if (isinstance(values, (str, bytes)) or data.dtype.kind in "US"
-            or data.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in data)):
+    if holds_strings(values, data):
         raise TypeError("expected real values, got a string column")
     if data.dtype.kind in "biuf":
         return data.astype(np.float64, copy=False)
     return np.array([np.nan if v is None else float(v) for v in data], dtype=np.float64)
+
+
+def holds_strings(values, data: np.ndarray) -> bool:
+    """Whether ``values``, ``data`` as an array, is a str or bytes, a str or
+    bytes array, or holds a str or bytes element."""
+    return (isinstance(values, (str, bytes)) or data.dtype.kind in "US"
+            or data.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in data.flat))
 
 
 def sorted_finite(values) -> np.ndarray:

@@ -56,10 +56,15 @@ def restriction_selectivity(s: AttributeStats, c: float, op: ScalarOp) -> float:
 
     The join of the column with a one-row column holding c, whose
     statistics are the one-entry MCV list {c: 1.0}.  The constant must be a
-    real number, not a bool, neither NaN nor infinite.
+    real number (a numpy number or a Fraction too), not a bool, and is read
+    as a float: neither NaN nor infinite, and within float range.
     """
     if isinstance(c, bool) or not isinstance(c, numbers.Real):
         raise TypeError(f"restriction constant must be a real number, got {c!r}")
+    try:
+        c = float(c)
+    except OverflowError:
+        raise ValueError("restriction constant is beyond float range") from None
     if np.isnan(c):
         raise ValueError("restriction constant is NaN")
     if np.isinf(c):

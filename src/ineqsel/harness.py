@@ -31,7 +31,7 @@ from .ranges import (
     range_join_selectivity,
     save_range_stats,
 )
-from .stats import AttributeStats, analyze_column, save_stats
+from .stats import AttributeStats, _require_integer, analyze_column, save_stats
 
 SCALAR_KINDS = ("uniform-int", "skewed-int", "running-example-r1", "running-example-r2")
 RANGE_KINDS = ("ranges-mixed",)
@@ -187,8 +187,13 @@ def run_sweep(file_x, file_y, op: ScalarOp | RangeOp, targets) -> list[Experimen
 
     Statistics are built from the full columns (no sampling, so no sample
     seed) so the error column isolates estimator error from sampling noise.
+    Each target is an integer, checked as ANALYZE checks it, and a repeated
+    target runs once.
     """
-    targets = sorted(set(int(t) for t in targets))
+    targets = list(targets)
+    for t in targets:
+        _require_integer(t, "statistics_target")
+    targets = sorted(set(map(int, targets)))
     if not targets:
         raise ValueError("no statistics targets given")
 

@@ -1,16 +1,18 @@
 """Exact ground-truth counts for join predicates.
 
 These are the reference values the estimators are judged against, so they
-are computed from the data itself.  Both oracles count the same thing: the
-pairs whose keys (value, offset) satisfy key_x <= key_y, with both sides
-sorted.  A scalar join puts each side's values at one offset, so one
-``searchsorted`` of one side into the other counts it; a range join puts
-each bound at its open/closed offset, and ``_count_le`` counts its keys
-with one stable merge of the sorted runs.  A range pair's five operators
-are counted together, and the counts of the last pair are kept for its
-next operator.  A restriction ``value <op> c`` is the join
-``exact_join(values, [c], op)``.  Null rows (and empty ranges) never
-qualify but still count toward the totals.
+are computed from the data itself.  Both oracles orient a comparison by
+one rule: GT and GE swap the sides, x > y is y < x and x >= y is y <= x.
+(The estimator's GE stays 1 - LT instead, so that its LT + GE is exact.)
+Then both count the pairs whose keys (value, offset) satisfy
+key_a <= key_b, with both sides sorted.  A scalar join puts each side's
+values at one offset, so one ``searchsorted`` of one side into the other
+counts it; a range join puts each bound at its open/closed offset, and
+``_count_le`` counts its keys with one stable merge of the sorted runs.  A
+range pair's five operators are counted together, and the counts of the
+last pair are kept for its next operator.  A restriction ``value <op> c``
+is the join ``exact_join(values, [c], op)``.  Null rows (and empty ranges)
+never qualify but still count toward the totals.
 """
 
 from __future__ import annotations
@@ -61,38 +63,30 @@ def _count_le(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
     return int(np.flatnonzero(from_b).sum()) - nb * (nb - 1) // 2
 
 
-# x <op> y through the count of pairs with key_x <= key_y, y's keys at
-# offset 0: the side of x's sorted values that y is searched on (x's keys
-# at offset 1 for "left", at offset 0 for "right"), and whether x <op> y
-# is the count's complement among the non-null pairs.
-_SCALAR_KEYS = {
-    ScalarOp.LT: ("left", False),   # x < y   iff (x, 1) <= (y, 0)
-    ScalarOp.LE: ("right", False),  # x <= y  iff (x, 0) <= (y, 0)
-    ScalarOp.GT: ("right", True),   # x > y   iff not (x, 0) <= (y, 0)
-    ScalarOp.GE: ("left", True),    # x >= y  iff not (x, 1) <= (y, 0)
-}
+def _oriented(op: ScalarOp, x, y):
+    """(x, y), or (y, x) for GT and GE: x > y is y < x, x >= y is y <= x."""
+    return (y, x) if op in (ScalarOp.GT, ScalarOp.GE) else (x, y)
 
 
 def exact_join(xs, ys, op: ScalarOp) -> ExactCount:
     """Count pairs (x, y) of non-null values with ``x <op> y``.
 
-    Drops the nulls and sorts both sides, then counts the pairs with one
-    ``searchsorted`` of one sorted side into the other, so the whole count
-    is O(N log N + M log M) rather than a pairwise loop.  With one run of
-    keys a side, the search is faster than ``_count_le``'s merge and needs
-    no temporaries the size of both sides.
+    Drops the nulls, sorts both sides and orients them as (a, b).  a < b
+    is (a, 1) <= (b, 0) and a <= b is (a, 0) <= (b, 0), so one
+    ``searchsorted`` of b into a, on its left or right side, counts the
+    pairs in O(N log N + M log M) rather than with a pairwise loop.  With
+    one run of keys a side, the search is faster than ``_count_le``'s merge
+    and needs no temporaries the size of both sides.
     """
     x = as_float_column(xs)
     y = as_float_column(ys)
     if x.size == 0 or y.size == 0:
         raise ValueError("no data")
-    if op not in _SCALAR_KEYS:
+    if not isinstance(op, ScalarOp):
         raise ValueError(f"unsupported operator {op}")
-    side, complement = _SCALAR_KEYS[op]
-    xv, yv = (np.sort(v[~np.isnan(v)]) for v in (x, y))
-    count = int(np.searchsorted(xv, yv, side=side).sum())
-    if complement:
-        count = xv.size * yv.size - count
+    a, b = _oriented(op, *(np.sort(v[~np.isnan(v)]) for v in (x, y)))
+    side = "right" if op in (ScalarOp.LE, ScalarOp.GE) else "left"
+    count = int(np.searchsorted(a, b, side=side).sum())
     return ExactCount(count, int(x.size) * int(y.size))
 
 
@@ -100,8 +94,8 @@ def exact_join(xs, ys, op: ScalarOp) -> ExactCount:
 # Range joins.  A bound's key is its end in the bound order of the ranges
 # module, (value, nudge), with the nudge shifted up by one on upper bounds:
 # every offset is then 0 or 1, and an upper end below a lower end is an
-# upper key at most the lower key.  Every entry of BOUND_INEQUALITY becomes
-# key_x <= key_y (for < and <=) or key_y <= key_x (for > and >=), which
+# upper key at most the lower key.  Every entry of BOUND_INEQUALITY,
+# oriented as a scalar comparison is, becomes key_a <= key_b, which
 # _count_le counts over each side's values sorted and split by offset.
 
 
@@ -126,10 +120,7 @@ def _range_counts(xs: RangeColumn, ys: RangeColumn) -> dict[RangeOp, int]:
     y_keys = {bound: _keys(ys, bound) for bound in ("lower", "upper")}
     counts = {}
     for op, (x_bound, scalar_op, y_bound) in BOUND_INEQUALITY.items():
-        a, b = x_keys[x_bound], y_keys[y_bound]
-        if scalar_op in (ScalarOp.GT, ScalarOp.GE):
-            a, b = b, a
-        counts[op] = _count_le(a, b)
+        counts[op] = _count_le(*_oriented(scalar_op, x_keys[x_bound], y_keys[y_bound]))
     nx, ny = (sum(k.size for k in keys["lower"]) for keys in (x_keys, y_keys))
     strict = counts[RangeOp.STRICTLY_LEFT] + counts[RangeOp.STRICTLY_RIGHT]
     counts[RangeOp.OVERLAPS] = nx * ny - strict

@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import ArrayFields, clamp01, from_doc, parse_json, to_doc
+from ._util import ArrayFields, clamp01, from_doc, holds_strings, parse_json, to_doc
 from .estimator import join_selectivity
 from .operators import RangeOp, ScalarOp
 from .stats import AttributeStats, analyze_column, sample_rows
@@ -94,7 +94,9 @@ class RangeColumn(ArrayFields):
     neither null nor empty.  Then infinite bounds are open, a range whose
     bounds coincide without both being closed is empty, and null and empty
     rows hold bounds 0.0 with both flags false.  A row is never both null
-    and empty.  The arrays are read-only.
+    and empty.  A field that holds strings is refused with a TypeError, as
+    a scalar column is: float() would read a bound's digits and a flag's
+    truth from its length.  The arrays are read-only.
 
     Indexing a row gives a RangeValue or None, iterating gives every row
     that way, and a slice gives a RangeColumn; a column compares equal to
@@ -109,13 +111,14 @@ class RangeColumn(ArrayFields):
     empty: np.ndarray
 
     def __post_init__(self):
-        lower = np.array(self.lower, dtype=np.float64)
-        upper = np.array(self.upper, dtype=np.float64)
-        lower_closed = np.array(self.lower_closed, dtype=bool)
-        upper_closed = np.array(self.upper_closed, dtype=bool)
-        null = np.array(self.null, dtype=bool)
-        empty = np.array(self.empty, dtype=bool)
-        arrays = (lower, upper, lower_closed, upper_closed, null, empty)
+        arrays = []
+        for name, dtype in zip(_COLUMN_FIELDS, (np.float64,) * 2 + (bool,) * 4):
+            value = getattr(self, name)
+            data = np.asarray(value)
+            if holds_strings(value, data):
+                raise TypeError(f"range column {name} holds strings")
+            arrays.append(np.array(data, dtype=dtype))
+        lower, upper, lower_closed, upper_closed, null, empty = arrays
         if any(a.shape != null.shape or a.ndim != 1 for a in arrays):
             raise ValueError("range column arrays must be one-dimensional and equally long")
         empty &= ~null

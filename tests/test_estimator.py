@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -111,9 +112,20 @@ class TestRestriction:
 
     def test_numpy_number_constant_accepted(self, r1_x):
         s = analyze_column(r1_x, 3)
-        for c in (np.int64(30), np.float64(30.0)):
+        for c in (np.int64(30), np.float64(30.0), Fraction(30)):
             assert restriction_selectivity(s, c, ScalarOp.LT) == restriction_selectivity(
                 s, 30.0, ScalarOp.LT)
+        # a real number is read as the float nearest it
+        for op in ScalarOp:
+            assert restriction_selectivity(s, Fraction(1, 3), op) == restriction_selectivity(
+                s, 1 / 3, op)
+
+    @pytest.mark.parametrize("c", [10**400, -10**400, Fraction(10**400, 3)],
+                             ids=["big-int", "minus-big-int", "big-fraction"])
+    def test_constant_beyond_float_range_rejected(self, r1_x, c):
+        s = analyze_column(r1_x, 3)
+        with pytest.raises(ValueError, match="^restriction constant is beyond float range$"):
+            restriction_selectivity(s, c, ScalarOp.LT)
 
     def test_eq_not_supported(self, r1_x):
         s = analyze_column(r1_x, 3)

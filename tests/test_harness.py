@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -296,6 +297,23 @@ class TestSweep:
         fx, fy = self.write_examples(tmp_path)
         with pytest.raises(ValueError, match="target"):
             run_sweep(fx, fy, ScalarOp.LT, [])
+
+    @pytest.mark.parametrize("target", [1.5, 3.0, "2", True, None],
+                             ids=["float", "whole-float", "str", "bool", "None"])
+    def test_targets_are_integers(self, tmp_path, target):
+        # checked as analyze_column checks a target, before any is run
+        fx, fy = self.write_examples(tmp_path)
+        message = f"statistics_target must be an integer, got {target!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            run_sweep(fx, fy, ScalarOp.LT, [3, target])
+
+    def test_numpy_integer_targets_accepted(self, tmp_path):
+        fx, fy = self.write_examples(tmp_path)
+        rows = run_sweep(fx, fy, ScalarOp.LT, (t for t in [np.int64(5), 3, np.int32(3)]))
+        assert [r.statistics_target for r in rows] == [3, 5]
+        assert all(type(r.statistics_target) is int for r in rows)
+        assert [r.estimate for r in rows] == [
+            r.estimate for r in run_sweep(fx, fy, ScalarOp.LT, [3, 5])]
 
 
 class TestCli:

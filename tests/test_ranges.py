@@ -118,6 +118,23 @@ class TestRangeColumn:
         with pytest.raises(ValueError, match="equally long"):
             RangeColumn([0.0], [1.0, 2.0], [True], [True], [False], [False])
 
+    @pytest.mark.parametrize("field", _COLUMN_FIELDS)
+    @pytest.mark.parametrize("value", [
+        ["1"], [b"1"], ["no"], "1", b"1", np.array(["1"]), np.array([b"1"]),
+        np.array(["1"], dtype=object),
+    ], ids=["str-list", "bytes-list", "no", "str", "bytes", "U-array", "S-array",
+            "object-array"])
+    def test_strings_rejected(self, field, value):
+        # float() would read a bound's digits, bool() a flag's length
+        columns = dict(zip(_COLUMN_FIELDS, ([1.0], [2.0], [True], [True], [False], [False])))
+        columns[field] = value
+        with pytest.raises(TypeError, match=f"^range column {field} holds strings$"):
+            RangeColumn(**columns)
+
+    def test_numeric_flags_keep_numpy_truth(self):
+        col = RangeColumn([1.0, 1.0], [2.0, 2.0], [2, 0.0], np.array([0, -1]), [0, 0], [0, 0])
+        assert list(col) == [rv(1.0, 2.0, True, False), rv(1.0, 2.0, False, True)]
+
     def test_sequence_interface(self):
         rows = [rv(1, 2), None, EMPTY_RANGE, rv(-math.inf, 4, False, True)]
         col = RangeColumn.from_values(rows)
