@@ -80,7 +80,8 @@ def sorted_finite(values) -> np.ndarray:
 
 
 def clamp01(x: float) -> float:
-    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else float(x)
+    """``x`` clamped to [0, 1], with -0.0 read as +0.0."""
+    return 0.0 if x <= 0.0 else 1.0 if x > 1.0 else float(x)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ The operator algebra reduces everything to the less-than case:
   c, whose statistics are the one-entry MCV list {c: 1.0}.  So P(X < c) is
   X's MCV mass below c plus its histogram share times F_X(c), LE adds X's
   MCV mass at c, GE is the complement of LT and GT swaps the sides.  The
-  CDF is right-continuous, so at a zero-width bin's value LT counts its
+  MCV x MCV term restricts the longer list once per entry of the shorter,
+  so a restriction costs one pass over X's MCV list for every operator.
+  The CDF is right-continuous, so at a zero-width bin's value LT counts its
   mass and GE does not: at c = 5, a point mass at 5 gives LT 1.0 and GE
   0.0, where the model gives 0 and 1.
 * join: P(X < Y) integrates F_X against Y's density.  When neither
@@ -20,9 +22,13 @@ The operator algebra reduces everything to the less-than case:
   assumption); only MCV overlap contributes P(X = Y), in the MCV x MCV
   term of LE.
 
-Estimates combine the per-partition results weighted by the null / MCV /
-histogram fractions of each side.  All inequality operators are strict, so
-null rows contribute nothing.  Nothing is checked here: AttributeStats
+An estimate is one sum over the partition pairs of the two sides, MCV x
+MCV, histogram x MCV, MCV x histogram and histogram x histogram, each
+weighted by the MCV or histogram shares of its sides, then scaled by both
+non-null shares; every operator and every statistics object runs the whole
+sum.  An empty MCV list or a histogram share of 0 makes its terms 0, and an
+all-null side makes the estimate 0.  All inequality operators are strict,
+so null rows contribute nothing.  Nothing is checked here: AttributeStats
 rejects a null fraction outside [0, 1] and non-null rows left undescribed.
 
 Ties between point masses (MCV entries, or zero-width histogram bins) are
@@ -96,9 +102,11 @@ def join_lt_hist(hx: EquiDepthHistogram, hy: EquiDepthHistogram) -> float:
 
 
 def join_lt_mcv_mcv(mx: MostCommonValues, my: MostCommonValues, op: ScalarOp) -> float:
-    """Pairwise-exact P(X <op> Y) over the rows both MCV lists cover."""
-    if len(mx) == 0 or len(my) == 0:
-        return 0.0
+    """Pairwise-exact P(X <op> Y), op LT or LE, over the rows both MCV lists
+    cover: one restriction of the longer list per entry of the shorter."""
+    if len(mx) < len(my):
+        # x <op> y restricts Y by the mirrored comparison y <op'> x
+        mx, my, op = my, mx, ScalarOp.GT if op is ScalarOp.LT else ScalarOp.GE
     total = 0.0
     for value, fraction in zip(my.values, my.fractions):
         total += fraction * mcv_restriction_selectivity(mx, value, op)
@@ -115,30 +123,25 @@ def join_lt_hist_mcv(hx: EquiDepthHistogram, my: MostCommonValues) -> float:
     return float(my.fractions @ cdf(hx, my.values))
 
 
-def _join_conditional(sx: AttributeStats, sy: AttributeStats, op: ScalarOp) -> float:
-    """P(X <op> Y), op LT or LE, given both sides non-null, combining all
-    partition pairs; only the MCV x MCV term tells LE from LT."""
-    phx, phy = sx.hist_fraction, sy.hist_fraction
-    total = join_lt_mcv_mcv(sx.mcv, sy.mcv, op)
-    if phx > 0.0 and sx.histogram is not None and len(sy.mcv):
-        total += phx * join_lt_hist_mcv(sx.histogram, sy.mcv)
-    if phy > 0.0 and sy.histogram is not None and len(sx.mcv):
-        total += phy * join_lt_mcv_hist(sx.mcv, sy.histogram)
-    if phx > 0.0 and phy > 0.0 and sx.histogram is not None and sy.histogram is not None:
-        total += phx * phy * join_lt_hist(sx.histogram, sy.histogram)
-    return total
-
-
 def join_selectivity(sx: AttributeStats, sy: AttributeStats, op: ScalarOp) -> float:
-    """Estimate the fraction of the Cartesian product with ``x <op> y``."""
-    if op is ScalarOp.GT:
-        return join_selectivity(sy, sx, ScalarOp.LT)
-    if op not in (ScalarOp.LT, ScalarOp.LE, ScalarOp.GE):
+    """Estimate the fraction of the Cartesian product with ``x <op> y``.
+
+    One partition sum for every operator (see the module docstring): GT
+    swaps the sides, LE differs from LT only in the MCV x MCV term, and GE
+    is 1 - LT, so a restriction costs the same for every operator.
+    """
+    if not isinstance(op, ScalarOp):
         raise ValueError(f"unsupported join operator {op}")
-    if sx.null_frac >= 1.0 or sy.null_frac >= 1.0:
-        return 0.0
+    if op is ScalarOp.GT:
+        sx, sy, op = sy, sx, ScalarOp.LT
+    phx, phy = sx.hist_fraction, sy.hist_fraction
+    total = join_lt_mcv_mcv(sx.mcv, sy.mcv, ScalarOp.LE if op is ScalarOp.LE else ScalarOp.LT)
+    if sx.histogram is not None:
+        total += phx * join_lt_hist_mcv(sx.histogram, sy.mcv)
+    if sy.histogram is not None:
+        total += phy * join_lt_mcv_hist(sx.mcv, sy.histogram)
+    if sx.histogram is not None and sy.histogram is not None:
+        total += phx * phy * join_lt_hist(sx.histogram, sy.histogram)
     if op is ScalarOp.GE:
-        cond = 1.0 - _join_conditional(sx, sy, ScalarOp.LT)
-    else:
-        cond = _join_conditional(sx, sy, op)
-    return clamp01((1.0 - sx.null_frac) * (1.0 - sy.null_frac) * cond)
+        total = 1.0 - total
+    return clamp01((1.0 - sx.null_frac) * (1.0 - sy.null_frac) * total)

@@ -27,8 +27,8 @@ class EquiDepthHistogram(ArrayFields):
     bounds: np.ndarray = field(repr=True)
 
     def __post_init__(self):
-        bounds = np.array(self.bounds, dtype=np.float64)
-        if bounds.ndim != 1 or bounds.size < 2:
+        bounds = np.array(as_float_column(self.bounds))
+        if bounds.size < 2:
             raise ValueError("histogram needs at least two boundaries")
         if not np.all(np.isfinite(bounds)):
             raise ValueError("histogram boundaries must be finite")

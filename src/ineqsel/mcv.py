@@ -22,9 +22,9 @@ class MostCommonValues(ArrayFields):
     fractions: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
-        fractions = np.array(self.fractions, dtype=np.float64)
-        if values.shape != fractions.shape or values.ndim != 1:
+        values = np.array(as_float_column(self.values))
+        fractions = np.array(as_float_column(self.fractions))
+        if values.shape != fractions.shape:
             raise ValueError("values and fractions must be 1-d arrays of equal length")
         # sorted, equal values are adjacent and NaNs come last; several NaNs
         # are a repeat too, as np.unique (which imports numpy.ma) counted them

@@ -94,9 +94,10 @@ class RangeColumn(ArrayFields):
     neither null nor empty.  Then infinite bounds are open, a range whose
     bounds coincide without both being closed is empty, and null and empty
     rows hold bounds 0.0 with both flags false.  A row is never both null
-    and empty.  A field that holds strings is refused with a TypeError, as
-    a scalar column is: float() would read a bound's digits and a flag's
-    truth from its length.  The arrays are read-only.
+    and empty.  A field that holds strings or complex values is refused
+    with a TypeError, as a scalar column is: float() would read a bound's
+    digits and a flag's truth from its length, and a cast would drop an
+    imaginary part.  The arrays are read-only.
 
     Indexing a row gives a RangeValue or None, iterating gives every row
     that way, and a slice gives a RangeColumn; a column compares equal to
@@ -117,6 +118,8 @@ class RangeColumn(ArrayFields):
             data = np.asarray(value)
             if holds_strings(value, data):
                 raise TypeError(f"range column {name} holds strings")
+            if data.dtype.kind == "c":
+                raise TypeError(f"range column {name} holds complex values")
             arrays.append(np.array(data, dtype=dtype))
         lower, upper, lower_closed, upper_closed, null, empty = arrays
         if any(a.shape != null.shape or a.ndim != 1 for a in arrays):
@@ -269,11 +272,12 @@ class RangeStats:
     """Bound statistics plus null / empty / infinite-bound fractions.
 
     lower_stats and upper_stats summarize the finite bounds of the
-    non-empty rows; empty_frac is relative to non-null rows, the infinite
-    fractions to non-empty rows.  The constructor rejects fractions
-    outside [0, 1], and a bound's statistics missing unless every row is
-    null or empty or every value of that bound is infinite.  The fields are
-    declared in the order a statistics document lists them.
+    non-empty rows, so they hold no nulls; empty_frac is relative to
+    non-null rows, the infinite fractions to non-empty rows.  The
+    constructor rejects fractions outside [0, 1], bound statistics with a
+    null fraction other than 0, and a bound's statistics missing unless
+    every row is null or empty or every value of that bound is infinite.
+    The fields are declared in the order a statistics document lists them.
     """
 
     null_frac: float
@@ -291,8 +295,11 @@ class RangeStats:
         for bound in ("lower", "upper"):
             # some rows have a finite value at this bound unless a share is 1
             shares = (self.null_frac, self.empty_frac, getattr(self, f"{bound}_inf_frac"))
-            if 1.0 not in shares and getattr(self, f"{bound}_stats") is None:
+            stats = getattr(self, f"{bound}_stats")
+            if 1.0 not in shares and stats is None:
                 raise ValueError(f"{bound}_stats missing while some {bound} bounds are finite")
+            if stats is not None and stats.null_frac != 0.0:
+                raise ValueError(f"{bound}_stats: null_frac must be 0 in bound statistics")
 
 
 def analyze_range_column(

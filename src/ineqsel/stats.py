@@ -75,8 +75,8 @@ class AttributeStats:
 
     @property
     def hist_fraction(self) -> float:
-        """Share of non-null rows covered by the histogram (p_hist)."""
-        return 1.0 - self.mcv.total_fraction
+        """Share of non-null rows covered by the histogram (p_hist), at least 0."""
+        return max(0.0, 1.0 - self.mcv.total_fraction)
 
 
 def _require_integer(value, name: str) -> None:

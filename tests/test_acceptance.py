@@ -28,7 +28,8 @@ from ineqsel import (
 )
 from ineqsel.estimator import join_lt_hist
 from ineqsel.histogram import build_equi_depth
-from ineqsel.harness import run_sweep, write_range_column, write_results_csv
+from ineqsel.harness import (DATASET_KINDS, RANGE_KINDS, generate_scalar_column, run_sweep,
+                             write_range_column, write_results_csv)
 from ineqsel.histogram import cdf
 from ineqsel.ranges import EMPTY_RANGE, RangeColumn, RangeValue
 
@@ -261,6 +262,61 @@ def test_identity_suite():
     details.append(f"messy-range-partition(worst {worst:.1e})")
 
     _report("identity-suite", ok, ", ".join(details))
+
+
+def _identity_gaps(sx, sy, values) -> tuple[float, float, bool]:
+    """The worst gap of LT + GE and LE + GT from the non-null share; the
+    worst fall of a restriction as c grows (a rise for GT and GE), over at
+    most 100 of ``values`` and sx's MCV values and bounds; and whether
+    LT <= LE and every estimate lies in [0, 1]."""
+    share = (1.0 - sx.null_frac) * (1.0 - sy.null_frac)
+    est = {op: join_selectivity(sx, sy, op) for op in ScalarOp}
+    sums = (est[ScalarOp.LT] + est[ScalarOp.GE], est[ScalarOp.LE] + est[ScalarOp.GT])
+    gap = max(abs(total - share) for total in sums)
+    bounds = [] if sx.histogram is None else [sx.histogram.bounds]
+    probes = np.unique(np.concatenate([values, sx.mcv.values, *bounds]))
+    # an even spread of at most 100 probes keeps the test fast
+    probes = probes[np.unique(np.linspace(0, probes.size - 1, 100).astype(int))].tolist()
+    fall, in_unit = 0.0, all(0.0 <= e <= 1.0 for e in est.values())
+    for op in ScalarOp:
+        r = np.array([restriction_selectivity(sx, c, op) for c in probes])
+        in_unit &= bool(np.all((r >= 0.0) & (r <= 1.0)))
+        step = np.diff(r) if op in (ScalarOp.LT, ScalarOp.LE) else -np.diff(r)
+        fall = max(fall, -float(step.min(initial=0.0)))
+    return gap, fall, in_unit and est[ScalarOp.LT] <= est[ScalarOp.LE]
+
+
+@pytest.mark.parametrize("kind", DATASET_KINDS)
+def test_identities_on_every_dataset_kind(kind):
+    # small seeded columns of each kind, sampled by default and in full; a
+    # range column's identities are checked on its bound statistics too
+    gap = fall = partition = 0.0
+    ok = True
+    for seeds in ((1, 2), (3, 4)):
+        for target in (1, 3, 10, 100, 1000):
+            for cap in (None, 2000):
+                if kind in RANGE_KINDS:
+                    cx, cy = (generate_range_column(2000, seed) for seed in seeds)
+                    rx, ry = (analyze_range_column(c, target, 0, cap) for c in (cx, cy))
+                    share = ((1.0 - rx.null_frac) * (1.0 - rx.empty_frac)
+                             * (1.0 - ry.null_frac) * (1.0 - ry.empty_frac))
+                    est = {op: range_join_selectivity(rx, ry, op) for op in RangeOp}
+                    ok &= all(0.0 <= e <= 1.0 for e in est.values())
+                    total = (est[RangeOp.STRICTLY_LEFT] + est[RangeOp.STRICTLY_RIGHT]
+                             + est[RangeOp.OVERLAPS])
+                    partition = max(partition, abs(total - share))
+                    pairs = [(rx.lower_stats, ry.upper_stats, cx.lower[cx.positioned]),
+                             (rx.upper_stats, ry.lower_stats, cx.upper[cx.positioned])]
+                else:
+                    cx, cy = (generate_scalar_column(kind, 2000, seed) for seed in seeds)
+                    pairs = [(analyze_column(cx, target, 0, cap),
+                              analyze_column(cy, target, 0, cap), cx)]
+                for sx, sy, values in pairs:
+                    g, f, good = _identity_gaps(sx, sy, values[np.isfinite(values)])
+                    gap, fall, ok = max(gap, g), max(fall, f), ok and good
+    ok &= gap <= 1e-12 and fall <= 1e-15 and partition <= 1e-12
+    _report(f"identities-{kind}", ok,
+            f"complement gap {gap:.1e}, restriction fall {fall:.1e}, partition gap {partition:.1e}")
 
 
 def test_stats_round_trip():

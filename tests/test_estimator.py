@@ -174,8 +174,8 @@ RESTRICTION_COLUMNS = _restriction_columns()
 
 class TestRestrictionIsJoin:
     """restriction_selectivity is join_selectivity against a one-row column,
-    and that keeps the old partition sum: LT and LE bit for bit, GT and GE
-    (summed in another order, GE as 1 - LT) to within 4.5e-16."""
+    and that keeps the old partition sum: LT, LE and GT bit for bit, GE
+    (as 1 - LT) to within 4.5e-16."""
 
     @pytest.mark.parametrize("name", list(RESTRICTION_COLUMNS))
     def test_sweep_against_reference(self, name):
@@ -198,7 +198,7 @@ class TestRestrictionIsJoin:
                     got = restriction_selectivity(s, c, op)
                     assert got == join_selectivity(s, _point(c), op), (name, target, c, op)
                     ref = _restriction_reference(s, c, op)
-                    if op in (ScalarOp.LT, ScalarOp.LE):
+                    if op is not ScalarOp.GE:
                         assert got == ref, (name, target, c, op)
                     else:
                         assert abs(got - ref) <= 4.5e-16, (name, target, c, op)
@@ -206,24 +206,21 @@ class TestRestrictionIsJoin:
         assert name not in ("mcv-only", "point-mass-histogram") or name in shapes
 
     def test_long_mcv_lists_gt_within_summation_error(self):
-        # GT sums X's MCV mass above c entry by entry (join_lt_mcv_mcv),
-        # where the partition sum took numpy's pairwise sum, so with 100
-        # entries GT may differ by more than 4.5e-16, though by no more than
-        # the summation error of 100 terms; LT, LE and GE are unaffected
+        # GT swaps the sides, so the one-entry list is X and join_lt_mcv_mcv
+        # restricts the column's 100-entry list once, by the mirrored
+        # comparison: the same pairwise sum the partition sum takes, so GT
+        # is bit for bit too, and GE (as 1 - LT) is within 4.5e-16
         data = np.random.default_rng(406).integers(0, 200, size=2000).astype(float)
         data[::17] = np.nan
-        eps = np.finfo(float).eps
         for target in (30, 60, 100):
             s = analyze_column(data, target, sample_cap=data.size)
             for c in np.linspace(-1.0, 200.0, 41).tolist():
                 for op in ScalarOp:
                     got, ref = restriction_selectivity(s, c, op), _restriction_reference(s, c, op)
-                    if op in (ScalarOp.LT, ScalarOp.LE):
-                        assert got == ref, (target, c, op)
-                    elif op is ScalarOp.GE:
+                    if op is ScalarOp.GE:
                         assert abs(got - ref) <= 4.5e-16, (target, c, op)
                     else:
-                        assert abs(got - ref) <= len(s.mcv) * eps, (target, c, op)
+                        assert got == ref, (target, c, op)
 
 
 class TestJoinHistHist:

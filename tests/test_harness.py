@@ -76,6 +76,9 @@ MALFORMED_STATS = [
                  id="range-nested-mcv-not-object"),
     pytest.param(GOOD_RANGE_STATS, "overlaps", {"upper_stats": {**GOOD_STATS, "row_count": -3}},
                  id="range-nested-row-count-negative"),
+    # bound statistics describe the finite bounds of positioned rows
+    pytest.param(GOOD_RANGE_STATS, "overlaps", {"upper_stats": {**GOOD_STATS, "null_frac": 0.5}},
+                 id="range-bound-stats-with-nulls"),
     # JSON integers beyond float range, which float() cannot convert
     pytest.param(GOOD_STATS, "lt", {"histogram": {"bounds": [1.0, 10**400]}},
                  id="bound-beyond-float"),

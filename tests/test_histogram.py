@@ -81,6 +81,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="bounds not sorted"):
             EquiDepthHistogram(np.array([1.0, 3.0, 2.0]))
 
+    @pytest.mark.parametrize("bounds,kind", [
+        (["1", b"2"], "string"),
+        (np.array(["1", "2"]), "string"),
+        (np.array([1 + 0j, 2]), "complex"),
+        ([1.0, 2j], "complex"),
+    ], ids=["str-bytes-list", "str-array", "complex-array", "complex-list"])
+    def test_strings_and_complex_rejected(self, bounds, kind):
+        # the scalar column rule: float() would read a string's digits, and
+        # a cast would drop an imaginary part
+        with pytest.raises(TypeError, match=f"^expected real values, got a {kind} column$"):
+            EquiDepthHistogram(bounds)
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             EquiDepthHistogram(np.array([1.0]))

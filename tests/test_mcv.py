@@ -104,6 +104,19 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             MostCommonValues(np.array(values), np.full(len(values), 0.1))
 
+    @pytest.mark.parametrize("values,fractions,kind", [
+        (["1", "2"], [0.5, 0.5], "string"),
+        ([1.0, 2.0], [0.5, "0.5"], "string"),
+        (np.array([b"1", b"2"]), [0.5, 0.5], "string"),
+        (np.array([1 + 0j, 2]), [0.5, 0.5], "complex"),
+        ([1.0, 2.0], [0.5 + 0j, 0.5], "complex"),
+    ], ids=["str-values", "str-fraction", "bytes-array", "complex-values", "complex-fractions"])
+    def test_strings_and_complex_rejected(self, values, fractions, kind):
+        # the scalar column rule: float() would read a string's digits, and
+        # a cast would drop an imaginary part
+        with pytest.raises(TypeError, match=f"^expected real values, got a {kind} column$"):
+            MostCommonValues(values, fractions)
+
     def test_fraction_sum_capped(self):
         with pytest.raises(ValueError, match="sum"):
             make_mcv([(1, 0.7), (2, 0.7)])

@@ -8,6 +8,7 @@ import pytest
 from ineqsel import (
     AttributeStats,
     EquiDepthHistogram,
+    MostCommonValues,
     RangeColumn,
     RangeOp,
     RangeStats,
@@ -129,6 +130,16 @@ class TestRangeColumn:
         columns = dict(zip(_COLUMN_FIELDS, ([1.0], [2.0], [True], [True], [False], [False])))
         columns[field] = value
         with pytest.raises(TypeError, match=f"^range column {field} holds strings$"):
+            RangeColumn(**columns)
+
+    @pytest.mark.parametrize("field", _COLUMN_FIELDS)
+    @pytest.mark.parametrize("value", [[1 + 0j], np.array([1 + 2j])],
+                             ids=["complex-list", "complex-array"])
+    def test_complex_rejected(self, field, value):
+        # a cast would drop the imaginary part with only a ComplexWarning
+        columns = dict(zip(_COLUMN_FIELDS, ([1.0], [2.0], [True], [True], [False], [False])))
+        columns[field] = value
+        with pytest.raises(TypeError, match=f"^range column {field} holds complex values$"):
             RangeColumn(**columns)
 
     def test_numeric_flags_keep_numpy_truth(self):
@@ -499,7 +510,8 @@ class TestInfiniteBoundRule:
 
 
 class TestRangeStatsInvariants:
-    """RangeStats rejects fractions outside [0, 1] and missing bound statistics."""
+    """RangeStats rejects fractions outside [0, 1], bound statistics with
+    nulls and missing bound statistics."""
 
     FRACTIONS = ("null_frac", "empty_frac", "lower_inf_frac", "upper_inf_frac")
 
@@ -515,6 +527,16 @@ class TestRangeStatsInvariants:
     def test_fraction_out_of_range(self, fld, value):
         with pytest.raises(ValueError, match=f"^{fld} out of range$"):
             self.stats(**{fld: value})
+
+    @pytest.mark.parametrize("null_frac", [1e-12, 0.5, 1.0])
+    @pytest.mark.parametrize("bound", ["lower", "upper"])
+    def test_bound_statistics_hold_no_nulls(self, bound, null_frac):
+        # they describe the finite bounds of positioned rows, and the
+        # estimate would scale by their null share
+        nulls = AttributeStats(null_frac, MostCommonValues([1.0], [1.0]), None, 4, 2)
+        message = f"^{bound}_stats: null_frac must be 0 in bound statistics$"
+        with pytest.raises(ValueError, match=message):
+            self.stats(**{f"{bound}_stats": nulls})
 
     @pytest.mark.parametrize("bound", ["lower", "upper"])
     @pytest.mark.parametrize("inf_frac", [0.0, 0.5, 1.0 - 1e-12])
