@@ -1,11 +1,12 @@
-"""Small internal helpers, the ownership rule of the array-holding types,
-and the statistics document format."""
+"""Small internal helpers, the one input rule for arrays, the ownership
+rule of the array-holding types, and the statistics document format."""
 
 from __future__ import annotations
 
 import functools
 import json
 import typing
+from collections.abc import Iterable
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -37,32 +38,32 @@ class ArrayFields:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-def as_float_column(values) -> np.ndarray:
-    """Coerce a sequence of nullable scalars to a float64 array, nulls as NaN.
+def as_column(values, dtype=np.float64) -> np.ndarray:
+    """The one input rule for an array: a column of nullable real values as
+    a ``dtype`` array, nulls as NaN, or as False in a bool array.
 
-    The values, as an array, must be one-dimensional and not complex.
-    Strings are refused, since float() would read their digits: a str or
-    bytes column, a str or bytes array, and a str or bytes element.  A
-    bool, integer or float array is cast in one step, which rounds as
-    float() does; any other values are converted one by one.
+    The values, as an array, must be one-dimensional: a bare scalar is a
+    0-d column.  Complex values are refused, since a cast would drop the
+    imaginary part, and strings, since float() would read their digits
+    and bool() their length: a str or bytes column, a complex, str or
+    bytes array, and a complex, str or bytes element.  Then one cast
+    converts every element as float() or bool() does.
     """
-    data = values if isinstance(values, np.ndarray) else np.asarray(list(values))
+    if isinstance(values, np.ndarray):
+        data = values
+    else:
+        data = np.asarray(list(values) if isinstance(values, Iterable) else values)
     if data.ndim != 1:
         raise ValueError(f"expected a one-dimensional column, got shape {data.shape}")
-    if data.dtype.kind == "c":
+    kind = data.dtype.kind
+    # one check per distinct element type, not per element
+    elements = set(map(type, data)) if kind == "O" else set()
+    if kind == "c" or any(issubclass(t, (complex, np.complexfloating)) for t in elements):
         raise TypeError("expected real values, got a complex column")
-    if holds_strings(values, data):
+    if (kind in "US" or isinstance(values, (str, bytes))
+            or any(issubclass(t, (str, bytes)) for t in elements)):
         raise TypeError("expected real values, got a string column")
-    if data.dtype.kind in "biuf":
-        return data.astype(np.float64, copy=False)
-    return np.array([np.nan if v is None else float(v) for v in data], dtype=np.float64)
-
-
-def holds_strings(values, data: np.ndarray) -> bool:
-    """Whether ``values``, ``data`` as an array, is a str or bytes, a str or
-    bytes array, or holds a str or bytes element."""
-    return (isinstance(values, (str, bytes)) or data.dtype.kind in "US"
-            or data.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in data.flat))
+    return data.astype(dtype, copy=False)
 
 
 def sorted_finite(values) -> np.ndarray:

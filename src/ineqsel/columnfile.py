@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from ._util import as_float_column
+from ._util import as_column
 from .ranges import _COLUMN_FIELDS, RangeColumn, _require_column, parse_range
 
 
@@ -403,7 +403,7 @@ def _write(path, lines, *arrays) -> None:
 
 
 def write_scalar_column(path, values) -> None:
-    _write(path, _scalar_lines, as_float_column(values))
+    _write(path, _scalar_lines, as_column(values))
 
 
 def write_range_column(path, column: RangeColumn) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import ArrayFields, as_float_column, sorted_finite
+from ._util import ArrayFields, as_column, sorted_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,7 +27,7 @@ class EquiDepthHistogram(ArrayFields):
     bounds: np.ndarray = field(repr=True)
 
     def __post_init__(self):
-        bounds = np.array(as_float_column(self.bounds))
+        bounds = np.array(as_column(self.bounds))
         if bounds.size < 2:
             raise ValueError("histogram needs at least two boundaries")
         if not np.all(np.isfinite(bounds)):
@@ -58,7 +58,7 @@ def build_equi_depth(values, bin_count: int) -> EquiDepthHistogram:
     """
     if bin_count < 1:
         raise ValueError("invalid bin count")
-    data = as_float_column(values)
+    data = as_column(values)
     if data.size == 0:
         raise ValueError("no data")
     data = sorted_finite(data)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ArrayFields, as_float_column, sorted_finite
+from ._util import ArrayFields, as_column, sorted_finite
 from .operators import ScalarOp
 
 
@@ -22,8 +22,8 @@ class MostCommonValues(ArrayFields):
     fractions: np.ndarray
 
     def __post_init__(self):
-        values = np.array(as_float_column(self.values))
-        fractions = np.array(as_float_column(self.fractions))
+        values = np.array(as_column(self.values))
+        fractions = np.array(as_column(self.fractions))
         if values.shape != fractions.shape:
             raise ValueError("values and fractions must be 1-d arrays of equal length")
         # sorted, equal values are adjacent and NaNs come last; several NaNs
@@ -85,7 +85,7 @@ def build_mcv(values, max_entries: int) -> MostCommonValues:
     """
     if max_entries < 0:
         raise ValueError("max_entries must be non-negative")
-    data = as_float_column(values)
+    data = as_column(values)
     if data.size == 0 or max_entries == 0:
         return EMPTY_MCV
     data = sorted_finite(data)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_float_column
+from ._util import as_column
 from .operators import RangeOp, ScalarOp
 from .ranges import BOUND_INEQUALITY, RangeColumn, _require_column
 
@@ -78,8 +78,8 @@ def exact_join(xs, ys, op: ScalarOp) -> ExactCount:
     one run of keys a side, the search is faster than ``_count_le``'s merge
     and needs no temporaries the size of both sides.
     """
-    x = as_float_column(xs)
-    y = as_float_column(ys)
+    x = as_column(xs)
+    y = as_column(ys)
     if x.size == 0 or y.size == 0:
         raise ValueError("no data")
     if not isinstance(op, ScalarOp):
@@ -143,7 +143,7 @@ def exact_range_join(xs: RangeColumn, ys: RangeColumn, op: RangeOp) -> ExactCoun
     _require_column(ys)
     if not len(xs) or not len(ys):
         raise ValueError("no data")
-    if op is not RangeOp.OVERLAPS and op not in BOUND_INEQUALITY:
+    if not isinstance(op, RangeOp):
         raise ValueError(f"unsupported operator {op}")
     slot = _last_pair
     if slot is None or slot[0]() is not xs or slot[1]() is not ys:

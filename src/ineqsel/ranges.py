@@ -1,7 +1,8 @@
 """Range columns, bound statistics, and range-operator selectivity.
 
 A range column is a RangeColumn, six numpy arrays whose constructor is the
-one place a range is checked and normalized.  A RangeValue is a plain
+one place a range is checked and normalized; it reads each field by the
+input rule every array obeys, _util.as_column.  A RangeValue is a plain
 record of one row's fields, as the column yields it.  Every range entry
 point (analyze_range_column, the oracle, the column writer) takes a
 RangeColumn; RangeColumn.from_values makes one from rows.
@@ -59,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import ArrayFields, clamp01, from_doc, holds_strings, parse_json, to_doc
+from ._util import ArrayFields, as_column, clamp01, from_doc, parse_json, to_doc
 from .estimator import join_selectivity
 from .operators import RangeOp, ScalarOp
 from .stats import AttributeStats, analyze_column, sample_rows
@@ -94,10 +95,9 @@ class RangeColumn(ArrayFields):
     neither null nor empty.  Then infinite bounds are open, a range whose
     bounds coincide without both being closed is empty, and null and empty
     rows hold bounds 0.0 with both flags false.  A row is never both null
-    and empty.  A field that holds strings or complex values is refused
-    with a TypeError, as a scalar column is: float() would read a bound's
-    digits and a flag's truth from its length, and a cast would drop an
-    imaginary part.  The arrays are read-only.
+    and empty.  Each field is read by the input rule of a scalar column,
+    the bounds as float64 and the flags as bool by numpy's truth rule, and
+    its error is prefixed with the field's name.  The arrays are read-only.
 
     Indexing a row gives a RangeValue or None, iterating gives every row
     that way, and a slice gives a RangeColumn; a column compares equal to
@@ -114,16 +114,13 @@ class RangeColumn(ArrayFields):
     def __post_init__(self):
         arrays = []
         for name, dtype in zip(_COLUMN_FIELDS, (np.float64,) * 2 + (bool,) * 4):
-            value = getattr(self, name)
-            data = np.asarray(value)
-            if holds_strings(value, data):
-                raise TypeError(f"range column {name} holds strings")
-            if data.dtype.kind == "c":
-                raise TypeError(f"range column {name} holds complex values")
-            arrays.append(np.array(data, dtype=dtype))
+            try:
+                arrays.append(np.array(as_column(getattr(self, name), dtype)))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise type(exc)(f"range column {name}: {exc}") from None
         lower, upper, lower_closed, upper_closed, null, empty = arrays
-        if any(a.shape != null.shape or a.ndim != 1 for a in arrays):
-            raise ValueError("range column arrays must be one-dimensional and equally long")
+        if any(a.shape != null.shape for a in arrays):
+            raise ValueError("range column arrays must be equally long")
         empty &= ~null
         positioned = ~(null | empty)
         lo, hi = lower[positioned], upper[positioned]
@@ -236,7 +233,7 @@ def _ends(row: RangeValue) -> tuple[tuple[float, int], tuple[float, int]]:
 def range_op_holds(op: RangeOp, x: RangeValue | None, y: RangeValue | None) -> bool:
     """Whether ``x <op> y`` holds for two rows of a RangeColumn, which are
     normalized; null and empty operands never qualify."""
-    if op is not RangeOp.OVERLAPS and op not in BOUND_INEQUALITY:
+    if not isinstance(op, RangeOp):
         raise ValueError(f"unsupported operator {op}")
     if x is None or y is None or x.empty or y.empty:
         return False
@@ -341,7 +338,7 @@ def range_join_selectivity(sx: RangeStats, sy: RangeStats, op: RangeOp) -> float
     Overlaps is the positioned share less the strictly-left and
     strictly-right estimates.
     """
-    if op is not RangeOp.OVERLAPS and op not in BOUND_INEQUALITY:
+    if not isinstance(op, RangeOp):
         raise ValueError(f"unsupported operator {op}")
     nn_x = (1.0 - sx.null_frac) * (1.0 - sx.empty_frac)
     nn_y = (1.0 - sy.null_frac) * (1.0 - sy.empty_frac)

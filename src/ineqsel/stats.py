@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_float_column, from_doc, parse_json, to_doc
+from ._util import as_column, from_doc, parse_json, to_doc
 from .histogram import EquiDepthHistogram
 from .mcv import EMPTY_MCV, MostCommonValues, _mcv_of_runs, _runs
 
@@ -137,7 +137,7 @@ def analyze_column(
     0.0 compare equal, so the sample's zeros are one run, which is set to
     +0.0: an MCV entry or boundary at zero is always +0.0.
     """
-    data = as_float_column(values)
+    data = as_column(values)
     if np.any(np.isinf(data)):
         raise ValueError("values must be finite")
     sample = data[sample_rows(data.size, statistics_target, sample_seed, sample_cap)]

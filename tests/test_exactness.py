@@ -44,11 +44,17 @@ def scalar_column(rows: int, values: int, seed: int, null_share: float) -> np.nd
 
 def range_column(flags: str, seed: int, rows: int = 2000) -> RangeColumn:
     """Ranges over a RANGE_DOMAIN-value domain with null, empty and
-    infinite-bound rows; ``flags`` is "[]", "[)", "(]", "()" or "mixed"."""
+    infinite-bound rows; ``flags`` is "[]", "[)", "(]", "()" or "mixed", or
+    "spread": closed ranges whose bounds are the smaller and larger of two
+    draws, so each bound's extreme values are rare and some are seen once."""
     rng = np.random.default_rng(seed)
-    # every bound value is seen many times, so the MCV lists hold them all
-    lower = rng.integers(0, RANGE_DOMAIN, rows).astype(float)
-    upper = np.minimum(lower + rng.integers(0, 6, rows), RANGE_DOMAIN - 1)
+    if flags == "spread":
+        lower, upper = np.sort(rng.integers(0, RANGE_DOMAIN, (2, rows)), axis=0).astype(float)
+        flags = "[]"
+    else:
+        # every bound value is seen many times, so the MCV lists hold them all
+        lower = rng.integers(0, RANGE_DOMAIN, rows).astype(float)
+        upper = np.minimum(lower + rng.integers(0, 6, rows), RANGE_DOMAIN - 1)
     lower[rng.random(rows) < 0.05] = -np.inf
     upper[rng.random(rows) < 0.05] = np.inf
     if flags == "mixed":
@@ -76,8 +82,8 @@ def scalar_pair(layout: str):
 
 
 @functools.cache
-def range_pair(flags: str):
-    xs, ys = (range_column(flags, seed) for seed in (1, 2))
+def range_pair(flags: str, seeds: tuple[int, int]):
+    xs, ys = (range_column(flags, seed) for seed in seeds)
     # each bound takes at most RANGE_DOMAIN values
     return xs, ys, *(analyze_range_column(c, RANGE_DOMAIN, 0, len(c)) for c in (xs, ys))
 
@@ -100,8 +106,15 @@ def range_cases():
         for op in RangeOp:
             off = flags == "mixed" or flags != "[]" and op in (
                 RangeOp.STRICTLY_LEFT, RangeOp.STRICTLY_RIGHT, RangeOp.OVERLAPS)
-            yield pytest.param(flags, op, marks=FLAGS_DROPPED if off else (),
+            yield pytest.param(flags, (1, 2), op, marks=FLAGS_DROPPED if off else (),
                                id=f"{name}-{op.value}")
+    # only the first pair's no-extend-left is exact: every other case meets
+    # a bound value seen once
+    for seeds in ((1, 2), (3, 4)):
+        for op in RangeOp:
+            off = seeds != (1, 2) or op is not RangeOp.NO_EXTEND_LEFT
+            yield pytest.param("spread", seeds, op, marks=SEEN_ONCE if off else (),
+                               id=f"spread-{seeds[0]}-{seeds[1]}-{op.value}")
 
 
 @pytest.mark.parametrize("layout,op", scalar_cases())
@@ -110,7 +123,7 @@ def test_scalar_exact_at_complete_statistics(layout, op):
     assert abs(join_selectivity(sx, sy, op) - exact_join(xs, ys, op).selectivity) <= TOL
 
 
-@pytest.mark.parametrize("flags,op", range_cases())
-def test_range_exact_at_complete_statistics(flags, op):
-    xs, ys, sx, sy = range_pair(flags)
+@pytest.mark.parametrize("flags,seeds,op", range_cases())
+def test_range_exact_at_complete_statistics(flags, seeds, op):
+    xs, ys, sx, sy = range_pair(flags, seeds)
     assert abs(range_join_selectivity(sx, sy, op) - exact_range_join(xs, ys, op).selectivity) <= TOL

@@ -17,7 +17,7 @@ from ineqsel import (
     exact_range_join,
     range_op_holds,
 )
-from ineqsel._util import as_float_column
+from ineqsel._util import as_column
 from ineqsel.oracle import _count_le
 from ineqsel.ranges import EMPTY_RANGE, RangeColumn
 
@@ -137,7 +137,7 @@ class TestJoin:
 
     @pytest.mark.parametrize("xs,ys", [([NAN], [1.0]), ([1.0], [NAN]), ([1.0], [2.0]), ([NAN], [NAN])])
     def test_unknown_operator_raises_before_counting(self, xs, ys):
-        for op in ("bogus", "lt", RangeOp.STRICTLY_LEFT, None):
+        for op in ("bogus", "lt", RangeOp.STRICTLY_LEFT, None, [ScalarOp.LT], {}):
             with pytest.raises(ValueError, match="unsupported operator"):
                 exact_join(xs, ys, op)
 
@@ -162,7 +162,7 @@ def test_integer_column_converts_as_float_does(dtype):
     values = np.concatenate((np.array(edges, dtype=dtype),
                              rng.integers(info.min, info.max, size=2000, dtype=dtype)))
     want = np.array([float(v) for v in values.tolist()])
-    assert as_float_column(values).tobytes() == want.tobytes()
+    assert as_column(values).tobytes() == want.tobytes()
 
 
 def rv(lo, hi, lc=True, uc=True):
@@ -194,6 +194,12 @@ class TestRangeJoin:
         ys = RangeColumn.from_values([rv(20, 30)] * 7)
         c = exact_range_join(xs, ys, RangeOp.STRICTLY_LEFT)
         assert (c.qualifying, c.total) == (35, 35)
+
+    def test_unknown_operator_raises(self):
+        xs = RangeColumn.from_values([rv(0, 1), None])
+        for op in ("bogus", "overlaps", ScalarOp.LT, None, [RangeOp.OVERLAPS], {}):
+            with pytest.raises(ValueError, match="unsupported operator"):
+                exact_range_join(xs, xs, op)
 
     def test_all_null_side(self):
         ys = RangeColumn.from_values([rv(0, 1), rv(2, 3)])

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +121,17 @@ class TestRangeColumn:
             RangeColumn([0.0], [1.0, 2.0], [True], [True], [False], [False])
 
     @pytest.mark.parametrize("field", _COLUMN_FIELDS)
+    @pytest.mark.parametrize("value", [1.0, np.float64(1.0), True, [[1.0]]],
+                             ids=["float", "numpy-float", "bool", "nested-list"])
+    def test_fields_are_one_dimensional(self, field, value):
+        columns = dict(zip(_COLUMN_FIELDS, ([1.0], [2.0], [True], [True], [False], [False])))
+        columns[field] = value
+        shape = np.shape(value)
+        message = f"range column {field}: expected a one-dimensional column, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RangeColumn(**columns)
+
+    @pytest.mark.parametrize("field", _COLUMN_FIELDS)
     @pytest.mark.parametrize("value", [
         ["1"], [b"1"], ["no"], "1", b"1", np.array(["1"]), np.array([b"1"]),
         np.array(["1"], dtype=object),
@@ -129,17 +141,28 @@ class TestRangeColumn:
         # float() would read a bound's digits, bool() a flag's length
         columns = dict(zip(_COLUMN_FIELDS, ([1.0], [2.0], [True], [True], [False], [False])))
         columns[field] = value
-        with pytest.raises(TypeError, match=f"^range column {field} holds strings$"):
+        message = f"range column {field}: expected real values, got a string column"
+        with pytest.raises(TypeError, match=f"^{message}$"):
             RangeColumn(**columns)
 
     @pytest.mark.parametrize("field", _COLUMN_FIELDS)
-    @pytest.mark.parametrize("value", [[1 + 0j], np.array([1 + 2j])],
-                             ids=["complex-list", "complex-array"])
+    @pytest.mark.parametrize("value", [
+        [1 + 0j], np.array([1 + 2j]), np.array([1j], dtype=object), [None, np.complex64(1)],
+    ], ids=["complex-list", "complex-array", "object-array", "object-list"])
     def test_complex_rejected(self, field, value):
-        # a cast would drop the imaginary part with only a ComplexWarning
+        # a cast would drop the imaginary part with only a ComplexWarning,
+        # and bool() would read a complex element's truth
         columns = dict(zip(_COLUMN_FIELDS, ([1.0], [2.0], [True], [True], [False], [False])))
         columns[field] = value
-        with pytest.raises(TypeError, match=f"^range column {field} holds complex values$"):
+        message = f"range column {field}: expected real values, got a complex column"
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            RangeColumn(**columns)
+
+    @pytest.mark.parametrize("field", ["lower", "upper"])
+    def test_bound_beyond_float_range_names_its_field(self, field):
+        columns = dict(zip(_COLUMN_FIELDS, ([1.0], [2.0], [True], [True], [False], [False])))
+        columns[field] = [10**400]
+        with pytest.raises(OverflowError, match=f"^range column {field}: "):
             RangeColumn(**columns)
 
     def test_numeric_flags_keep_numpy_truth(self):
@@ -256,7 +279,7 @@ class TestOperatorSemantics:
                              ids=["null", "empty", "positioned"])
     def test_unknown_operator_raises(self, x):
         # checked before the shortcut for null and empty operands
-        for op in ("bogus", "overlaps", ScalarOp.LT, None):
+        for op in ("bogus", "overlaps", ScalarOp.LT, None, [RangeOp.OVERLAPS], {}):
             with pytest.raises(ValueError, match="unsupported operator"):
                 range_op_holds(op, x, rv(3, 4))
 
@@ -410,7 +433,7 @@ class TestJoin:
     def test_unknown_operator_raises(self, rows):
         # checked before the shortcut for a side without positioned rows
         s = analyze_range_column(RangeColumn.from_values(rows), 10)
-        for op in ("bogus", "overlaps", ScalarOp.LT, None):
+        for op in ("bogus", "overlaps", ScalarOp.LT, None, [RangeOp.OVERLAPS], {}):
             with pytest.raises(ValueError, match="unsupported operator"):
                 range_join_selectivity(s, s, op)
 

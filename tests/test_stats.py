@@ -126,32 +126,42 @@ class TestAnalyze:
 
 
 def _scalar_entry(entry, tmp_path):
-    """The scalar-column entry point ``entry`` as a function of the column."""
+    """The scalar-column entry point or statistics array ``entry`` as a
+    function of the column."""
     return {
         "analyze_column": lambda values: analyze_column(values, 10),
         "exact_join": lambda values: exact_join(values, [1.0], ScalarOp.LT),
         "write_scalar_column": lambda values: write_scalar_column(tmp_path / "c.col", values),
         "build_mcv": lambda values: build_mcv(values, 10),
         "build_equi_depth": lambda values: build_equi_depth(values, 10),
+        "mcv_values": lambda values: MostCommonValues(values, [0.5]),
+        "mcv_fractions": lambda values: MostCommonValues([1.0], values),
+        "histogram_bounds": EquiDepthHistogram,
     }[entry]
 
 
 SCALAR_ENTRIES = ["analyze_column", "exact_join", "write_scalar_column", "build_mcv",
-                  "build_equi_depth"]
+                  "build_equi_depth", "mcv_values", "mcv_fractions", "histogram_bounds"]
 
 
-@pytest.mark.parametrize("shape", [(), (2, 2)], ids=["0-d", "2-d"])
+@pytest.mark.parametrize("values,shape", [
+    (np.full((), 3.0), ()), (np.full((2, 2), 3.0), (2, 2)),
+    # a bare scalar is a 0-d column, not a TypeError from iterating it
+    (3.0, ()), (np.float64(3.0), ()), (3, ()), (True, ()), (None, ()),
+], ids=["0-d", "2-d", "float", "numpy-float", "int", "bool", "none"])
 @pytest.mark.parametrize("entry", SCALAR_ENTRIES)
-def test_scalar_columns_are_one_dimensional(tmp_path, entry, shape):
+def test_scalar_columns_are_one_dimensional(tmp_path, entry, values, shape):
     message = f"expected a one-dimensional column, got shape {shape}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        _scalar_entry(entry, tmp_path)(np.full(shape, 3.0))
+        _scalar_entry(entry, tmp_path)(values)
+    assert not (tmp_path / "c.col").exists()
 
 
 @pytest.mark.parametrize("values,error,message", [
     ([[3.0, 1.0], [2.0, 2.0]], ValueError, "expected a one-dimensional column, got shape (2, 2)"),
     (np.array([1 + 2j, 3.0]), TypeError, "expected real values, got a complex column"),
     ([1 + 2j, 3.0], TypeError, "expected real values, got a complex column"),
+    ([None, 1 + 2j], TypeError, "expected real values, got a complex column"),
     # float() would read a string's digits, or iterating bytes its byte codes
     ("3141", TypeError, "expected real values, got a string column"),
     (b"12", TypeError, "expected real values, got a string column"),
@@ -159,8 +169,8 @@ def test_scalar_columns_are_one_dimensional(tmp_path, entry, shape):
     (np.array([b"1", b"2"]), TypeError, "expected real values, got a string column"),
     ([None, "1.5"], TypeError, "expected real values, got a string column"),
     ([None, b"1"], TypeError, "expected real values, got a string column"),
-], ids=["nested-list", "complex-array", "complex-list", "str-column", "bytes-column",
-        "str-array", "bytes-array", "str-element", "bytes-element"])
+], ids=["nested-list", "complex-array", "complex-list", "complex-element", "str-column",
+        "bytes-column", "str-array", "bytes-array", "str-element", "bytes-element"])
 @pytest.mark.parametrize("entry", SCALAR_ENTRIES)
 def test_scalar_columns_are_coerced_by_one_rule(tmp_path, entry, values, error, message):
     # a list is made an array first, so it meets the same checks an array does
