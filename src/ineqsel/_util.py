@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 import typing
 from collections.abc import Iterable
 from dataclasses import fields, is_dataclass
@@ -78,6 +79,32 @@ def sorted_finite(values) -> np.ndarray:
     if data.size and not (np.isfinite(data[0]) and np.isfinite(data[-1])):
         raise ValueError("values must be finite")
     return data
+
+
+def as_real(value, name: str) -> float:
+    """The one input rule for a number: ``value``, a real number (a numpy
+    number or a Fraction too) but not a bool, as the float nearest it.
+
+    Anything else is a TypeError, and a value beyond float range a
+    ValueError; both name ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is beyond float range") from None
+
+
+def store_fraction(obj, name: str) -> None:
+    """Field ``name`` of the frozen ``obj`` read as a share: as_real's float,
+    stored back in place of the value given, and at least 0 and at most 1,
+    so that the document ``obj`` saves loads back with the same bytes."""
+    value = as_real(getattr(obj, name), name)
+    # written so that NaN fails too
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} out of range")
+    object.__setattr__(obj, name, value)
 
 
 def clamp01(x: float) -> float:

@@ -46,11 +46,9 @@ and GE is the complement of LT.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
-from ._util import clamp01
+from ._util import as_real, clamp01
 from .histogram import EquiDepthHistogram, cdf
 from .mcv import MostCommonValues, mcv_restriction_selectivity
 from .operators import ScalarOp
@@ -65,12 +63,7 @@ def restriction_selectivity(s: AttributeStats, c: float, op: ScalarOp) -> float:
     real number (a numpy number or a Fraction too), not a bool, and is read
     as a float: neither NaN nor infinite, and within float range.
     """
-    if isinstance(c, bool) or not isinstance(c, numbers.Real):
-        raise TypeError(f"restriction constant must be a real number, got {c!r}")
-    try:
-        c = float(c)
-    except OverflowError:
-        raise ValueError("restriction constant is beyond float range") from None
+    c = as_real(c, "restriction constant")
     if np.isnan(c):
         raise ValueError("restriction constant is NaN")
     if np.isinf(c):

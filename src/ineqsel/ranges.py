@@ -60,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import ArrayFields, as_column, clamp01, from_doc, parse_json, to_doc
+from ._util import ArrayFields, as_column, clamp01, from_doc, parse_json, store_fraction, to_doc
 from .estimator import join_selectivity
 from .operators import RangeOp, ScalarOp
 from .stats import AttributeStats, analyze_column, sample_rows
@@ -270,8 +270,9 @@ class RangeStats:
 
     lower_stats and upper_stats summarize the finite bounds of the
     non-empty rows, so they hold no nulls; empty_frac is relative to
-    non-null rows, the infinite fractions to non-empty rows.  The
-    constructor rejects fractions outside [0, 1], bound statistics with a
+    non-null rows, the infinite fractions to non-empty rows.  A fraction is
+    any real number but a bool, stored as a float.  The constructor
+    rejects fractions outside [0, 1], bound statistics with a
     null fraction other than 0, and a bound's statistics missing unless
     every row is null or empty or every value of that bound is infinite.
     The fields are declared in the order a statistics document lists them.
@@ -286,9 +287,7 @@ class RangeStats:
 
     def __post_init__(self):
         for fld in ("null_frac", "empty_frac", "lower_inf_frac", "upper_inf_frac"):
-            # written so that NaN fails too
-            if not 0.0 <= getattr(self, fld) <= 1.0:
-                raise ValueError(f"{fld} out of range")
+            store_fraction(self, fld)
         for bound in ("lower", "upper"):
             # some rows have a finite value at this bound unless a share is 1
             shares = (self.null_frac, self.empty_frac, getattr(self, f"{bound}_inf_frac"))

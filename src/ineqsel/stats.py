@@ -12,7 +12,10 @@ nothing.
 ANALYZE draws its rows by one rule, sample_rows, for scalar and range
 columns alike, as ``acquire_sample_rows`` in PostgreSQL's
 ``src/backend/commands/analyze.c`` does; a range column's sampled rows then
-have their finite bounds analyzed in full.  ANALYZE sorts the non-null
+have their finite bounds analyzed in full.  As there, a table's rows are
+drawn once: the last draw is kept, read-only, for its ``(n, cap, seed)``,
+so the columns of one table, which share the length, the cap and the seed,
+share one draw and analyze the same rows.  ANALYZE sorts the non-null
 sample once, as ``compute_scalar_stats`` does there, and builds the MCV
 list and the histogram from that one sorted array: the histogram
 boundaries are read from it by rank, past the MCV runs.  Every zero in the
@@ -22,13 +25,14 @@ whatever signs the column's zeros had.
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_column, from_doc, parse_json, to_doc
+from ._util import as_column, from_doc, parse_json, store_fraction, to_doc
 from .histogram import EquiDepthHistogram
 from .mcv import EMPTY_MCV, MostCommonValues, _mcv_of_runs, _runs
 
@@ -44,7 +48,8 @@ class AttributeStats:
     MCV fractions are relative to the non-null rows; the null fraction
     applies multiplicatively on top.  The histogram covers the non-null
     rows that are not in the MCV list, so without a histogram the MCV list
-    covers them all, unless every row is null.  The row count is an int of
+    covers them all, unless every row is null.  The null fraction is any
+    real number but a bool, stored as a float; the row count is an int of
     at least 0 and the statistics target an int of at least 1.  The
     constructor rejects statistics that break these rules, so an estimate
     never has to check.
@@ -57,9 +62,7 @@ class AttributeStats:
     statistics_target: int
 
     def __post_init__(self):
-        # written so that NaN fails too
-        if not 0.0 <= self.null_frac <= 1.0:
-            raise ValueError("null_frac out of range")
+        store_fraction(self, "null_frac")
         for fld in ("row_count", "statistics_target"):
             # neither a bool nor a numpy integer, which a document cannot hold
             if type(getattr(self, fld)) is not int:
@@ -93,6 +96,12 @@ def sample_rows(n: int, statistics_target: int, seed: int = 0, cap: int | None =
     The target, the cap and the seed are Python or numpy integers, never a
     bool, and the seed is at least 0; all are checked before a row is drawn,
     even when none is, so the same arguments always draw the same rows.
+
+    A draw is made once per ``(n, cap, seed)``: the last one is kept and
+    returned again, read-only, to the next call with the same three, so the
+    columns of one table are analyzed from one draw.  It holds 8 bytes per
+    sampled row: 240 KB at the default target of 100, and at most 24 MB at
+    target 10000 on a column of more than 3M rows.
     """
     _require_integer(statistics_target, "statistics_target")
     if cap is not None:
@@ -110,7 +119,15 @@ def sample_rows(n: int, statistics_target: int, seed: int = 0, cap: int | None =
         raise ValueError("sample seed must be at least 0")
     if cap >= n:
         return slice(None)
-    return np.random.default_rng(seed).choice(n, size=cap, replace=False)
+    # Python ints as the key, so a numpy integer argument finds the same draw
+    return _draw(int(n), int(cap), int(seed))
+
+
+@functools.lru_cache(maxsize=1)
+def _draw(n: int, cap: int, seed: int) -> np.ndarray:
+    rows = np.random.default_rng(seed).choice(n, size=cap, replace=False)
+    rows.flags.writeable = False
+    return rows
 
 
 def analyze_column(

@@ -6,6 +6,7 @@ import math
 import pkgutil
 import re
 import typing
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ineqsel import (
     MostCommonValues,
     RangeColumn,
     RangeOp,
+    RangeStats,
     ScalarOp,
     analyze_column,
     analyze_range_column,
@@ -227,6 +229,30 @@ class TestSampleRows:
                 n, size=cap or SAMPLE_ROWS_PER_TARGET * target, replace=False)
             got = sample_rows(n, target, seed, cap)
             assert np.array_equal(got, want)
+
+    def test_repeated_draw_is_kept_read_only(self):
+        rows = sample_rows(1000, 1, 5)
+        assert sample_rows(1000, 1, 5) is rows
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = 0
+
+    def test_interleaved_draws_are_fresh(self):
+        # keys A, B, A: every draw equals a fresh one, whether its arguments
+        # are Python or numpy integers
+        a = (1000, 2, 7, None)
+        b = (np.int64(900), np.int32(1), np.uint8(3), np.int16(250))
+        a_numpy = (np.int64(1000), np.int16(2), np.int64(7), np.int32(600))
+        for n, target, seed, cap in (a, b, a_numpy):
+            want = np.random.default_rng(int(seed)).choice(
+                int(n), size=int(cap or SAMPLE_ROWS_PER_TARGET * target), replace=False)
+            rows = sample_rows(n, target, seed, cap)
+            assert np.array_equal(rows, want)
+        assert sample_rows(*a) is rows
+
+    def test_covering_cap_keeps_the_draw(self):
+        rows = sample_rows(1000, 1, 3, 100)
+        assert sample_rows(50, 1, 3, 100) == slice(None)
+        assert sample_rows(1000, 1, 3, 100) is rows
 
     @pytest.mark.parametrize("args,message", [
         ((10, 0), "statistics target must be at least 1"),
@@ -533,6 +559,18 @@ class TestOneSortAnalyze:
                     assert range_join_selectivity(ry, rx, op) == range_join_selectivity(ry, rx0, op)
 
 
+# sha256 of the range documents of 200k-row generated columns, which every
+# target samples: caps 3000 and 30000
+RANGE_SAMPLED_DIGESTS = [
+    (1, 10, 0, "5101a9a2106e47ea150f43f076962fbc9b992cc013a2573835c3a2afe08a0673"),
+    (1, 100, 0, "12f99c13b29c7f109b30f3873ece362026edf54b589bbcd4ff0fc9398f436dc1"),
+    (2, 10, 0, "76432d2c8817fca22ed01eb3e834f2824cde0a01fea338a373f207605d4330dc"),
+    (2, 100, 0, "e9a6011bdc09ee8fe0922bbd22abe1adc0c428851fcec6ff9962974f899f4d4e"),
+    (1, 10, 7, "cf9aa8636c9d1aff603025d3e2544ab00dedc6441285a4e427069cc84974da87"),
+    (2, 100, 7, "8a4adf80221de82b81fb3f4039ca219a8ac9f2252b2f68bd93ade06560cb750a"),
+]
+
+
 class TestPinnedStatistics:
     """sha256 of the statistics documents the benchmark workloads write, with
     default sampling: ANALYZE must keep writing these bytes."""
@@ -561,15 +599,7 @@ class TestPinnedStatistics:
         doc = save_range_stats(analyze_range_column(generate_range_column(20_000, seed), target))
         assert hashlib.sha256(doc).hexdigest() == digest
 
-    # 200k-row columns, which every target samples: caps 3000 and 30000
-    @pytest.mark.parametrize("seed,target,sample_seed,digest", [
-        (1, 10, 0, "5101a9a2106e47ea150f43f076962fbc9b992cc013a2573835c3a2afe08a0673"),
-        (1, 100, 0, "12f99c13b29c7f109b30f3873ece362026edf54b589bbcd4ff0fc9398f436dc1"),
-        (2, 10, 0, "76432d2c8817fca22ed01eb3e834f2824cde0a01fea338a373f207605d4330dc"),
-        (2, 100, 0, "e9a6011bdc09ee8fe0922bbd22abe1adc0c428851fcec6ff9962974f899f4d4e"),
-        (1, 10, 7, "cf9aa8636c9d1aff603025d3e2544ab00dedc6441285a4e427069cc84974da87"),
-        (2, 100, 7, "8a4adf80221de82b81fb3f4039ca219a8ac9f2252b2f68bd93ade06560cb750a"),
-    ])
+    @pytest.mark.parametrize("seed,target,sample_seed,digest", RANGE_SAMPLED_DIGESTS)
     def test_range_sampled(self, seed, target, sample_seed, digest):
         column = generate_range_column(200_000, seed)
         doc = save_range_stats(analyze_range_column(column, target, sample_seed))
@@ -599,6 +629,34 @@ class TestPinnedStatistics:
     ], ids=["all-null", "mcv-only", "signed-zero", "range-null-empty", "range-upper-infinite"])
     def test_null_parts(self, make, text):
         assert make() == text.encode("utf-8")
+
+
+class TestOneTableOneDraw:
+    """Columns of one length, target, cap and seed are analyzed from one
+    draw, as the columns of a PostgreSQL table are from one row sample:
+    analyzed in either order, with a draw of another length between, each
+    writes the bytes of its own draw."""
+
+    @pytest.mark.parametrize("target,sample_seed", [(10, 0), (100, 0), (100, 7)])
+    def test_scalar(self, target, sample_seed):
+        cols = [generate_scalar_column("uniform-int", 200_000, 1),
+                generate_scalar_column("skewed-int", 200_000, 2)]
+        want = [save_stats(multipass_analyze_column(c, target, sample_seed)) for c in cols]
+        for order in ((0, 1), (1, 0)):
+            for k in order:
+                assert save_stats(analyze_column(cols[k], target, sample_seed)) == want[k], order
+            sample_rows(150_000, target, sample_seed)
+
+    @pytest.mark.parametrize("target,sample_seed", [(10, 0), (100, 0)])
+    def test_range(self, target, sample_seed):
+        digests = {seed: digest for seed, t, s, digest in RANGE_SAMPLED_DIGESTS
+                   if (t, s) == (target, sample_seed)}
+        cols = {seed: generate_range_column(200_000, seed) for seed in digests}
+        for order in (sorted(cols), sorted(cols, reverse=True)):
+            for seed in order:
+                doc = save_range_stats(analyze_range_column(cols[seed], target, sample_seed))
+                assert hashlib.sha256(doc).hexdigest() == digests[seed], order
+            sample_rows(150_000, target, sample_seed)
 
 
 class TestRoundTrip:
@@ -754,3 +812,44 @@ class TestInvariants:
             assert 0.0 <= join_selectivity(s, s, op) <= 1.0
         with pytest.raises(ValueError, match="no histogram"):
             AttributeStats(0.25, MostCommonValues([1.0, 2.0], [0.5, 0.5 - 2e-9]), None, 10, 3)
+
+
+class TestFractionsAreFloats:
+    """A statistics object stores each fraction it is given as a float, so
+    that every document it saves loads back and saves the same bytes; a
+    bool or a value that is not a real number is refused by name."""
+
+    BOUND = AttributeStats(0.0, EMPTY_MCV, EquiDepthHistogram([0.0, 1.0]), 10, 3)
+    FIELDS = [("scalar", "null_frac"),
+              *(("range", f) for f in ("null_frac", "empty_frac", "lower_inf_frac",
+                                       "upper_inf_frac"))]
+
+    def make(self, kind, fld, value):
+        if kind == "scalar":
+            s = AttributeStats(value, EMPTY_MCV, self.BOUND.histogram, 10, 3)
+            return s, save_stats, load_stats
+        fractions = {f: 0.1 for _, f in self.FIELDS}
+        s = RangeStats(**{**fractions, fld: value}, lower_stats=self.BOUND, upper_stats=self.BOUND)
+        return s, save_range_stats, load_range_stats
+
+    @pytest.mark.parametrize("value", [0, 1, 0.75, np.float64(0.5), np.float32(0.25), np.int64(0),
+                                       Fraction(1, 4), Fraction(1, 3)],
+                             ids=["int-0", "int-1", "float", "float64", "float32", "int64",
+                                  "fraction", "fraction-third"])
+    @pytest.mark.parametrize("kind,fld", FIELDS)
+    def test_real_value_round_trips(self, kind, fld, value):
+        s, save, load = self.make(kind, fld, value)
+        assert type(getattr(s, fld)) is float and getattr(s, fld) == float(value)
+        doc = save(s)
+        assert save(load(doc)) == doc
+
+    @pytest.mark.parametrize("value,error", [
+        (True, TypeError), (np.True_, TypeError), ("0.25", TypeError), (None, TypeError),
+        (0.25j, TypeError), (10**400, ValueError),
+    ], ids=["bool", "numpy-bool", "str", "None", "complex", "big-int"])
+    @pytest.mark.parametrize("kind,fld", FIELDS)
+    def test_other_value_refused(self, kind, fld, value, error):
+        message = (f"{fld} must be a real number, got {value!r}" if error is TypeError
+                   else f"{fld} is beyond float range")
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            self.make(kind, fld, value)
