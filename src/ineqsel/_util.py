@@ -3,6 +3,7 @@ rule of the array-holding types, and the statistics document format."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import numbers
@@ -117,6 +118,16 @@ def clamp01(x: float) -> float:
 # order, as JSON: to_doc writes them and from_doc reads them back.  A
 # nested statistics object is a nested document, an array a list, and
 # numbers keep full (round-trip) precision.
+
+
+@contextlib.contextmanager
+def naming(path):
+    """Raise a ValueError raised inside again with ``path: `` before its
+    message, so an error about a file's data names the file."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def to_doc(obj):

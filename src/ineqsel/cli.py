@@ -14,7 +14,7 @@ from collections.abc import Callable
 from dataclasses import fields
 
 from . import harness
-from ._util import from_doc, parse_json
+from ._util import from_doc, naming, parse_json
 from .columnfile import looks_like_range_file
 from .operators import RangeOp, ScalarOp
 
@@ -113,7 +113,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_analyze(args) -> int:
     kind = harness.RANGE if looks_like_range_file(args.infile) else harness.SCALAR
-    doc = kind.save(kind.analyze(kind.read(args.infile), args.target, args.seed))
+    column = kind.read(args.infile)
+    with naming(args.infile):
+        doc = kind.save(kind.analyze(column, args.target, args.seed))
     with open(args.out, "wb") as fh:
         fh.write(doc)
     return 0
@@ -130,13 +132,11 @@ def _load_any_stats(path: str):
     scalar statistics otherwise."""
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
+    with naming(path):
         doc = parse_json(data)
         ranged = isinstance(doc, dict) and not _RANGE_ONLY.isdisjoint(doc)
         kind = harness.RANGE if ranged else harness.SCALAR
         return from_doc(kind.stats_type, doc)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_estimate(args) -> int:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._util import naming
 from .columnfile import (
     read_range_column, read_scalar_column, write_range_column, write_scalar_column,
 )
@@ -48,14 +49,27 @@ EMPTY_FRAC = 0.01
 INF_FRAC = 0.01
 
 
+def _rows_and_seed(rows, seed) -> tuple[int, int]:
+    """rows and seed as Python ints, checked by the library's integer rule
+    (a Python or numpy integer, never a bool): rows at least 1, seed at
+    least 0."""
+    _require_integer(rows, "rows")
+    _require_integer(seed, "seed")
+    if rows < 1:
+        raise ValueError("rows must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be at least 0")
+    return int(rows), int(seed)
+
+
 def generate_scalar_column(kind: str, rows: int, seed: int) -> np.ndarray:
-    """Deterministic scalar column for the given kind and seed."""
+    """Deterministic scalar column for the given kind and seed.  The running
+    examples are fixed columns and read neither rows nor seed."""
     if kind == "running-example-r1":
         return np.array(RUNNING_EXAMPLE_R1, dtype=np.float64)
     if kind == "running-example-r2":
         return np.array(RUNNING_EXAMPLE_R2, dtype=np.float64)
-    if rows < 1:
-        raise ValueError("rows must be at least 1")
+    rows, seed = _rows_and_seed(rows, seed)
     rng = np.random.default_rng(seed)
     if kind == "uniform-int":
         return rng.integers(0, DOMAIN_MAX + 1, size=rows).astype(np.float64)
@@ -83,8 +97,7 @@ def generate_range_column(rows: int, seed: int) -> RangeColumn:
     for which.  The stream is drawn as one block and each row's offset in
     it found by walking the draw counts.
     """
-    if rows < 1:
-        raise ValueError("rows must be at least 1")
+    rows, seed = _rows_and_seed(rows, seed)
     d = np.random.default_rng(seed).random(8 * rows)
     # the number of doubles a row takes if it starts at each offset
     blank = d[:-7] < NULL_FRAC + EMPTY_FRAC
@@ -187,12 +200,15 @@ def run_sweep(file_x, file_y, op: ScalarOp | RangeOp, targets) -> list[Experimen
 
     Statistics are built from the full columns (no sampling, so no sample
     seed) so the error column isolates estimator error from sampling noise.
-    Each target is an integer, checked as ANALYZE checks it, and a repeated
-    target runs once.
+    Each target is an integer of at least 1, checked as ANALYZE checks it
+    before any column is analyzed, and a repeated target runs once.  An
+    error ANALYZE raises on a column's data names the column's file.
     """
     targets = list(targets)
     for t in targets:
         _require_integer(t, "statistics_target")
+        if t < 1:
+            raise ValueError("statistics target must be at least 1")
     targets = sorted(set(map(int, targets)))
     if not targets:
         raise ValueError("no statistics targets given")
@@ -201,10 +217,14 @@ def run_sweep(file_x, file_y, op: ScalarOp | RangeOp, targets) -> list[Experimen
     xs, ys = kind.read(file_x), kind.read(file_y)
     exact = kind.oracle(xs, ys, op)
 
+    def analyze(path, column, target):
+        with naming(path):
+            return kind.analyze(column, target, 0, len(column))
+
     rows = []
     for target in targets:
-        (sx, sy), build_us = _timed(lambda: (kind.analyze(xs, target, 0, len(xs)),
-                                             kind.analyze(ys, target, 0, len(ys))))
+        (sx, sy), build_us = _timed(lambda: (analyze(file_x, xs, target),
+                                             analyze(file_y, ys, target)))
         est, est_us = _timed(lambda: kind.estimate(sx, sy, op), _ESTIMATE_REPEATS)
         rows.append(
             ExperimentRow(

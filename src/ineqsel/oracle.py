@@ -13,10 +13,25 @@ range pair's five operators are counted together, and the counts of the
 last pair are kept for its next operator.  A restriction ``value <op> c``
 is the join ``exact_join(values, [c], op)``.  Null rows (and empty ranges)
 never qualify but still count toward the totals.
+
+Each call counts on two CPUs.  Its independent halves (the two sides' sorts,
+the two halves of the search, two merges beside the other two) run one on
+a helper thread and one on the calling thread.  They spend their time in
+``np.sort``, ``np.argsort``, ``np.searchsorted`` and numpy's element-wise
+passes, which release the GIL, so the halves overlap.  A split that leaves
+a half nothing to do runs inline: a side of one value needs no sort, and
+a search into or of one value no split, so a restriction starts no
+thread.  Both halves
+also run inline when no thread can start (at interpreter shutdown, or at
+the process's thread limit).  The helper is joined before the call
+returns, even when either half raises, so no thread outlives a call and
+``fork`` and interpreter exit behave as they would without it; an
+exception raised on the helper is raised again in the caller.
 """
 
 from __future__ import annotations
 
+import threading
 import weakref
 from dataclasses import dataclass
 
@@ -41,6 +56,40 @@ class ExactCount:
     @property
     def selectivity(self) -> float:
         return self.qualifying / self.total
+
+
+def _beside(helper, caller, split: bool = True):
+    """(helper(), caller()), helper run on a new thread while caller runs
+    on this one.
+
+    Both run here when ``split`` is false (a half has nothing to do) or
+    when no thread can start.  The thread is joined before this returns,
+    whichever raised, and an exception raised by helper is raised again
+    here.
+    """
+    if not split:
+        return helper(), caller()
+    outcome = {}
+
+    def run():
+        try:
+            outcome["result"] = helper()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, name="ineqsel-oracle")
+    try:
+        thread.start()
+    except RuntimeError:
+        # at interpreter shutdown, or at the process's thread limit
+        return helper(), caller()
+    try:
+        mine = caller()
+    finally:
+        thread.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"], mine
 
 
 def _count_le(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> int:
@@ -68,6 +117,11 @@ def _oriented(op: ScalarOp, x, y):
     return (y, x) if op in (ScalarOp.GT, ScalarOp.GE) else (x, y)
 
 
+def _sorted_values(v: np.ndarray) -> np.ndarray:
+    """The non-null values of v, sorted."""
+    return np.sort(v[~np.isnan(v)])
+
+
 def exact_join(xs, ys, op: ScalarOp) -> ExactCount:
     """Count pairs (x, y) of non-null values with ``x <op> y``.
 
@@ -77,6 +131,15 @@ def exact_join(xs, ys, op: ScalarOp) -> ExactCount:
     pairs in O(N log N + M log M) rather than with a pairwise loop.  With
     one run of keys a side, the search is faster than ``_count_le``'s merge
     and needs no temporaries the size of both sides.
+
+    The two sides' null drop and sort run side by side, one on a helper
+    thread, and so do the searches of b's two halves, split at its
+    midpoint, whose sums are added.  ``np.isnan``, the gather, ``np.sort``
+    and ``np.searchsorted`` release the GIL, so the halves overlap on two
+    CPUs.  A side of one value needs no sort, and a search into or of one
+    value no split, so those run inline and a restriction starts no
+    thread.  The
+    helper is joined before the call returns, so no thread outlives it.
     """
     x = as_column(xs)
     y = as_column(ys)
@@ -84,10 +147,14 @@ def exact_join(xs, ys, op: ScalarOp) -> ExactCount:
         raise ValueError("no data")
     if not isinstance(op, ScalarOp):
         raise ValueError(f"unsupported operator {op}")
-    a, b = _oriented(op, *(np.sort(v[~np.isnan(v)]) for v in (x, y)))
+    a, b = _oriented(op, *_beside(lambda: _sorted_values(x), lambda: _sorted_values(y),
+                                  split=min(x.size, y.size) > 1))
     side = "right" if op in (ScalarOp.LE, ScalarOp.GE) else "left"
-    count = int(np.searchsorted(a, b, side=side).sum())
-    return ExactCount(count, int(x.size) * int(y.size))
+    mid = b.size // 2
+    counts = _beside(lambda: np.searchsorted(a, b[:mid], side=side).sum(),
+                     lambda: np.searchsorted(a, b[mid:], side=side).sum(),
+                     split=min(a.size, b.size) > 1)
+    return ExactCount(sum(map(int, counts)), int(x.size) * int(y.size))
 
 
 # ---------------------------------------------------------------------------
@@ -106,21 +173,33 @@ def _keys(column: RangeColumn, bound: str) -> tuple[np.ndarray, np.ndarray]:
     values = getattr(column, bound)[positioned]
     closed = getattr(column, f"{bound}_closed")[positioned]
     late = closed if bound == "upper" else ~closed
-    return np.sort(values[~late]), np.sort(values[late])
+    return np.sort(values.compress(~late)), np.sort(values.compress(late))
+
+
+def _bound_keys(column: RangeColumn) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    return {bound: _keys(column, bound) for bound in ("lower", "upper")}
 
 
 def _range_counts(xs: RangeColumn, ys: RangeColumn) -> dict[RangeOp, int]:
     """The count of every range operator for the pair (xs, ys).
 
-    Each side's bound keys are built once, and each bound inequality is one
-    ``_count_le``.  Each positioned pair is strictly left, strictly right or
-    overlapping, so overlaps is the rest of the positioned pairs.
+    Each side's bound keys are built once, x's beside y's, and each bound
+    inequality is one ``_count_le``, two of them beside the other two; both
+    run inline when a side holds one row.  Each positioned pair is strictly
+    left, strictly right or overlapping, so overlaps is the rest of the
+    positioned pairs.
     """
-    x_keys = {bound: _keys(xs, bound) for bound in ("lower", "upper")}
-    y_keys = {bound: _keys(ys, bound) for bound in ("lower", "upper")}
-    counts = {}
-    for op, (x_bound, scalar_op, y_bound) in BOUND_INEQUALITY.items():
-        counts[op] = _count_le(*_oriented(scalar_op, x_keys[x_bound], y_keys[y_bound]))
+    split = min(len(xs), len(ys)) > 1
+    x_keys, y_keys = _beside(lambda: _bound_keys(xs), lambda: _bound_keys(ys), split=split)
+
+    def count(inequalities):
+        return {op: _count_le(*_oriented(scalar_op, x_keys[x_bound], y_keys[y_bound]))
+                for op, (x_bound, scalar_op, y_bound) in inequalities}
+
+    inequalities = list(BOUND_INEQUALITY.items())
+    first, second = _beside(lambda: count(inequalities[:2]), lambda: count(inequalities[2:]),
+                            split=split)
+    counts = first | second
     nx, ny = (sum(k.size for k in keys["lower"]) for keys in (x_keys, y_keys))
     strict = counts[RangeOp.STRICTLY_LEFT] + counts[RangeOp.STRICTLY_RIGHT]
     counts[RangeOp.OVERLAPS] = nx * ny - strict

@@ -148,6 +148,25 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_range_column(0, 0)
 
+    @pytest.mark.parametrize("generate", [
+        lambda rows, seed: generate_range_column(rows, seed),
+        lambda rows, seed: generate_scalar_column("uniform-int", rows, seed),
+        lambda rows, seed: generate_scalar_column("skewed-int", rows, seed),
+    ], ids=["range", "uniform-int", "skewed-int"])
+    def test_integers_checked_by_the_library_rule(self, generate):
+        # a Python or numpy integer, never a bool, as every integer the library takes
+        for rows, seed in ((True, 0), (3, True), (2.5, 0), (3, 1.0), (np.float64(3), 0),
+                           (np.True_, 0), ("3", 0), (3, None)):
+            with pytest.raises(TypeError, match=r"^(rows|seed) must be an integer, got "):
+                generate(rows, seed)
+        with pytest.raises(ValueError, match="^rows must be at least 1$"):
+            generate(np.int64(0), 0)
+        with pytest.raises(ValueError, match="^seed must be at least 0$"):
+            generate(3, -1)
+        want = generate(5, 7)
+        for rows, seed in ((np.int64(5), np.int32(7)), (np.uint8(5), np.uint64(7))):
+            assert np.array_equal(generate(rows, seed), want, equal_nan=True)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown"):
             generate_scalar_column("zipf", 10, 0)
@@ -310,6 +329,13 @@ class TestSweep:
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             run_sweep(fx, fy, ScalarOp.LT, [3, target])
 
+    @pytest.mark.parametrize("target", [0, -3, np.int64(0)], ids=["zero", "negative", "numpy"])
+    def test_targets_are_at_least_one(self, tmp_path, target):
+        # refused before any column is analyzed, so the error names no file
+        fx, fy = self.write_examples(tmp_path)
+        with pytest.raises(ValueError, match="^statistics target must be at least 1$"):
+            run_sweep(fx, fy, ScalarOp.LT, [3, target])
+
     def test_numpy_integer_targets_accepted(self, tmp_path):
         fx, fy = self.write_examples(tmp_path)
         rows = run_sweep(fx, fy, ScalarOp.LT, (t for t in [np.int64(5), 3, np.int32(3)]))
@@ -443,6 +469,25 @@ class TestCli:
         assert main(["analyze", "--in", str(bad), "--target", "3",
                      "--out", str(tmp_path / "s.json")]) == 1
         assert "bad.col:2" in capsys.readouterr().err
+
+    def test_analyze_error_names_file(self, tmp_path, capsys):
+        # the reader and the oracle take 1e400 as inf; ANALYZE refuses it
+        inf = tmp_path / "inf.col"
+        inf.write_text("1\n1e400\n")
+        assert main(["analyze", "--in", str(inf), "--target", "3",
+                     "--out", str(tmp_path / "s.json")]) == 1
+        assert capsys.readouterr().err == f"error: {inf}: values must be finite\n"
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("bad_side", ["x", "y"])
+    def test_sweep_error_names_file(self, tmp_path, capsys, bad_side):
+        inf = tmp_path / "inf.col"
+        inf.write_text("1\n1e400\n")
+        good = self.gen(tmp_path, "running-example-r1", "good.col")
+        fx, fy = (inf, good) if bad_side == "x" else (good, inf)
+        assert main(["sweep", "--in-x", str(fx), "--in-y", str(fy), "--op", "lt",
+                     "--targets", "3:3:1", "--out", str(tmp_path / "r.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {inf}: values must be finite\n"
 
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["oracle", "--in-x", str(tmp_path / "nope"),

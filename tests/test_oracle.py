@@ -3,6 +3,7 @@ import math
 import pickle
 import sys
 import threading
+import types
 import weakref
 
 import numpy as np
@@ -17,6 +18,7 @@ from ineqsel import (
     exact_range_join,
     range_op_holds,
 )
+from ineqsel import harness, oracle
 from ineqsel._util import as_column
 from ineqsel.oracle import _count_le
 from ineqsel.ranges import EMPTY_RANGE, RangeColumn
@@ -481,3 +483,164 @@ class TestRangeJoinPairCounts:
             assert not getattr(copy, name).flags.writeable, name
         for op in RangeOp:
             assert exact_range_join(copy, copy, op) == exact_range_join(xs, xs, op)
+
+
+# ---------------------------------------------------------------------------
+# The two-thread rule: each oracle call runs its independent halves on one
+# helper thread beside the caller, or inline when a half has nothing to do
+# or no thread can start.
+
+
+def tie_heavy_scalars(rng, n):
+    """Nulls, both infinities and both zeros among few values."""
+    return rng.choice(np.array([NAN, -math.inf, -0.0, 0.0, 1.0, 1.0, 2.0, math.inf]), size=n)
+
+
+def scalar_pairs():
+    rng = np.random.default_rng(31)
+    pairs = [(harness.generate_scalar_column("uniform-int", rows, 1),
+              harness.generate_scalar_column("skewed-int", rows, 2)) for rows in (20_000, 200_000)]
+    pairs.append((tie_heavy_scalars(rng, 5000), tie_heavy_scalars(rng, 3001)))
+    pairs.append((tie_heavy_scalars(rng, 7), np.full(4, NAN)))
+    pairs.append((tie_heavy_scalars(rng, 1), tie_heavy_scalars(rng, 1)))
+    pairs.append((tie_heavy_scalars(rng, 5000), np.array([1.0])))
+    return pairs
+
+
+def range_pairs():
+    rng = np.random.default_rng(32)
+    pairs = [(harness.generate_range_column(rows, 1), harness.generate_range_column(rows, 2))
+             for rows in (20_000, 200_000)]
+    tied = [RangeColumn.from_values([tie_heavy_range(rng) for _ in range(n)]) for n in (3000, 2001)]
+    pairs.append(tuple(tied))
+    pairs.append((tied[0], RangeColumn.from_values([None, None])))
+    pairs.append((RangeColumn.from_values([EMPTY_RANGE, None]), tied[1]))
+    pairs.append((RangeColumn.from_values([rv(1, 2)]), tied[1]))
+    return pairs
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """The threads started from here on, counted; with ``refuse`` set,
+    ``Thread.start`` raises as it does at interpreter shutdown."""
+    log = types.SimpleNamespace(count=0, refuse=False)
+    start = threading.Thread.start
+
+    def counted(self):
+        if log.refuse:
+            raise RuntimeError("can't create new thread at interpreter shutdown")
+        log.count += 1
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return log
+
+
+def inline(starts, call):
+    """call() with every thread start refused, so both halves run here."""
+    starts.refuse = True
+    try:
+        return call()
+    finally:
+        starts.refuse = False
+
+
+class TestTwoThreads:
+    def test_scalar_counts_equal_the_inline_run(self, starts):
+        for xs, ys in scalar_pairs():
+            for x, y in ((xs, ys), (ys, xs)):
+                for op in ScalarOp:
+                    want = inline(starts, lambda: exact_join(x, y, op))
+                    assert starts.count == 0
+                    assert exact_join(x, y, op) == want, (op, x.size, y.size)
+                    # the sorts split when each side holds more than one
+                    # row, the search when each holds more than one value
+                    values = min(np.count_nonzero(~np.isnan(v)) for v in (x, y))
+                    assert starts.count == int(min(x.size, y.size) > 1) + int(values > 1)
+                    starts.count = 0
+
+    def test_range_counts_equal_the_inline_run(self, starts):
+        for xs, ys in range_pairs():
+            want = inline(starts, lambda: oracle._range_counts(xs, ys))
+            assert starts.count == 0
+            assert oracle._range_counts(xs, ys) == want, (len(xs), len(ys))
+            assert starts.count == (2 if min(len(xs), len(ys)) > 1 else 0)
+            assert {op: exact_range_join(xs, ys, op).qualifying for op in RangeOp} == want
+            assert set(want) == set(RangeOp)
+            starts.count = 0
+
+    def test_a_restriction_starts_no_thread(self, starts):
+        values = harness.generate_scalar_column("skewed-int", 5000, 3)
+        for op in ScalarOp:
+            for x, y in ((values, [30.0]), ([30.0], values), ([NAN], values)):
+                got = exact_join(x, y, op)
+                assert got == inline(starts, lambda: exact_join(x, y, op))
+        assert starts.count == 0
+
+    @pytest.mark.parametrize("refuse", [False, True], ids=["thread", "refused"])
+    def test_helper_error_reaches_the_caller(self, monkeypatch, starts, refuse):
+        starts.refuse = refuse
+        x, y = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        # fresh columns, so the last pair's counts are never read instead
+        rx = RangeColumn.from_values([rv(1, 2), rv(3, 5), None, EMPTY_RANGE])
+        ry = RangeColumn.from_values([rv(2, 3), rv(4, 6)])
+        sorted_values, bound_keys = oracle._sorted_values, oracle._bound_keys
+
+        def fail_on(side, real):
+            def wrapped(v):
+                if v is side:
+                    raise ZeroDivisionError(f"helper failed on {len(v)} rows")
+                return real(v)
+            return wrapped
+
+        before = threading.active_count()
+        # the helper takes x's half: x's sort, x's bound keys
+        monkeypatch.setattr(oracle, "_sorted_values", fail_on(x, sorted_values))
+        with pytest.raises(ZeroDivisionError, match="^helper failed on 2 rows$"):
+            exact_join(x, y, ScalarOp.LT)
+        assert threading.active_count() == before
+        monkeypatch.setattr(oracle, "_bound_keys", fail_on(rx, bound_keys))
+        with pytest.raises(ZeroDivisionError, match="^helper failed on 4 rows$"):
+            exact_range_join(rx, ry, RangeOp.OVERLAPS)
+        assert threading.active_count() == before
+        assert starts.count == (0 if refuse else 2)
+
+    @pytest.mark.parametrize("refuse", [False, True], ids=["thread", "refused"])
+    def test_caller_error_joins_the_helper(self, monkeypatch, starts, refuse):
+        starts.refuse = refuse
+        finished = []
+        sorted_values = oracle._sorted_values
+        x, y = np.arange(50_000.0), np.array([3.0, 4.0])
+
+        def wrapped(v):
+            if v is y:
+                raise KeyError("caller failed")
+            out = sorted_values(v)
+            finished.append(v.size)
+            return out
+
+        monkeypatch.setattr(oracle, "_sorted_values", wrapped)
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="caller failed"):
+            exact_join(x, y, ScalarOp.LT)
+        # the helper's half ran to its end before the error left the call
+        assert finished == [50_000]
+        assert threading.active_count() == before
+        assert starts.count == (0 if refuse else 1)
+
+    def test_no_thread_outlives_a_call(self, starts):
+        before = threading.active_count()
+        for xs, ys in scalar_pairs()[2:]:
+            for op in ScalarOp:
+                exact_join(xs, ys, op)
+                assert threading.active_count() == before
+        for xs, ys in range_pairs()[2:]:
+            for op in RangeOp:
+                exact_range_join(xs, ys, op)
+                assert threading.active_count() == before
+        with pytest.raises(ValueError, match="no data"):
+            exact_join([], [1.0], ScalarOp.LT)
+        with pytest.raises(ValueError, match="no data"):
+            exact_range_join(RangeColumn.from_values([]), XS_FIXTURE, RangeOp.OVERLAPS)
+        assert threading.active_count() == before
+        assert starts.count > 0
