@@ -118,28 +118,64 @@ def _oriented(op: ScalarOp, x, y):
 
 
 def _sorted_values(v: np.ndarray) -> np.ndarray:
-    """The non-null values of v, sorted."""
-    return np.sort(v[~np.isnan(v)])
+    """The non-null values of v, sorted: one sorted copy of v, its tail of
+    NaNs sliced off.  ``np.sort`` puts a NaN of every bit pattern (sign,
+    payload, signalling or quiet) after every number, and ``searchsorted``
+    finds the first of them by the same order."""
+    s = np.sort(v)
+    return s[:np.searchsorted(s, np.nan)]
+
+
+# Keys of b searched in a per window: few enough that a's stretch between a
+# window's first and last key stays in cache, many enough that the Python
+# loop over windows costs nothing beside the searches.
+_WINDOW = 4096
+
+
+def _search_sum(a: np.ndarray, keys: np.ndarray, side: str) -> int:
+    """``np.searchsorted(a, keys, side).sum()`` of sorted a and sorted keys.
+
+    The keys are searched ``_WINDOW`` at a time, each window in the stretch
+    ``a[start:end]`` between a's positions of its first and last key on the
+    same side.  That is exact: the positions grow with the key, so every
+    key of the window lands in [start, end], and the a values before start
+    and from end on compare with each of its keys as with the first and
+    last key; so each position is start plus the key's position in the
+    stretch.
+    """
+    total = 0
+    for first in range(0, keys.size, _WINDOW):
+        window = keys[first:first + _WINDOW]
+        start, end = np.searchsorted(a, window[[0, -1]], side=side)
+        total += int(np.searchsorted(a[start:end], window, side=side).sum())
+        total += int(start) * window.size
+    return total
 
 
 def exact_join(xs, ys, op: ScalarOp) -> ExactCount:
     """Count pairs (x, y) of non-null values with ``x <op> y``.
 
-    Drops the nulls, sorts both sides and orients them as (a, b).  a < b
+    Sorts both sides, drops their nulls and orients them as (a, b).  a < b
     is (a, 1) <= (b, 0) and a <= b is (a, 0) <= (b, 0), so one
     ``searchsorted`` of b into a, on its left or right side, counts the
     pairs in O(N log N + M log M) rather than with a pairwise loop.  With
     one run of keys a side, the search is faster than ``_count_le``'s merge
     and needs no temporaries the size of both sides.
 
-    The two sides' null drop and sort run side by side, one on a helper
-    thread, and so do the searches of b's two halves, split at its
-    midpoint, whose sums are added.  ``np.isnan``, the gather, ``np.sort``
-    and ``np.searchsorted`` release the GIL, so the halves overlap on two
-    CPUs.  A side of one value needs no sort, and a search into or of one
-    value no split, so those run inline and a restriction starts no
-    thread.  The
-    helper is joined before the call returns, so no thread outlives it.
+    A NaN of every bit pattern sorts after every number, so a side's nulls
+    are the tail of its one sorted copy and are sliced off, not masked out
+    and gathered.  b's sorted keys are searched window by window
+    (``_search_sum``), each window only in the stretch of a between the
+    positions of its first and last key; every position lies in that
+    stretch, so the sum is the whole-array search's.
+
+    The two sides' sorts run side by side, one on a helper thread, and so
+    do the searches of b's two halves, split at its midpoint, whose sums
+    are added.  ``np.sort`` and ``np.searchsorted`` release the GIL, so the
+    halves overlap on two CPUs.  A side of one value needs no sort, and a
+    search into or of one value no split, so those run inline and a
+    restriction starts no thread.  The helper is joined before the call
+    returns, so no thread outlives it.
     """
     x = as_column(xs)
     y = as_column(ys)
@@ -151,10 +187,10 @@ def exact_join(xs, ys, op: ScalarOp) -> ExactCount:
                                   split=min(x.size, y.size) > 1))
     side = "right" if op in (ScalarOp.LE, ScalarOp.GE) else "left"
     mid = b.size // 2
-    counts = _beside(lambda: np.searchsorted(a, b[:mid], side=side).sum(),
-                     lambda: np.searchsorted(a, b[mid:], side=side).sum(),
+    counts = _beside(lambda: _search_sum(a, b[:mid], side),
+                     lambda: _search_sum(a, b[mid:], side),
                      split=min(a.size, b.size) > 1)
-    return ExactCount(sum(map(int, counts)), int(x.size) * int(y.size))
+    return ExactCount(sum(counts), int(x.size) * int(y.size))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ columns alike, as ``acquire_sample_rows`` in PostgreSQL's
 have their finite bounds analyzed in full.  As there, a table's rows are
 drawn once: the last draw is kept, read-only, for its ``(n, cap, seed)``,
 so the columns of one table, which share the length, the cap and the seed,
-share one draw and analyze the same rows.  ANALYZE sorts the non-null
-sample once, as ``compute_scalar_stats`` does there, and builds the MCV
+share one draw and analyze the same rows.  ANALYZE sorts the sample
+once, as ``compute_scalar_stats`` does there, slices its nulls (NaNs of
+any bit pattern, which sort last) off the end, and builds the MCV
 list and the histogram from that one sorted array: the histogram
 boundaries are read from it by rank, past the MCV runs.  Every zero in the
 sorted sample is written as +0.0, so a statistics document holds one zero
@@ -143,8 +144,9 @@ def analyze_column(
     reduced when the residual has too few distinct values (one bin
     minimum), and is omitted when nothing is left for it.
 
-    The non-null sample is sorted once, as ``compute_scalar_stats`` does,
-    and one comparison of neighbours finds its runs of equal values: the
+    The sample is sorted once, as ``compute_scalar_stats`` does, and its
+    nulls, which sort last whatever their NaN bit pattern, are sliced off
+    its end.  One comparison of neighbours finds the runs of equal values: the
     MCV list is built from them, as ``build_mcv`` builds it, and their
     number is the sample's distinct count.  The residual is the sorted
     sample with the MCV runs cut out, but it is not copied out: its
@@ -159,13 +161,13 @@ def analyze_column(
         raise ValueError("values must be finite")
     sample = data[sample_rows(data.size, statistics_target, sample_seed, sample_cap)]
     statistics_target = int(statistics_target)    # sample_rows checked it is an integer
-    nulls = np.isnan(sample)
-    null_count = int(np.count_nonzero(nulls))
-    null_frac = null_count / sample.size
-    if null_count == sample.size:
+    ordered = np.sort(sample)
+    # a NaN of every bit pattern sorts last: the nulls are the sorted tail
+    non_null = int(np.searchsorted(ordered, np.nan))
+    null_frac = (sample.size - non_null) / sample.size
+    if not non_null:
         return AttributeStats(null_frac, EMPTY_MCV, None, int(sample.size), statistics_target)
-    ordered = sample[~nulls] if null_count else sample.copy()
-    ordered.sort()
+    ordered = ordered[:non_null]
     ordered[np.searchsorted(ordered, 0.0, "left"):np.searchsorted(ordered, 0.0, "right")] = 0.0
 
     starts, counts, distinct = _runs(ordered)

@@ -33,6 +33,12 @@ def assert_copies_rebuilt(obj):
 R1_X = [10, 11, 12, 20, 21, 22, 24, 25, 30, 35, 38, 45]
 R2_Y = [15, 16, 17, 20, 30, 35, 38, 39, 40, 42, 45, 50]
 
+# A null is a NaN of any bit pattern: quiet, negative (-np.nan), with a
+# payload, and both signalling patterns, which no arithmetic has quieted.
+NAN_BITS = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8DEAD00000000,
+            0x7FF0000000000001, 0xFFF0000000000001)
+NAN_PATTERNS = np.array(NAN_BITS, dtype=np.uint64).view(np.float64)
+
 
 @pytest.fixture
 def r1_x():

@@ -23,7 +23,7 @@ from ineqsel._util import as_column
 from ineqsel.oracle import _count_le
 from ineqsel.ranges import EMPTY_RANGE, RangeColumn
 
-from conftest import R1_X, R2_Y, column_row
+from conftest import NAN_BITS, NAN_PATTERNS, R1_X, R2_Y, column_row
 
 ALL_SCALAR_OPS = (ScalarOp.LT, ScalarOp.LE, ScalarOp.GT, ScalarOp.GE)
 PAIRWISE = {
@@ -35,6 +35,8 @@ PAIRWISE = {
 # ties, both zeros, the infinities and nulls (a NaN compares false pairwise)
 EDGE_VALUES = np.array([-math.inf, -2.5, -0.0, 0.0, 0.0, 1e-300, 0.1, 0.1, 7.0, math.inf, math.nan])
 NAN = math.nan
+# every NaN bit pattern among both infinities and both zeros
+NAN_MIXED = np.concatenate((NAN_PATTERNS, [-math.inf, -0.0, 0.0, 1.0, math.inf]))
 COLUMN_FIELDS = ("lower", "upper", "lower_closed", "upper_closed", "null", "empty")
 
 
@@ -119,9 +121,25 @@ class TestJoin:
         ([-math.inf, -math.inf], [-math.inf]),
         (list(EDGE_VALUES), list(EDGE_VALUES)),
         ([0.0, -0.0, 0.0], [-0.0, 0.0, -0.0, NAN]),
+        (NAN_MIXED, NAN_MIXED[::-1]),
+        (NAN_PATTERNS, NAN_MIXED),
+        (NAN_MIXED[[5, 0, 7, 3, 6, 9, 1, 8, 4, 2]], [-0.0, NAN_PATTERNS[3], 0.0, NAN_PATTERNS[4]]),
     ])
     def test_edge_cases_match_pairwise(self, xs, ys):
         self.check_pairwise(np.array(xs), np.array(ys))
+
+    def test_every_nan_pattern_is_a_null(self):
+        assert NAN_PATTERNS.view(np.uint64).tolist() == list(NAN_BITS)
+        assert np.array([-np.nan]).view(np.uint64).tolist() == [NAN_BITS[1]]
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            n, m = rng.integers(1, 60, size=2)
+            self.check_pairwise(rng.choice(NAN_MIXED, size=n), rng.choice(NAN_MIXED, size=m))
+        for nulls in (NAN_PATTERNS, np.repeat(NAN_PATTERNS, 3)):
+            for other in (NAN_MIXED, nulls):
+                for x, y in ((nulls, other), (other, nulls)):
+                    for op in ScalarOp:
+                        assert exact_join(x, y, op) == ExactCount(0, x.size * y.size), op
 
     def test_float_draws_match_pairwise(self):
         rng = np.random.default_rng(20)
@@ -486,6 +504,68 @@ class TestRangeJoinPairCounts:
 
 
 # ---------------------------------------------------------------------------
+# The window search: b's sorted keys are searched _WINDOW at a time, each
+# window in a's stretch between its first and last key.  Every input below is
+# counted against one whole-array search of b into a.
+
+
+def whole_array_count(x, y, op: ScalarOp) -> int:
+    """The count as one ``searchsorted`` of all of b's sorted keys into a."""
+    a, b = (y, x) if op in (ScalarOp.GT, ScalarOp.GE) else (x, y)
+    a, b = (np.sort(v[~np.isnan(v)]) for v in (np.asarray(a, float), np.asarray(b, float)))
+    side = "right" if op in (ScalarOp.LE, ScalarOp.GE) else "left"
+    return int(np.searchsorted(a, b, side).sum())
+
+
+def _window_pairs() -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    w = oracle._WINDOW
+    rng = np.random.default_rng(33)
+    a = rng.integers(0, 5000, size=3 * w).astype(float)
+
+    def keys(n):
+        # some keys below a's least value and some above its greatest
+        return rng.integers(-100, 5100, size=n).astype(float)
+
+    pairs = {f"{n}-keys": (a, keys(n)) for n in (w // 2, w - 1, w, w + 1, 2 * w + 1)}
+    # sorted, the run of 2500s covers ranks w - 50 to w + 49: it crosses the
+    # first window boundary, and b's midpoint w + 1 where the search splits
+    run = np.concatenate((rng.integers(0, 2500, size=w - 50), np.full(100, 2500),
+                          rng.integers(2501, 5000, size=w - 48))).astype(float)
+    pairs["run-across-a-window"] = (a, rng.permutation(run))
+    pairs["all-keys-equal"] = (a, np.full(2 * w + 1, 2500.0))
+    pairs["a-is-b"] = (a, a)
+    pairs["a-equals-b"] = (a, a.copy())
+    pairs["keys-below-a"] = (a, rng.uniform(-50.0, -1.0, size=w + 1))
+    pairs["keys-above-a"] = (a, rng.uniform(5000.0, 6000.0, size=w + 1))
+    pairs["one-row-side"] = (np.array([2500.0]), keys(2 * w + 1))
+    pairs["one-value-side"] = (np.full(w + 3, 7.0), keys(2 * w + 1))
+    return pairs
+
+
+WINDOW_PAIRS = _window_pairs()
+
+
+class TestWindowSearch:
+    @pytest.mark.parametrize("name", sorted(WINDOW_PAIRS))
+    def test_counts_equal_the_whole_array_search(self, name):
+        xs, ys = WINDOW_PAIRS[name]
+        for x, y in ((xs, ys), (ys, xs)):
+            for op in ScalarOp:
+                got = exact_join(x, y, op)
+                assert got == ExactCount(whole_array_count(x, y, op), x.size * y.size), op
+            # and unsplit: every key of b in one run of windows
+            a, b = np.sort(x), np.sort(y)
+            for side in ("left", "right"):
+                assert oracle._search_sum(a, b, side) == int(np.searchsorted(a, b, side).sum())
+
+    def test_run_crosses_a_window_and_the_midpoint(self):
+        w = oracle._WINDOW
+        run = np.sort(WINDOW_PAIRS["run-across-a-window"][1])
+        assert run[w - 1] == run[w] == run[run.size // 2] == 2500.0
+        assert oracle._search_sum(np.array([]), run, "left") == 0
+
+
+# ---------------------------------------------------------------------------
 # The two-thread rule: each oracle call runs its independent halves on one
 # helper thread beside the caller, or inline when a half has nothing to do
 # or no thread can start.
@@ -504,6 +584,7 @@ def scalar_pairs():
     pairs.append((tie_heavy_scalars(rng, 7), np.full(4, NAN)))
     pairs.append((tie_heavy_scalars(rng, 1), tie_heavy_scalars(rng, 1)))
     pairs.append((tie_heavy_scalars(rng, 5000), np.array([1.0])))
+    pairs.extend(WINDOW_PAIRS.values())
     return pairs
 
 

@@ -38,7 +38,7 @@ from ineqsel.mcv import EMPTY_MCV, build_mcv
 from ineqsel.ranges import EMPTY_RANGE, RangeValue
 from ineqsel.stats import SAMPLE_ROWS_PER_TARGET, sample_rows
 
-from conftest import R1_X, assert_copies_rebuilt, multipass_analyze_column
+from conftest import NAN_PATTERNS, R1_X, assert_copies_rebuilt, multipass_analyze_column
 
 
 class TestAnalyze:
@@ -70,6 +70,18 @@ class TestAnalyze:
     def test_nan_treated_as_null(self):
         s = analyze_column([1.0, np.nan, 3.0, np.nan], 2)
         assert s.null_frac == 0.5
+
+    def test_every_nan_pattern_is_a_null(self):
+        rng = np.random.default_rng(25)
+        for n in (1, 7, 400, 5000):
+            x = rng.choice(np.concatenate((NAN_PATTERNS, [-0.0, 0.0, 1.5, -3.0])), size=n)
+            for target in (1, 10, 100):
+                # a cap that covers the column, so every row is read
+                s = analyze_column(x, target, sample_cap=n)
+                assert s.null_frac == np.isnan(x).mean(), (n, target)
+        for nulls in (NAN_PATTERNS, np.repeat(NAN_PATTERNS, 7)):
+            s = analyze_column(nulls, 5)
+            assert (s.null_frac, len(s.mcv), s.histogram) == (1.0, 0, None)
 
     def test_partition_completeness(self):
         rng = np.random.default_rng(2)
@@ -393,6 +405,10 @@ def _rank_mapping_columns() -> dict[str, np.ndarray]:
         # mixed zeros stay in the residual, and +0.0 boundaries land on them
         "mixed-zeros-at-boundary": zeros_boundary,
         "all-null": np.full(10, np.nan),
+        "all-null-patterns": np.repeat(NAN_PATTERNS, 2),
+        # every NaN bit pattern among both zeros and a few values
+        "nan-patterns": np.concatenate((np.tile(NAN_PATTERNS, 8), np.zeros(20), np.full(20, -0.0),
+                                        rng.integers(-5, 30, size=120).astype(float))),
         "nulls-and-one-value": np.array([np.nan] * 5 + [3.0]),
     }
     return {name: rng.permutation(col) for name, col in columns.items()}
