@@ -128,7 +128,7 @@ def _sorted_values(v: np.ndarray) -> np.ndarray:
 
 # Keys of b searched in a per window: few enough that a's stretch between a
 # window's first and last key stays in cache, many enough that the Python
-# loop over windows costs nothing beside the searches.
+# loop over windows costs little beside the searches.
 _WINDOW = 4096
 
 
