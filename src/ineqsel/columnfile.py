@@ -6,8 +6,8 @@ as the writers write, is scanned in bulk: numpy finds the lines (and, in a
 range file, each literal's brackets and commas), and the decimal kernel
 reads every number of the form ``-?digits[.digits]`` with at most 15 digits
 from its bytes, bit-identical to float(); float() reads the other numbers.
-The kernel reads 4096 tokens at a time through the last 16 bytes of each,
-or through the last 8 when every token of the 4096 has at most 8 bytes
+The kernel reads 16384 tokens at a time through the last 16 bytes of each,
+or through the last 8 when every token of the 16384 has at most 8 bytes
 after its minus, as the writers' range bounds below 10**6 do.
 Any other file, or one the bulk scan turns down, is read by one per-line
 loop, whose first bad line raises its ``path:line`` error.  A leading
@@ -145,9 +145,10 @@ def parse_range_bytes(data: bytes) -> RangeColumn | None:
     # Each literal opens at its first byte, closes at its last and holds one
     # comma, and the count leaves no comma anywhere else.  A bracket anywhere
     # else lands in a bound, which then reads as no number.
+    opens, closes = codes[first], codes[last]
     if (
-        _count(codes[first], b"[(") != n
-        or _count(codes[last], b"])") != n
+        _count(opens, b"[(") != n
+        or _count(closes, b"])") != n
         or commas.size != n
         or not ((first < commas) & (commas < last)).all()
     ):
@@ -161,8 +162,8 @@ def parse_range_bytes(data: bytes) -> RangeColumn | None:
     lower, upper = np.zeros(null.size), np.zeros(null.size)
     lower[literal], upper[literal] = bounds[:n], bounds[n:]
     lower_closed, upper_closed = np.zeros(null.size, dtype=bool), np.zeros(null.size, dtype=bool)
-    lower_closed[literal] = codes[first] == ord("[")
-    upper_closed[literal] = codes[last] == ord("]")
+    lower_closed[literal] = opens == ord("[")
+    upper_closed[literal] = closes == ord("]")
     try:
         return RangeColumn(lower, upper, lower_closed, upper_closed, null, empty)
     except ValueError:      # NaN or out-of-order bounds
@@ -198,7 +199,15 @@ def looks_like_range_file(path) -> bool:
 _TAIL = 16
 _SHORT = 8
 _POW10 = np.array([float(10**k) for k in range(_TAIL)])     # exact doubles
-_CHUNK = 4096       # tokens per kernel call, whose arrays then stay in the cache
+# Tokens per kernel call, from a sweep of 4096 to 65536 (2-vCPU VM, 1 MiB
+# of L2 per core; ROADMAP, "Reading range files").  Below 16384 the fixed
+# cost of the kernel's numpy calls dominates: a 20k-row range file took
+# 1.34 ms at 4096 and 1.12 ms at 16384.  Above it nothing is
+# gained, and through 16 bytes a 65536-token chunk's byte matrices, 1 MiB
+# each, outgrow the L2: on a 200k-row file the kernel took 8.7-8.9 ms
+# against 8.4-8.7 ms at 16384, and on another VM a 20k-row file took 1.89
+# against 1.32 ms.
+_CHUNK = 16384
 
 
 def _read_decimals(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
@@ -219,12 +228,14 @@ def _read_decimals(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndar
     padded = np.concatenate((np.zeros(_TAIL, dtype=np.uint8), codes))
     windows = {tail: np.ndarray((codes.size + 1,), dtype=f"V{tail}", buffer=padded,
                                 offset=_TAIL - tail, strides=(1,)) for tail in (_SHORT, _TAIL)}
+    minus, length = codes[starts] == ord("-"), ends - starts
+    after_minus = length - minus
     out, fast = np.empty(ends.size), np.empty(ends.size, dtype=bool)
     for lo in range(0, ends.size, _CHUNK):
         part = slice(lo, lo + _CHUNK)
-        minus, length = codes[starts[part]] == ord("-"), ends[part] - starts[part]
-        tail = _SHORT if (length - minus).max() <= _SHORT else _TAIL
-        out[part], fast[part] = _decimal_kernel(windows[tail][ends[part]], minus, length)
+        tail = _SHORT if after_minus[part].max() <= _SHORT else _TAIL
+        out[part], fast[part] = _decimal_kernel(windows[tail][ends[part]], minus[part],
+                                                length[part])
     slow = np.flatnonzero(~fast).tolist()
     try:
         for i, start, end in zip(slow, starts[slow].tolist(), ends[slow].tolist()):

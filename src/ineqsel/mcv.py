@@ -68,11 +68,12 @@ def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def _mcv_of_runs(ordered: np.ndarray, starts: np.ndarray, counts: np.ndarray,
-                 max_entries: int) -> MostCommonValues:
-    """build_mcv of sorted finite data, from the runs of two or more that _runs finds."""
+                 max_entries: int) -> tuple[MostCommonValues, np.ndarray]:
+    """build_mcv of sorted finite data, from the runs of two or more that
+    _runs finds, and the indices of the runs it takes, in its order."""
     # the runs ascend, so a stable sort on descending count breaks ties by value
     order = np.argsort(-counts, kind="stable")[:max_entries]
-    return MostCommonValues(ordered[starts[order]], counts[order] / ordered.size)
+    return MostCommonValues(ordered[starts[order]], counts[order] / ordered.size), order
 
 
 def build_mcv(values, max_entries: int) -> MostCommonValues:
@@ -90,7 +91,7 @@ def build_mcv(values, max_entries: int) -> MostCommonValues:
         return EMPTY_MCV
     data = sorted_finite(data)
     starts, counts, _ = _runs(data)
-    return _mcv_of_runs(data, starts, counts, max_entries)
+    return _mcv_of_runs(data, starts, counts, max_entries)[0]
 
 
 def mcv_restriction_selectivity(m: MostCommonValues, c: float, op: ScalarOp) -> float:

@@ -19,7 +19,8 @@ share one draw and analyze the same rows.  ANALYZE sorts the sample
 once, as ``compute_scalar_stats`` does there, slices its nulls (NaNs of
 any bit pattern, which sort last) off the end, and builds the MCV
 list and the histogram from that one sorted array: the histogram
-boundaries are read from it by rank, past the MCV runs.  Every zero in the
+boundaries are read from it by rank, past the MCV runs, each cut out at
+the start and length the comparison of neighbours found for it.  Every zero in the
 sorted sample is written as +0.0, so a statistics document holds one zero
 whatever signs the column's zeros had.
 """
@@ -152,7 +153,9 @@ def analyze_column(
     sample with the MCV runs cut out, but it is not copied out: its
     distinct count is the sample's less the MCV entries, and boundary j, at
     residual rank floor(j * (N-1) / B) as in ``build_equi_depth``, is read
-    from the sorted sample past the MCV runs before that rank.  -0.0 and
+    from the sorted sample past the MCV runs before that rank.  The cuts
+    are the MCV runs' starts and lengths as the comparison found them, so
+    no MCV value is searched for in the sample.  -0.0 and
     0.0 compare equal, so the sample's zeros are one run, which is set to
     +0.0: an MCV entry or boundary at zero is always +0.0.
     """
@@ -171,15 +174,14 @@ def analyze_column(
     ordered[np.searchsorted(ordered, 0.0, "left"):np.searchsorted(ordered, 0.0, "right")] = 0.0
 
     starts, counts, distinct = _runs(ordered)
-    mcv = _mcv_of_runs(ordered, starts, counts, statistics_target)
+    mcv, order = _mcv_of_runs(ordered, starts, counts, statistics_target)
     # The MCV runs cut the sorted sample into kept stretches (possibly
     # empty), one more than there are runs; the residual is their
     # concatenation.  skipped[k] counts the MCV rows before stretch k and
     # ends[k] is the residual rank one past it.
-    cuts = np.sort(mcv.values)
-    lefts = np.searchsorted(ordered, cuts, side="left")
-    skipped = np.concatenate(([0], np.cumsum(np.searchsorted(ordered, cuts, "right") - lefts)))
-    ends = np.append(lefts, ordered.size) - skipped
+    kept = np.sort(order)       # the MCV runs in sample order
+    skipped = np.concatenate(([0], np.cumsum(counts[kept])))
+    ends = np.append(starts[kept], ordered.size) - skipped
     size = int(ends[-1])
 
     histogram = None

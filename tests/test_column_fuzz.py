@@ -443,6 +443,21 @@ def test_one_long_token_reads_its_chunk_through_16_bytes(float_calls, kernel_win
     assert kernel_windows == [16, 8]
 
 
+@pytest.mark.parametrize("end", ["first", "last"])
+@pytest.mark.parametrize("which", [0, 1])
+def test_long_token_at_either_end_of_a_chunk(float_calls, kernel_windows, which, end):
+    # a 9-byte token first or last in chunk 0 or 1 of two chunks of 8-byte
+    # tokens and five more: only its chunk reads through 16 bytes
+    chunk = columnfile._CHUNK
+    tokens = (EIGHT_BYTE_TOKENS * (2 * chunk // len(EIGHT_BYTE_TOKENS) + 1))[:2 * chunk]
+    tokens[which * chunk + (chunk - 1 if end == "last" else 0)] = "123456789"
+    tokens += EIGHT_BYTE_TOKENS
+    got = read_tokens(tokens)
+    assert got.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+    assert float_calls == []
+    assert kernel_windows == [16 if k == which else 8 for k in range(3)]
+
+
 def test_file_of_short_tokens_reads_through_8_bytes(tmp_path, float_calls, kernel_windows):
     rng = np.random.default_rng(2)
     lines = _short_tokens(rng, 10_000)
@@ -452,6 +467,28 @@ def test_file_of_short_tokens_reads_through_8_bytes(tmp_path, float_calls, kerne
     assert_same_scalar_bytes(read_scalar_column(path), reference_scalar_read(path))
     assert float_calls == []
     assert kernel_windows and set(kernel_windows) == {8}
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_files_of_one_chunk_and_one_token_more_or_less(tmp_path, float_calls, kernel_windows,
+                                                       extra):
+    # a scalar file of _CHUNK + extra tokens, and a range file of that many
+    # rows, each read by as many kernel calls as its tokens fill chunks
+    rows = columnfile._CHUNK + extra
+    path = tmp_path / "s.col"
+    write_scalar_column(path, generate_scalar_column("skewed-int", rows, 5))
+    got = read_scalar_column(path)
+    assert_same_scalar_bytes(got, reference_scalar_read(path))
+    assert float_calls == [] and kernel_windows == [8] * (1 + (extra > 0))
+    column = generate_range_column(rows, 5)
+    path = tmp_path / "r.col"
+    write_range_column(path, column)
+    del kernel_windows[:]
+    got = read_range_column(path)
+    assert_same_bytes(got, reference_read(path))
+    assert got == column
+    tokens = 2 * np.count_nonzero(~(column.null | column.empty))
+    assert len(kernel_windows) == -(-tokens // columnfile._CHUNK)
 
 
 @pytest.mark.parametrize("rows", [1, 100, 20_000])
@@ -627,6 +664,76 @@ def test_scalar_writer_files_read_as_reference(tmp_path, float_calls, rows):
         path = tmp_path / f"doubles{seed}.col"
         write_scalar_column(path, _random_doubles(rows, seed))
         assert_same_scalar_bytes(read_scalar_column(path), reference_scalar_read(path))
+
+
+# The bulk readers at every chunk size: chunks of one token, of three, of
+# 4096 and of the default _CHUNK.  Each file reads as the per-line
+# reference, and float() reads the same tokens as when the whole file is
+# one chunk.
+
+CHUNKS = [1, 3, 4096, columnfile._CHUNK]
+RANGE = {"read": read_range_column, "reference": reference_read, "same": assert_same_bytes}
+
+
+def _chunk_corpus(tmp_path):
+    """(path, readers) of every range and scalar mutation at a generated
+    file's middle line, ten seeded range fuzz files, and writer files of
+    random doubles, whose long tokens float() reads."""
+    corpus = []
+
+    def add(name, text, readers):
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        corpus.append((path, readers))
+
+    lines = range_lines(tmp_path / "r.col", generate_range_column(ROWS, 3))
+    for kind in MUTATIONS:
+        mutated = lines[:ROWS // 2] + [_mutate(kind, lines[ROWS // 2])] + lines[ROWS // 2 + 1:]
+        add(f"r-{kind}.col", "\n".join(mutated) + "\n", RANGE)
+    lines = scalar_lines(ROWS, 3)
+    for kind in SCALAR_MUTATIONS:
+        mutated = lines[:ROWS // 2] + [_mutate_scalar(kind, lines[ROWS // 2])] + lines[ROWS // 2 + 1:]
+        add(f"s-{kind}.col", "\n".join(mutated) + "\n", SCALAR)
+    for seed in range(10):
+        path = tmp_path / f"fuzz{seed}.col"
+        fuzzed_file(path, seed)
+        corpus.append((path, RANGE))
+    path = tmp_path / "doubles.col"
+    write_range_column(path, _random_bounds_column(100, 0))
+    corpus.append((path, RANGE))
+    path = tmp_path / "doubles-scalar.col"
+    write_scalar_column(path, _random_doubles(200, 0))
+    corpus.append((path, SCALAR))
+    return corpus
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_corpora_read_alike_at_every_chunk_size(tmp_path, monkeypatch, float_calls, chunk):
+    corpus = _chunk_corpus(tmp_path)
+    monkeypatch.setattr(columnfile, "_CHUNK", 1 << 30)
+    whole = []
+    for path, readers in corpus:
+        del float_calls[:]
+        assert_reads_as_reference(path, **readers)
+        whole.append(list(float_calls))
+    assert sum(map(len, whole)) > 100
+    monkeypatch.setattr(columnfile, "_CHUNK", chunk)
+    for (path, readers), calls in zip(corpus, whole):
+        del float_calls[:]
+        assert_reads_as_reference(path, **readers)
+        assert float_calls == calls, path.name
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_edge_tokens_read_as_float_at_every_chunk_size(monkeypatch, float_calls, chunk):
+    monkeypatch.setattr(columnfile, "_CHUNK", chunk)
+    # short and long tokens side by side, so that a chunk of three mixes windows
+    tokens = [t for pair in zip(NUMBER_TOKENS, EIGHT_BYTE_TOKENS * 8) for t in pair]
+    got = read_tokens(tokens)
+    assert got.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+    assert float_calls == [t.encode() for t in tokens if not _fast_token(t)]
+    for bad in NOT_NUMBER_TOKENS:
+        assert read_tokens(["12.5", "-123456789", bad, "inf", "7."]) is None, bad
 
 
 # The bulk writers against the per-value formatting they replaced, byte for

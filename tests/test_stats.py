@@ -445,6 +445,63 @@ def _assert_matches_multipass(col, targets=(1, 2, 3, 10, 100, 1000), seed=0, lab
             assert got == want, (label, target, cap)
 
 
+def _run_cut_columns() -> dict[str, np.ndarray]:
+    """Columns that put the MCV runs, whose starts and lengths cut the
+    residual out of the sorted sample, at the ends of the sample's runs."""
+    rng = np.random.default_rng(34)
+    spread = np.arange(100.0) / 2
+    both_ends = np.concatenate((np.full(40, -5.0), spread, np.full(30, 90.0)))
+    columns = {
+        # at target 1 the MCV run is the sample's first run, or its last
+        "mcv-first-run": np.concatenate((np.full(40, -5.0), spread)),
+        "mcv-last-run": np.concatenate((spread, np.full(40, 90.0))),
+        # from target 4 on the MCV list takes every run: no histogram
+        "every-run-mcv": np.repeat([-2.0, 1.0, 4.0, 8.0], [5, 4, 3, 2]),
+        # at target 3 the residual is one row, or four rows of one value
+        "one-row-residual": np.concatenate((np.repeat([1.0, 2.0, 3.0], 10), [7.5])),
+        "one-value-residual": np.concatenate((np.repeat([1.0, 2.0, 3.0], 10), np.full(4, 6.0))),
+        # -0.0 and 0.0 make one run, the most common value
+        "mixed-zero-mcv": np.concatenate((np.zeros(20), np.full(20, -0.0), spread + 1)),
+        # nulls of each NaN bit pattern sort past the last MCV run
+        **{f"nulls-{i}": np.concatenate((both_ends, np.full(25, nan)))
+           for i, nan in enumerate(NAN_PATTERNS)},
+    }
+    return {name: rng.permutation(col) for name, col in columns.items()}
+
+
+RUN_CUT_COLUMNS = _run_cut_columns()
+
+
+class TestRunCuts:
+    """The MCV runs' starts and lengths cut the residual as the multi-pass
+    build's ``np.isin`` does, byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(RUN_CUT_COLUMNS))
+    def test_documents_match_multipass_reference(self, name):
+        _assert_matches_multipass(RUN_CUT_COLUMNS[name], targets=(1, 2, 3, 4, 10, 100),
+                                  label=name)
+
+    def test_columns_cover_their_cases(self):
+        cols = RUN_CUT_COLUMNS
+        s = analyze_column(cols["mcv-first-run"], 1)
+        assert s.mcv.values.tolist() == [-5.0] and s.histogram.lo == 0.0
+        s = analyze_column(cols["mcv-last-run"], 1)
+        assert s.mcv.values.tolist() == [90.0] and s.histogram.hi == 49.5
+        s = analyze_column(cols["every-run-mcv"], 4)
+        assert sorted(s.mcv.values) == [-2.0, 1.0, 4.0, 8.0] and s.histogram is None
+        s = analyze_column(cols["one-row-residual"], 3)
+        assert s.histogram.bounds.tolist() == [7.5, 7.5]
+        s = analyze_column(cols["one-value-residual"], 3)
+        assert s.histogram.bounds.tolist() == [6.0, 6.0]
+        s = analyze_column(cols["mixed-zero-mcv"], 1)
+        assert s.mcv.values.tolist() == [0.0] and not np.signbit(s.mcv.values[0])
+        assert s.mcv.fractions.tolist() == [40 / 140]
+        for i in range(NAN_PATTERNS.size):
+            s = analyze_column(cols[f"nulls-{i}"], 2)
+            assert sorted(s.mcv.values) == [-5.0, 90.0] and s.null_frac == 25 / 195
+            assert (s.histogram.lo, s.histogram.hi) == (0.0, 49.5)
+
+
 class TestOneSortAnalyze:
     """The one-sort ANALYZE writes the same bytes as the multi-pass build."""
 
