@@ -41,9 +41,11 @@ Empty ranges have no position, so they satisfy none of the operators, on
 either side; their share is tracked and factored out, like nulls.
 
 A statistics document is RangeStats' fields, with the bound statistics as
-nested documents: to_doc writes them and from_doc reads them, checking
-each against its declared type.  Then RangeStats' constructor checks its
-invariants, so the estimator never meets a missing bound it needs.
+nested documents: _util.write_doc, the one writer of both document kinds,
+writes them, in the bytes ``json.dumps`` writes for them, and from_doc
+reads them, checking each against its declared type.  Then RangeStats'
+constructor checks its invariants, so the estimator never meets a missing
+bound it needs.
 
 parse_range reads one range literal into its fields, unnormalized; whole
 range files are read and written by the columnfile module.
@@ -51,7 +53,6 @@ range files are read and written by the columnfile module.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import re
@@ -60,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import ArrayFields, as_column, clamp01, from_doc, parse_json, store_fraction, to_doc
+from ._util import ArrayFields, as_column, clamp01, from_doc, parse_json, store_fraction, write_doc
 from .estimator import join_selectivity
 from .operators import RangeOp, ScalarOp
 from .stats import AttributeStats, analyze_column, sample_rows
@@ -363,7 +364,7 @@ def range_join_selectivity(sx: RangeStats, sy: RangeStats, op: RangeOp) -> float
 
 
 def save_range_stats(s: RangeStats) -> bytes:
-    return json.dumps(to_doc(s)).encode("utf-8")
+    return write_doc(s)
 
 
 def load_range_stats(data: bytes | str) -> RangeStats:

@@ -4,10 +4,12 @@ Every analyzed row lands in exactly one partition: null, most-common value,
 or histogram.  The fractions of the three partitions drive the combined
 selectivity estimates.
 
-A statistics document is its type's fields: to_doc writes them and
-from_doc reads them, checking each against its declared type.  Then
+A statistics document is its type's fields: _util.write_doc writes them
+and from_doc reads them, checking each against its declared type.  Then
 AttributeStats' constructor checks its invariants, so the estimators check
-nothing.
+nothing.  The writer's bytes are those ``json.dumps`` writes for the
+fields; it writes an array of whole numbers in one ``%d`` format and a
+list of runs (the MCV fractions, which repeat) each run's number once.
 
 ANALYZE draws its rows by one rule, sample_rows, for scalar and range
 columns alike, as ``acquire_sample_rows`` in PostgreSQL's
@@ -28,13 +30,12 @@ whatever signs the column's zeros had.
 from __future__ import annotations
 
 import functools
-import json
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_column, from_doc, parse_json, store_fraction, to_doc
+from ._util import as_column, from_doc, parse_json, store_fraction, write_doc
 from .histogram import EquiDepthHistogram
 from .mcv import EMPTY_MCV, MostCommonValues, _mcv_of_runs, _runs
 
@@ -199,7 +200,7 @@ def analyze_column(
 
 
 def save_stats(s: AttributeStats) -> bytes:
-    return json.dumps(to_doc(s)).encode("utf-8")
+    return write_doc(s)
 
 
 def load_stats(data: bytes | str) -> AttributeStats:

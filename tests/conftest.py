@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import math
 import pickle
 
@@ -20,6 +21,22 @@ def nested_arrays(obj):
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
             yield from nested_arrays(getattr(obj, f.name))
+
+
+def to_doc(obj):
+    """A dataclass as a JSON object of its fields, an array as a list."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: to_doc(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    return obj
+
+
+def reference_doc(obj) -> bytes:
+    """A statistics object's document as ``json.dumps`` writes its field
+    tree: the byte-identity reference for ``save_stats`` and
+    ``save_range_stats``, with every array a list of floats."""
+    return json.dumps(to_doc(obj)).encode("utf-8")
 
 
 def assert_copies_rebuilt(obj):

@@ -410,14 +410,24 @@ def kernel_windows(monkeypatch):
 
 def _short_tokens(rng, n):
     """n tokens of 1 to 8 digits with a dot anywhere, or none, and a leading
-    minus or none, each at most 8 bytes after its minus."""
+    minus or none, each at most 8 bytes after its minus.
+
+    Twice as many are drawn in bulk as are asked for, and the first n that
+    fit are kept: a draw of 8 digits and a dot has 9 bytes.
+    """
+    m = 2 * n
+    digits = (rng.integers(0, 10, size=(m, 8)) + ord("0")).astype(np.uint8).view("S8").ravel()
+    lengths = rng.integers(1, 9, size=m)
+    dots = rng.integers(0, lengths + 2)         # at lengths + 1, no dot
+    minus = rng.random(m) < 0.5
+    keep = np.flatnonzero(lengths + (dots <= lengths) <= 8)[:n]
+    assert keep.size == n
     tokens = []
-    while len(tokens) < n:
-        digits = "".join(rng.choice(list("0123456789"), size=int(rng.integers(1, 9))))
-        dot = int(rng.integers(len(digits) + 2))
-        token = digits if dot > len(digits) else f"{digits[:dot]}.{digits[dot:]}"
-        if len(token) <= 8:
-            tokens.append(("-" if rng.random() < 0.5 else "") + token)
+    for row, length, dot, neg in zip(digits[keep].tolist(), lengths[keep].tolist(),
+                                     dots[keep].tolist(), minus[keep].tolist()):
+        text = row[:length].decode()
+        token = text if dot > length else f"{text[:dot]}.{text[dot:]}"
+        tokens.append("-" + token if neg else token)
     return tokens
 
 

@@ -493,6 +493,30 @@ class TestCli:
         assert main(["oracle", "--in-x", str(tmp_path / "nope"),
                      "--in-y", str(tmp_path / "nope"), "--op", "lt"]) == 1
 
+    @pytest.mark.parametrize("kind,op", [("running-example-r1", "lt"),
+                                         ("ranges-mixed", "overlaps")])
+    def test_stats_byte_order_mark(self, tmp_path, capsys, kind, op):
+        # a statistics document may start with one UTF-8 byte-order mark, as
+        # a column file may; a second mark is not JSON
+        stats = tmp_path / "s.json"
+        assert main(["analyze", "--in", str(self.gen(tmp_path, kind, "s.col")),
+                     "--target", "3", "--out", str(stats)]) == 0
+        assert main(["estimate", "--stats-x", str(stats), "--stats-y", str(stats),
+                     "--op", op]) == 0
+        plain = capsys.readouterr().out
+        marked, twice = tmp_path / "marked.json", tmp_path / "twice.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + stats.read_bytes())
+        twice.write_bytes(b"\xef\xbb\xbf" + marked.read_bytes())
+        assert main(["estimate", "--stats-x", str(marked), "--stats-y", str(stats),
+                     "--op", op]) == 0
+        assert capsys.readouterr().out == plain
+        assert main(["estimate", "--stats-x", str(stats), "--stats-y", str(twice),
+                     "--op", op]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {twice}: not valid JSON: ")
+        assert captured.err.count("\n") == 1
+
     def test_mismatched_stats_kind_exit_1(self, tmp_path, capsys):
         fx = self.gen(tmp_path, "running-example-r1", "x.col")
         sx = tmp_path / "x.json"

@@ -38,7 +38,13 @@ from ineqsel.mcv import EMPTY_MCV, build_mcv
 from ineqsel.ranges import EMPTY_RANGE, RangeValue
 from ineqsel.stats import SAMPLE_ROWS_PER_TARGET, sample_rows
 
-from conftest import NAN_PATTERNS, R1_X, assert_copies_rebuilt, multipass_analyze_column
+from conftest import (
+    NAN_PATTERNS,
+    R1_X,
+    assert_copies_rebuilt,
+    multipass_analyze_column,
+    reference_doc,
+)
 
 
 class TestAnalyze:
@@ -752,6 +758,177 @@ class TestRoundTrip:
         s = analyze_column([1, 1, 2, 3], 2)
         doc = json.loads(save_stats(s))
         assert set(doc) == {"null_frac", "mcv", "histogram", "row_count", "statistics_target"}
+
+
+MAX = 1.7976931348623157e308
+
+# Arrays at the edges of the writer's rules, each sorted so that it can be
+# a histogram's bounds: -0.0 next to 0.0, the whole-number limit 1e16 and
+# the largest whole number below it, 2**53 +- 2 (spaced 2 apart), the
+# smallest subnormal and the largest doubles.
+EDGE_BOUNDS = [
+    [-MAX, -0.0, 0.0, 5e-324, 2.0**53 - 2, 2.0**53 + 2, 9999999999999998.0, 1e16, MAX],
+    [-0.0, 1.0, 2.0],
+    [-2.0, -0.0, 0.0, 3.0],
+    [-0.0, -0.0, 0.0, 0.0],
+    [-0.0, -0.0, -0.0, 1.0],
+    [0.0, 0.0, 0.0, -0.0],
+    [0.0, 1.0, 1e16],
+    [1.0, 1e16, 1e16, 1e16],
+    [-1e16, -1e16, -1e16, 0.0],
+    [-9999999999999998.0, 0.0, 9999999999999998.0],
+    [9999999999999998.0, 9999999999999998.0],
+    [2.0**53 - 2, 2.0**53, 2.0**53 + 2],
+    [2.0**53 + 2, 2.0**53 + 2, 2.0**53 + 2, 1e16],
+    [5e-324, 5e-324, 5e-324, 5e-324],
+    [0.0, 5e-324, 5e-324, 1.0],
+    [-MAX, -MAX, MAX, MAX],
+    [-MAX, 0.0, 1.0, MAX],
+    [0.5, 1.5, 2.5],
+    [0.1, 0.1, 0.1, 0.2, 0.2, 0.3],
+]
+
+
+def edge_stats(bounds) -> AttributeStats:
+    """Statistics whose histogram holds ``bounds`` and whose MCV list holds
+    the distinct values of ``bounds``, with equal fractions that sum to 0.5."""
+    values = np.unique(bounds)
+    mcv = MostCommonValues(values, np.full(values.size, 0.5 / values.size))
+    return AttributeStats(0.0, mcv, EquiDepthHistogram(bounds), 10, 3)
+
+
+def _generated_columns():
+    rng = np.random.default_rng(11)
+    with_nulls = rng.normal(size=5000)
+    with_nulls[::9] = np.nan
+    return {
+        "uniform-int": generate_scalar_column("uniform-int", 20_000, 1),
+        "skewed-int": generate_scalar_column("skewed-int", 20_000, 2),
+        "negative-int": -generate_scalar_column("skewed-int", 5000, 3),
+        "two-decimals": np.round(rng.normal(size=20_000), 2),
+        "doubles": rng.uniform(-1.0, 1.0, size=20_000),
+        "with-nulls": with_nulls,
+        "huge-whole": np.round(rng.uniform(-2e16, 2e16, size=3000)),
+    }
+
+
+# Scalar columns of every kind of array a document holds: whole numbers,
+# decimals that repeat, distinct doubles, and nulls.
+GENERATED_COLUMNS = _generated_columns()
+
+
+class TestWriter:
+    """save_stats and save_range_stats write, byte for byte, what json.dumps
+    writes for the statistics object's field tree (conftest.reference_doc),
+    whichever of the writer's rules each array takes."""
+
+    TARGETS = (1, 2, 3, 7, 10, 30, 100, 300, 1000)
+
+    @pytest.mark.parametrize("name", sorted(GENERATED_COLUMNS))
+    def test_generated_scalar_documents(self, name):
+        column = GENERATED_COLUMNS[name]
+        for target in self.TARGETS:
+            for cap in (None, 50):
+                s = analyze_column(column, target, sample_cap=cap)
+                assert save_stats(s) == reference_doc(s), (target, cap)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_generated_range_documents(self, seed):
+        column = generate_range_column(20_000, seed)
+        for target in self.TARGETS:
+            s = analyze_range_column(column, target)
+            assert save_range_stats(s) == reference_doc(s), target
+
+    @pytest.mark.parametrize("bounds", EDGE_BOUNDS, ids=str)
+    def test_edge_numbers(self, bounds):
+        s = edge_stats(bounds)
+        assert save_stats(s) == reference_doc(s)
+        ranged = RangeStats(0.25, 0.0, 0.5, 0.0, s, s)
+        assert save_range_stats(ranged) == reference_doc(ranged)
+        assert load_stats(save_stats(s)) == s
+
+    def test_edge_numbers_cover_the_rules(self):
+        # whole arrays with -0.0 or at 1e16 (which %d would write wrong),
+        # whole arrays below it, and repeated values of each kind
+        kinds = {(np.all(np.abs(b) < 1e16) and np.array_equal(np.trunc(b), b),
+                  bool(np.any(np.signbit(b) & (b == 0))), bool(np.any(b == 1e16)))
+                 for b in map(np.array, EDGE_BOUNDS)}
+        assert kinds >= {(True, False, False), (True, True, False), (False, False, True)}
+        doc = save_stats(edge_stats(EDGE_BOUNDS[0]))
+        for text in ("-1.7976931348623157e+308", "-0.0", "5e-324", "9007199254740990.0",
+                     "9007199254740994.0", "9999999999999998.0", "1e+16"):
+            assert text.encode() in doc
+
+    @pytest.mark.parametrize("fractions", [
+        [0.3, 0.1, 0.1, 0.1, 0.05, 0.05, 0.05, 0.05],
+        [0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1],
+        [0.05, 0.1, 0.05, 0.1, 0.05, 0.1],
+        [0.1, 0.1, 0.05, 0.1, 0.1, 0.05, 0.05, 0.1],
+        [1 / 3, 1 / 3, 1 / 6, 1 / 6],
+        [1 / 7, 1 / 7, 1 / 7, 1 / 7, 1 / 7, 1 / 7, 1 / 7],
+    ], ids=["sorted", "one-run", "alternating", "unsorted-runs", "thirds", "sevenths"])
+    def test_repeated_fractions(self, fractions):
+        values = np.arange(len(fractions)) + 0.5
+        mcv = MostCommonValues(values, fractions)
+        s = AttributeStats(0.0, mcv, EquiDepthHistogram([0.0, 1.0]), 10, 3)
+        assert save_stats(s) == reference_doc(s)
+
+    @pytest.mark.parametrize("s", [
+        AttributeStats(0.0, EMPTY_MCV, EquiDepthHistogram([1.0, 2.0]), 2, 1),
+        AttributeStats(0.0, MostCommonValues([1.0, 2.0], [0.5, 0.5]), None, 4, 2),
+        AttributeStats(0.0, MostCommonValues([-0.0], [1.0]), None, 4, 2),
+        analyze_column([None, None], 1),
+        analyze_column([math.nan] * 10, 5),
+        RangeStats(0.5, 1.0, 0.0, 0.0, None, None),
+        RangeStats(0.0, 0.0, 1.0, 0.0, None,
+                   AttributeStats(0.0, EMPTY_MCV, EquiDepthHistogram([1.0, 2.0]), 2, 1)),
+        RangeStats(0.0, 0.0, 0.0, 1.0,
+                   AttributeStats(0.0, MostCommonValues([3.0], [1.0]), None, 2, 1), None),
+    ], ids=["empty-mcv", "no-histogram", "negative-zero-mcv", "all-null", "all-nan",
+            "range-no-bounds", "range-no-lower", "range-no-upper"])
+    def test_documents_with_missing_parts(self, s):
+        save = save_range_stats if isinstance(s, RangeStats) else save_stats
+        assert save(s) == reference_doc(s)
+
+    # the documents TestPinnedStatistics pins
+    @pytest.mark.parametrize("make", [
+        *(pytest.param(lambda k=kind, s=seed, t=target: save_stats(analyze_column(
+            generate_scalar_column(k, 200_000, s), t)), id=f"{kind}-{seed}-{target}")
+          for kind in ("uniform-int", "skewed-int") for seed in (1, 2) for target in (100, 1000)),
+        *(pytest.param(lambda s=seed, t=target: save_range_stats(analyze_range_column(
+            generate_range_column(20_000, s), t)), id=f"range-{seed}-{target}")
+          for seed in (1, 2) for target in (100, 1000)),
+        *(pytest.param(lambda s=seed, t=target, ss=sample_seed: save_range_stats(
+            analyze_range_column(generate_range_column(200_000, s), t, ss)),
+            id=f"range-sampled-{seed}-{target}-{sample_seed}")
+          for seed, target, sample_seed, _ in RANGE_SAMPLED_DIGESTS),
+    ])
+    def test_pinned_documents_are_json_dumps_own(self, make):
+        doc = make()
+        assert json.dumps(json.loads(doc)).encode() == doc
+
+
+class TestByteOrderMark:
+    """A statistics document may start with one UTF-8 byte-order mark, as
+    a column file may; a mark anywhere else is still not JSON."""
+
+    @pytest.mark.parametrize("save,load,s", [
+        (save_stats, load_stats, analyze_column(R1_X, 3)),
+        (save_range_stats, load_range_stats, analyze_range_column(
+            generate_range_column(500, 1), 10)),
+    ], ids=["scalar", "range"])
+    def test_leading_mark_dropped(self, save, load, s):
+        doc = save(s)
+        assert load(b"\xef\xbb\xbf" + doc) == s
+        assert load("\ufeff" + doc.decode()) == s
+
+    @pytest.mark.parametrize("doc", [
+        b"\xef\xbb\xbf\xef\xbb\xbf{}", "\ufeff\ufeff{}", b" \xef\xbb\xbf{}", "{\ufeff}",
+        b"\xef\xbb\xbf", "\ufeff",
+    ])
+    def test_other_marks_rejected(self, doc):
+        with pytest.raises(ValueError, match="^not valid JSON: "):
+            load_stats(doc)
 
 
 # Every field path of both kinds of statistics document: a field added to
