@@ -3,9 +3,11 @@ Range operators from bound histograms
 =====================================
 
 A range column is summarized by statistics over its lower bounds and its
-upper bounds, plus fractions of null rows, empty ranges and infinite
-bounds.  Each positional operator (strictly left/right, no-extend,
-overlaps) reduces to a scalar inequality between one bound of each side.
+upper bounds, plus fractions of null rows and empty ranges.  Each bound's
+statistics count an infinite bound as a null, so their null fraction is
+that bound's infinite share.  Each positional operator (strictly
+left/right, no-extend, overlaps) reduces to a scalar inequality between
+one bound of each side.
 """
 
 from ineqsel import (
@@ -24,10 +26,11 @@ sy = analyze_range_column(ys, statistics_target=50, sample_cap=len(ys))
 
 print("column x:",
       f"null={sx.null_frac:.3f} empty={sx.empty_frac:.3f}",
-      f"inf-lower={sx.lower_inf_frac:.3f} inf-upper={sx.upper_inf_frac:.3f}")
+      f"inf-lower={sx.lower_stats.null_frac:.3f} inf-upper={sx.upper_stats.null_frac:.3f}")
 print("column y:",
       f"null={sy.null_frac:.3f} empty={sy.empty_frac:.3f}",
-      f"inf-lower={sy.lower_inf_frac:.3f} inf-upper={sy.upper_inf_frac:.3f}")
+      f"inf-lower={sy.lower_stats.null_frac:.3f} inf-upper={sy.upper_stats.null_frac:.3f}")
+print("(each infinite share is the null fraction of that bound's statistics)")
 print()
 
 print(f"{'operator':>16}  {'estimate':>9}  {'exact':>9}  {'abs err':>9}")

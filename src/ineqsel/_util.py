@@ -217,10 +217,10 @@ def parse_json(data: bytes | str):
 
 
 @functools.cache
-def _field_types(cls: type) -> tuple:
+def _field_types(cls: type) -> dict:
     # the annotations are strings (postponed evaluation), resolved once per type
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, hints[f.name]) for f in fields(cls))
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
 def from_doc(cls: type, doc):
@@ -229,14 +229,18 @@ def from_doc(cls: type, doc):
     Each field is checked against its declared type: a float is a JSON
     number and an int a JSON integer (a bool is neither), an array is a
     list of numbers, a dataclass is a nested document read the same way,
-    and ``X | None`` may be null.  An error inside a nested document is
-    prefixed with that field's name.  Then ``cls``'s constructor checks
-    the instance's invariants.
+    and ``X | None`` may be null; a field ``cls`` does not declare is an
+    error.  An error inside a nested document is prefixed with that field's
+    name.  Then ``cls``'s constructor checks the instance's invariants.
     """
     if not isinstance(doc, dict):
         raise ValueError("expected a JSON object")
+    types = _field_types(cls)
+    for name in doc:
+        if name not in types:
+            raise ValueError(f"unknown field {name}")
     values = []
-    for name, tp in _field_types(cls):
+    for name, tp in types.items():
         if name not in doc:
             raise ValueError(f"missing field {name}")
         values.append(_field(name, tp, doc[name]))

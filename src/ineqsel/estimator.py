@@ -24,12 +24,13 @@ The operator algebra reduces everything to the less-than case:
 
 An estimate is one sum over the partition pairs of the two sides, MCV x
 MCV, histogram x MCV, MCV x histogram and histogram x histogram, each
-weighted by the MCV or histogram shares of its sides, then scaled by both
-non-null shares; every operator and every statistics object runs the whole
-sum.  An empty MCV list or a histogram share of 0 makes its terms 0, and an
-all-null side makes the estimate 0.  All inequality operators are strict,
-so null rows contribute nothing.  Nothing is checked here: AttributeStats
-rejects a null fraction outside [0, 1] and non-null rows left undescribed.
+weighted by the MCV or histogram shares of its sides, then clamped to
+[0, 1] and scaled by both non-null shares; every operator and every
+statistics object runs the whole sum.  An empty MCV list or a histogram
+share of 0 makes its terms 0, and an all-null side makes the estimate 0.
+All inequality operators are strict, so null rows contribute nothing.
+Nothing is checked here: AttributeStats rejects a null fraction outside
+[0, 1] and non-null rows left undescribed.
 
 Ties between point masses (MCV entries, or zero-width histogram bins) are
 counted differently per pair of partitions, for P(X < Y):
@@ -137,4 +138,4 @@ def join_selectivity(sx: AttributeStats, sy: AttributeStats, op: ScalarOp) -> fl
         total += phx * phy * join_lt_hist(sx.histogram, sy.histogram)
     if op is ScalarOp.GE:
         total = 1.0 - total
-    return clamp01((1.0 - sx.null_frac) * (1.0 - sy.null_frac) * total)
+    return (1.0 - sx.null_frac) * (1.0 - sy.null_frac) * clamp01(total)

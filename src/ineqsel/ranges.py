@@ -7,12 +7,13 @@ record of one row's fields, as the column yields it.  Every range entry
 point (analyze_range_column, the oracle, the column writer) takes a
 RangeColumn; RangeColumn.from_values makes one from rows.
 
-A range attribute is summarized by two scalar statistics objects (one over
-the finite lower bounds, one over the finite upper bounds) plus fractions
-for nulls, empty ranges and infinite bounds.  Each positional operator
-reduces to a scalar inequality between one bound of each side (the table
-BOUND_INEQUALITY, which the estimator and the exact oracle both read), so
-the scalar join estimator does the real work:
+A range attribute is summarized by fractions for nulls and empty ranges
+and two scalar statistics objects, one per bound of the positioned rows
+(neither null nor empty), which count an infinite bound as a null: like
+PostgreSQL's ``compute_range_stats``, it keeps no infinite fraction.
+Each positional operator reduces to a scalar inequality between one bound
+of each side (the table BOUND_INEQUALITY, which the estimator and the
+exact oracle both read), so the scalar join estimator does the real work:
 
 * X strictly left of Y   ->  X.upper <  Y.lower
 * X strictly right of Y  ->  X.lower >  Y.upper
@@ -23,7 +24,7 @@ the scalar join estimator does the real work:
 An infinite bound is open and lies beyond every finite bound on its side,
 so the operator alone fixes how it compares: never in a strict case, and
 in a no-extend case Y's infinite bound holds against every bound of X.
-Only the pairs with both bounds finite reach the scalar estimator.
+The scalar estimator's null factor leaves all of those pairs out.
 
 Bounds compare in one order, as ``range_cmp_bounds`` in PostgreSQL's
 ``src/backend/utils/adt/rangetypes.c`` orders them: a bound is an end
@@ -43,9 +44,7 @@ either side; their share is tracked and factored out, like nulls.
 A statistics document is RangeStats' fields, with the bound statistics as
 nested documents: _util.write_doc, the one writer of both document kinds,
 writes them, in the bytes ``json.dumps`` writes for them, and from_doc
-reads them, checking each against its declared type.  Then RangeStats'
-constructor checks its invariants, so the estimator never meets a missing
-bound it needs.
+reads them, checking each against its declared type.
 
 parse_range reads one range literal into its fields, unnormalized; whole
 range files are read and written by the columnfile module.
@@ -63,6 +62,7 @@ import numpy as np
 
 from ._util import ArrayFields, as_column, clamp01, from_doc, parse_json, store_fraction, write_doc
 from .estimator import join_selectivity
+from .mcv import EMPTY_MCV
 from .operators import RangeOp, ScalarOp
 from .stats import AttributeStats, analyze_column, sample_rows
 
@@ -267,36 +267,23 @@ BOUND_INEQUALITY: dict[RangeOp, tuple[str, ScalarOp, str]] = {
 
 @dataclass(frozen=True)
 class RangeStats:
-    """Bound statistics plus null / empty / infinite-bound fractions.
+    """Bound statistics plus null and empty fractions.
 
-    lower_stats and upper_stats summarize the finite bounds of the
-    non-empty rows, so they hold no nulls; empty_frac is relative to
-    non-null rows, the infinite fractions to non-empty rows.  A fraction is
-    any real number but a bool, stored as a float.  The constructor
-    rejects fractions outside [0, 1], bound statistics with a
-    null fraction other than 0, and a bound's statistics missing unless
-    every row is null or empty or every value of that bound is infinite.
-    The fields are declared in the order a statistics document lists them.
+    lower_stats and upper_stats summarize each bound of the positioned
+    rows, so each null_frac is that bound's infinite share.  empty_frac is
+    relative to non-null rows.  A fraction is any real number but a bool,
+    stored as a float; the constructor rejects one outside [0, 1].  The
+    fields are declared in the order a statistics document lists them.
     """
 
     null_frac: float
     empty_frac: float
-    lower_inf_frac: float
-    upper_inf_frac: float
-    lower_stats: AttributeStats | None
-    upper_stats: AttributeStats | None
+    lower_stats: AttributeStats
+    upper_stats: AttributeStats
 
     def __post_init__(self):
-        for fld in ("null_frac", "empty_frac", "lower_inf_frac", "upper_inf_frac"):
+        for fld in ("null_frac", "empty_frac"):
             store_fraction(self, fld)
-        for bound in ("lower", "upper"):
-            # some rows have a finite value at this bound unless a share is 1
-            shares = (self.null_frac, self.empty_frac, getattr(self, f"{bound}_inf_frac"))
-            stats = getattr(self, f"{bound}_stats")
-            if 1.0 not in shares and stats is None:
-                raise ValueError(f"{bound}_stats missing while some {bound} bounds are finite")
-            if stats is not None and stats.null_frac != 0.0:
-                raise ValueError(f"{bound}_stats: null_frac must be 0 in bound statistics")
 
 
 def analyze_range_column(
@@ -307,9 +294,10 @@ def analyze_range_column(
 ) -> RangeStats:
     """Build RangeStats from the rows of a RangeColumn that sample_rows draws.
 
-    The null share is over the sampled rows, the empty share over the
-    non-null ones and each infinite share over the positioned ones; each
-    bound's finite values in the positioned rows are analyzed in full.
+    The null share is over the sampled rows and the empty share over the
+    non-null ones.  Each bound of the positioned rows is analyzed in full,
+    its infinite values as nulls; without a positioned row each bound's
+    statistics are zero rows, all null.
     """
     _require_column(column)
     rows = sample_rows(len(column), statistics_target, sample_seed, sample_cap)
@@ -317,26 +305,25 @@ def analyze_range_column(
     positioned = ~(null | empty)
     nonnull = null.size - int(np.count_nonzero(null))
     empty_frac = (nonnull - int(np.count_nonzero(positioned))) / nonnull if nonnull else 0.0
-    inf_fracs, bound_stats = [], []
+    bound_stats = []
     for bound in (column.lower, column.upper):
         values = bound[rows][positioned]
-        finite = values[np.isfinite(values)]
-        inf_fracs.append((values.size - finite.size) / values.size if values.size else 0.0)
-        bound_stats.append(analyze_column(finite, statistics_target, sample_seed, finite.size)
-                           if finite.size else None)
-    return RangeStats((null.size - nonnull) / null.size, empty_frac, *inf_fracs, *bound_stats)
+        values[np.isinf(values)] = np.nan
+        bound_stats.append(analyze_column(values, statistics_target, sample_seed, values.size)
+                           if values.size else
+                           AttributeStats(1.0, EMPTY_MCV, None, 0, int(statistics_target)))
+    return RangeStats((null.size - nonnull) / null.size, empty_frac, *bound_stats)
 
 
 def range_join_selectivity(sx: RangeStats, sy: RangeStats, op: RangeOp) -> float:
     """Estimate the fraction of the Cartesian product with ``x <op> y``.
 
-    Only positioned pairs (neither side null nor empty) qualify.  For each
-    operator but overlaps, its BOUND_INEQUALITY entry fixes the infinite
-    bounds' share, as the module docstring states: none for << and >>, and
-    Y's infinite share for &< and &>.  The pairs with both bounds finite add
-    their share times the scalar estimate over the bound statistics.
-    Overlaps is the positioned share less the strictly-left and
-    strictly-right estimates.
+    Only positioned pairs (neither side null nor empty) qualify.  Each
+    operator but overlaps is the scalar estimate of its BOUND_INEQUALITY
+    entry over the bound statistics, whose null factor leaves out the pairs
+    with an infinite bound, plus, for &< and &>, Y's infinite share, as the
+    module docstring states.  Overlaps is the positioned share less the
+    strictly-left and strictly-right estimates.
     """
     if not isinstance(op, RangeOp):
         raise ValueError(f"unsupported operator {op}")
@@ -348,14 +335,10 @@ def range_join_selectivity(sx: RangeStats, sy: RangeStats, op: RangeOp) -> float
         return clamp01(nn_x * nn_y - range_join_selectivity(sx, sy, RangeOp.STRICTLY_LEFT)
                        - range_join_selectivity(sx, sy, RangeOp.STRICTLY_RIGHT))
     x_bound, scalar_op, y_bound = BOUND_INEQUALITY[op]
-    ix = getattr(sx, f"{x_bound}_inf_frac")
-    iy = getattr(sy, f"{y_bound}_inf_frac")
-    cond = iy if x_bound == y_bound else 0.0
-    # RangeStats holds both bounds' statistics when both have finite values
-    if ix < 1.0 and iy < 1.0:
-        sx_bound, sy_bound = getattr(sx, f"{x_bound}_stats"), getattr(sy, f"{y_bound}_stats")
-        cond += (1.0 - ix) * (1.0 - iy) * join_selectivity(sx_bound, sy_bound, scalar_op)
-    return clamp01(nn_x * nn_y * cond)
+    sx_bound, sy_bound = getattr(sx, f"{x_bound}_stats"), getattr(sy, f"{y_bound}_stats")
+    # Y's infinite bounds, its bound statistics' nulls, hold in a same-bound case
+    cond = sy_bound.null_frac if x_bound == y_bound else 0.0
+    return clamp01(nn_x * nn_y * (cond + join_selectivity(sx_bound, sy_bound, scalar_op)))
 
 
 # ---------------------------------------------------------------------------

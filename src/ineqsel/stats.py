@@ -14,10 +14,10 @@ list of runs (the MCV fractions, which repeat) each run's number once.
 ANALYZE draws its rows by one rule, sample_rows, for scalar and range
 columns alike, as ``acquire_sample_rows`` in PostgreSQL's
 ``src/backend/commands/analyze.c`` does; a range column's sampled rows then
-have their finite bounds analyzed in full.  As there, a table's rows are
-drawn once: the last draw is kept, read-only, for its ``(n, cap, seed)``,
-so the columns of one table, which share the length, the cap and the seed,
-share one draw and analyze the same rows.  ANALYZE sorts the sample
+have each bound analyzed in full, its infinite values as nulls.  As there,
+a table's rows are drawn once: the last draw is kept, read-only, for its
+``(n, cap, seed)``, so the columns of one table, which share the length,
+the cap and the seed, share one draw and analyze the same rows.  ANALYZE sorts the sample
 once, as ``compute_scalar_stats`` does there, slices its nulls (NaNs of
 any bit pattern, which sort last) off the end, and builds the MCV
 list and the histogram from that one sorted array: the histogram

@@ -46,8 +46,6 @@ GOOD_STATS = {
 GOOD_RANGE_STATS = {
     "null_frac": 0.0,
     "empty_frac": 0.0,
-    "lower_inf_frac": 0.0,
-    "upper_inf_frac": 0.0,
     "lower_stats": GOOD_STATS,
     "upper_stats": GOOD_STATS,
 }
@@ -76,9 +74,8 @@ MALFORMED_STATS = [
                  id="range-nested-mcv-not-object"),
     pytest.param(GOOD_RANGE_STATS, "overlaps", {"upper_stats": {**GOOD_STATS, "row_count": -3}},
                  id="range-nested-row-count-negative"),
-    # bound statistics describe the finite bounds of positioned rows
-    pytest.param(GOOD_RANGE_STATS, "overlaps", {"upper_stats": {**GOOD_STATS, "null_frac": 0.5}},
-                 id="range-bound-stats-with-nulls"),
+    pytest.param(GOOD_RANGE_STATS, "overlaps", {"upper_stats": {**GOOD_STATS, "null_frac": 1.5}},
+                 id="range-bound-null-frac-out-of-range"),
     # JSON integers beyond float range, which float() cannot convert
     pytest.param(GOOD_STATS, "lt", {"histogram": {"bounds": [1.0, 10**400]}},
                  id="bound-beyond-float"),
@@ -544,8 +541,7 @@ class TestCli:
             assert f"bad.json: {name}: " in captured.err
 
     # the fields a range document holds and a scalar one does not
-    @pytest.mark.parametrize("field", ["empty_frac", "lower_inf_frac", "upper_inf_frac",
-                                       "lower_stats", "upper_stats"])
+    @pytest.mark.parametrize("field", ["empty_frac", "lower_stats", "upper_stats"])
     def test_range_stats_missing_field_exit_1(self, tmp_path, capsys, field):
         # the document is still read as range statistics, which name the field
         bad = tmp_path / "bad.json"
@@ -555,6 +551,22 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {bad}: missing field {field}\n"
+
+    def test_old_format_range_stats_exit_1(self, tmp_path, capsys):
+        # range documents once held each bound's infinite share as a field
+        # of its own; loaded without it, such a document would give a wrong
+        # estimate, so it is refused by the field's name
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"null_frac": 0.0, "empty_frac": 0.0, "lower_inf_frac": 0.25,
+                                   "upper_inf_frac": 0.0, "lower_stats": GOOD_STATS,
+                                   "upper_stats": GOOD_STATS}))
+        ok = tmp_path / "ok.json"
+        ok.write_text(json.dumps(GOOD_RANGE_STATS))
+        assert main(["estimate", "--stats-x", str(old), "--stats-y", str(ok),
+                     "--op", "overlaps"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {old}: unknown field lower_inf_frac\n"
 
     @pytest.mark.parametrize("op", ["lt", "overlaps"])
     def test_deeply_nested_stats_exit_1(self, tmp_path, capsys, op):

@@ -9,7 +9,6 @@ import pytest
 from ineqsel import (
     AttributeStats,
     EquiDepthHistogram,
-    MostCommonValues,
     RangeColumn,
     RangeOp,
     RangeStats,
@@ -308,17 +307,35 @@ class TestAnalyze:
         assert s.lower_stats.histogram.bounds.tolist() == [1, 3]
         assert s.upper_stats.histogram.bounds.tolist() == [2, 9]
 
-    def test_all_empty(self):
-        s = analyze_range_column(RangeColumn.from_values([EMPTY_RANGE, EMPTY_RANGE]), 2)
-        assert s.empty_frac == 1.0
-        assert s.lower_stats is None and s.upper_stats is None
+    @pytest.mark.parametrize("rows", [[EMPTY_RANGE, EMPTY_RANGE], [None, None],
+                                      [EMPTY_RANGE, None]], ids=["empty", "null", "both"])
+    def test_no_positioned_row_gives_all_null_bounds(self, rows):
+        # each bound has zero rows, all of them null
+        s = analyze_range_column(RangeColumn.from_values(rows), 2)
+        blank = AttributeStats(1.0, EMPTY_MCV, None, 0, 2)
+        assert s.lower_stats == blank and s.upper_stats == blank
+        for op in RangeOp:
+            assert range_join_selectivity(s, s, op) == 0.0
 
-    def test_infinite_bound_fractions(self):
+    def test_infinite_bounds_are_nulls_of_their_bound(self):
         rows = [rv(-math.inf, 5), rv(0, 5)]
         s = analyze_range_column(RangeColumn.from_values(rows), 2)
-        assert s.lower_inf_frac == 0.5
-        assert s.upper_inf_frac == 0.0
+        assert s.lower_stats.null_frac == 0.5
+        assert s.upper_stats.null_frac == 0.0
         assert s.lower_stats.histogram.bounds.tolist() == [0, 0]
+        assert s.lower_stats.row_count == s.upper_stats.row_count == 2
+
+    @pytest.mark.parametrize("bound", ["lower", "upper"])
+    def test_bound_infinite_in_every_positioned_row(self, bound):
+        # the other bound and the null and empty rows are as usual
+        rows = [RangeValue(-math.inf, 3, False, True), RangeValue(-math.inf, 4, False, True)]
+        if bound == "upper":
+            rows = [RangeValue(3, math.inf, True, False), RangeValue(4, math.inf, True, False)]
+        s = analyze_range_column(RangeColumn.from_values(rows + [None, EMPTY_RANGE]), 2)
+        infinite = getattr(s, f"{bound}_stats")
+        assert infinite == AttributeStats(1.0, EMPTY_MCV, None, 2, 2)
+        other = s.upper_stats if bound == "lower" else s.lower_stats
+        assert other.null_frac == 0.0 and other.row_count == 2
 
     def test_invalid_target(self):
         # named as such: with the target at 0, the default cap is 0 too
@@ -341,12 +358,15 @@ class TestAnalyze:
             assert got == analyze_range_column(sampled, target, seed, cap), (target, seed)
 
     def test_bound_values_analyzed_in_full(self):
-        # a cap above the default reads every row, and then every finite bound
+        # a cap above the default reads every row, and then every bound of
+        # the positioned rows, the infinite ones as nulls
         col = generate_range_column(5000, 3)
         s = analyze_range_column(col, 1, 0, len(col))
         for bound in ("lower", "upper"):
             values = getattr(col, bound)[col.positioned]
-            assert getattr(s, f"{bound}_stats").row_count == np.isfinite(values).sum() > 300
+            stats = getattr(s, f"{bound}_stats")
+            assert stats.row_count == values.size > 300
+            assert stats.null_frac == np.isinf(values).sum() / values.size > 0
 
 
 class TestColumnRequired:
@@ -453,12 +473,6 @@ class TestJoin:
         sy = analyze_range_column(uniform_ranges(rng, 20), 3)
         assert range_join_selectivity(sx, sy, RangeOp.STRICTLY_LEFT) == 0.0
 
-    def test_insufficient_statistics(self):
-        # finite bounds without their statistics cannot be built, so no join
-        # is ever estimated from them
-        with pytest.raises(ValueError, match="lower_stats missing"):
-            RangeStats(0.0, 0.0, 0.0, 0.0, None, None)
-
 
 def bound_column(seed, lower_inf, upper_inf, mixed_flags=False):
     """A column with null and empty rows whose finite bounds take a few
@@ -533,16 +547,14 @@ class TestInfiniteBoundRule:
 
 
 class TestRangeStatsInvariants:
-    """RangeStats rejects fractions outside [0, 1], bound statistics with
-    nulls and missing bound statistics."""
+    """RangeStats rejects fractions outside [0, 1]."""
 
-    FRACTIONS = ("null_frac", "empty_frac", "lower_inf_frac", "upper_inf_frac")
+    FRACTIONS = ("null_frac", "empty_frac")
 
     @staticmethod
     def stats(**changes) -> RangeStats:
         bound = analyze_column([1.0, 2.0, 3.0, 5.0], 2)
-        fields = dict(null_frac=0.1, empty_frac=0.1, lower_stats=bound, upper_stats=bound,
-                      lower_inf_frac=0.1, upper_inf_frac=0.1)
+        fields = dict(null_frac=0.1, empty_frac=0.1, lower_stats=bound, upper_stats=bound)
         return RangeStats(**{**fields, **changes})
 
     @pytest.mark.parametrize("value", [-0.1, 1.5, math.nan])
@@ -551,52 +563,13 @@ class TestRangeStatsInvariants:
         with pytest.raises(ValueError, match=f"^{fld} out of range$"):
             self.stats(**{fld: value})
 
-    @pytest.mark.parametrize("null_frac", [1e-12, 0.5, 1.0])
-    @pytest.mark.parametrize("bound", ["lower", "upper"])
-    def test_bound_statistics_hold_no_nulls(self, bound, null_frac):
-        # they describe the finite bounds of positioned rows, and the
-        # estimate would scale by their null share
-        nulls = AttributeStats(null_frac, MostCommonValues([1.0], [1.0]), None, 4, 2)
-        message = f"^{bound}_stats: null_frac must be 0 in bound statistics$"
-        with pytest.raises(ValueError, match=message):
-            self.stats(**{f"{bound}_stats": nulls})
-
-    @pytest.mark.parametrize("bound", ["lower", "upper"])
-    @pytest.mark.parametrize("inf_frac", [0.0, 0.5, 1.0 - 1e-12])
-    def test_missing_bound_with_finite_mass(self, bound, inf_frac):
-        with pytest.raises(ValueError, match=f"{bound}_stats missing"):
-            self.stats(**{f"{bound}_stats": None, f"{bound}_inf_frac": inf_frac})
-
-    @pytest.mark.parametrize("blank", [{"null_frac": 1.0}, {"empty_frac": 1.0}])
-    def test_missing_bounds_accepted_without_positioned_rows(self, blank):
-        s = self.stats(lower_stats=None, upper_stats=None, **blank)
-        for op in RangeOp:
-            assert range_join_selectivity(s, self.stats(), op) == 0.0
-
-    @pytest.mark.parametrize("bound", ["lower", "upper"])
-    def test_missing_bound_accepted_when_every_one_is_infinite(self, bound):
-        s = self.stats(**{f"{bound}_stats": None, f"{bound}_inf_frac": 1.0})
-        for op in RangeOp:
-            assert 0.0 <= range_join_selectivity(s, self.stats(), op) <= 1.0
-            assert 0.0 <= range_join_selectivity(self.stats(), s, op) <= 1.0
-
-    @pytest.mark.parametrize("rows,missing", [
-        ([None, None], ("lower", "upper")),
-        ([EMPTY_RANGE, None], ("lower", "upper")),
-        ([rv(-math.inf, 3), rv(-math.inf, 4), None], ("lower",)),
-        ([rv(1, math.inf), EMPTY_RANGE], ("upper",)),
-    ])
-    def test_analyze_leaves_out_only_bounds_without_finite_values(self, rows, missing):
-        s = analyze_range_column(RangeColumn.from_values(rows), 3)
-        assert tuple(b for b in ("lower", "upper") if getattr(s, f"{b}_stats") is None) == missing
-
 
 class TestOwnership:
     def test_checked_arrays_cannot_change(self):
         bounds = np.array([1.0, 2.0, 5.0])
         view = bounds[:]
         bound = AttributeStats(0.0, EMPTY_MCV, EquiDepthHistogram(bounds), 3, 2)
-        s = RangeStats(0.0, 0.0, 0.0, 0.0, bound, bound)
+        s = RangeStats(0.0, 0.0, bound, bound)
         doc = save_range_stats(s)
         view[0] = 9.0       # unsorted, past the check
         assert save_range_stats(s) == doc

@@ -641,12 +641,12 @@ class TestOneSortAnalyze:
 # sha256 of the range documents of 200k-row generated columns, which every
 # target samples: caps 3000 and 30000
 RANGE_SAMPLED_DIGESTS = [
-    (1, 10, 0, "5101a9a2106e47ea150f43f076962fbc9b992cc013a2573835c3a2afe08a0673"),
-    (1, 100, 0, "12f99c13b29c7f109b30f3873ece362026edf54b589bbcd4ff0fc9398f436dc1"),
-    (2, 10, 0, "76432d2c8817fca22ed01eb3e834f2824cde0a01fea338a373f207605d4330dc"),
-    (2, 100, 0, "e9a6011bdc09ee8fe0922bbd22abe1adc0c428851fcec6ff9962974f899f4d4e"),
-    (1, 10, 7, "cf9aa8636c9d1aff603025d3e2544ab00dedc6441285a4e427069cc84974da87"),
-    (2, 100, 7, "8a4adf80221de82b81fb3f4039ca219a8ac9f2252b2f68bd93ade06560cb750a"),
+    (1, 10, 0, "10fd1b66aa1cc156b41a953e826d89b4dd03ede7a150feea2cc9e24a9445d8b0"),
+    (1, 100, 0, "67a34c804a44734784b6aa736daaf895a5244f37e2fa0a127736240f6262de93"),
+    (2, 10, 0, "36325927f9b5fd0418f68ab05ded0f0e6d87c430a7ea465f1cb05d55c24bf7f8"),
+    (2, 100, 0, "7594e4330b7be93e25ae7fca1678d2d79ed96e53293136c21098fc38612211c0"),
+    (1, 10, 7, "fb0155eff8e3d8b1406922f59ff414a7214f159289d000ee99a8db076afe6069"),
+    (2, 100, 7, "b188eac90d4042ee8b4b4c895dcaf4c1bb6218665414a7316120ac4b0e5a01c3"),
 ]
 
 
@@ -669,10 +669,10 @@ class TestPinnedStatistics:
         assert hashlib.sha256(doc).hexdigest() == digest
 
     @pytest.mark.parametrize("seed,target,digest", [
-        (1, 100, "1aad800f96f023f51a943e6fec79880beae0bbc3493e356af8ea26a941b68943"),
-        (1, 1000, "d1d46c0195230c4bcbedf879768588ec8b1bebb83bd95716e76ddca602bf56e6"),
-        (2, 100, "c6d8f4abb29e1a5b73e8077721e1e4926ca061203c8f33dc7b1e28ddb74dfc69"),
-        (2, 1000, "a407c909cb8076db674aaa70cffdf05489b6f382655fe107d6b1743a6e21692c"),
+        (1, 100, "107f5ac5604fc3f853d5a1e43db3faa4547d6f1404932396434fef2b7ebf6dfc"),
+        (1, 1000, "dcbf7a12e800234dd693ba7bdf70799d6f2976e03cf8e1d6ba23301b833f1721"),
+        (2, 100, "3beeeb5cc69eb050c9ad73eb81998f62dbb4d10755a45b47f02dcaf1eb946075"),
+        (2, 1000, "0cf2515163f780fe9135faf978915d3ee0c470ea09ca705d9829618859f8a184"),
     ])
     def test_range(self, seed, target, digest):
         doc = save_range_stats(analyze_range_column(generate_range_column(20_000, seed), target))
@@ -697,14 +697,18 @@ class TestPinnedStatistics:
          '"histogram": {"bounds": [0.0, 3.5]}, "row_count": 2, "statistics_target": 1}'),
         (lambda: save_range_stats(analyze_range_column(
             RangeColumn.from_values([None, EMPTY_RANGE]), 1)),
-         '{"null_frac": 0.5, "empty_frac": 1.0, "lower_inf_frac": 0.0, "upper_inf_frac": 0.0, '
-         '"lower_stats": null, "upper_stats": null}'),
+         '{"null_frac": 0.5, "empty_frac": 1.0, '
+         '"lower_stats": {"null_frac": 1.0, "mcv": {"values": [], "fractions": []}, '
+         '"histogram": null, "row_count": 0, "statistics_target": 1}, '
+         '"upper_stats": {"null_frac": 1.0, "mcv": {"values": [], "fractions": []}, '
+         '"histogram": null, "row_count": 0, "statistics_target": 1}}'),
         (lambda: save_range_stats(analyze_range_column(RangeColumn.from_values(
             [RangeValue(1.0, math.inf, True, False), RangeValue(2.0, math.inf, True, False)]), 1)),
-         '{"null_frac": 0.0, "empty_frac": 0.0, "lower_inf_frac": 0.0, "upper_inf_frac": 1.0, '
+         '{"null_frac": 0.0, "empty_frac": 0.0, '
          '"lower_stats": {"null_frac": 0.0, "mcv": {"values": [], "fractions": []}, '
          '"histogram": {"bounds": [1.0, 2.0]}, "row_count": 2, "statistics_target": 1}, '
-         '"upper_stats": null}'),
+         '"upper_stats": {"null_frac": 1.0, "mcv": {"values": [], "fractions": []}, '
+         '"histogram": null, "row_count": 2, "statistics_target": 1}}'),
     ], ids=["all-null", "mcv-only", "signed-zero", "range-null-empty", "range-upper-infinite"])
     def test_null_parts(self, make, text):
         assert make() == text.encode("utf-8")
@@ -843,7 +847,7 @@ class TestWriter:
     def test_edge_numbers(self, bounds):
         s = edge_stats(bounds)
         assert save_stats(s) == reference_doc(s)
-        ranged = RangeStats(0.25, 0.0, 0.5, 0.0, s, s)
+        ranged = RangeStats(0.25, 0.0, s, s)
         assert save_range_stats(ranged) == reference_doc(ranged)
         assert load_stats(save_stats(s)) == s
 
@@ -879,13 +883,13 @@ class TestWriter:
         AttributeStats(0.0, MostCommonValues([-0.0], [1.0]), None, 4, 2),
         analyze_column([None, None], 1),
         analyze_column([math.nan] * 10, 5),
-        RangeStats(0.5, 1.0, 0.0, 0.0, None, None),
-        RangeStats(0.0, 0.0, 1.0, 0.0, None,
+        RangeStats(0.5, 1.0, *[AttributeStats(1.0, EMPTY_MCV, None, 0, 1)] * 2),
+        RangeStats(0.0, 0.0, AttributeStats(1.0, EMPTY_MCV, None, 2, 1),
                    AttributeStats(0.0, EMPTY_MCV, EquiDepthHistogram([1.0, 2.0]), 2, 1)),
-        RangeStats(0.0, 0.0, 0.0, 1.0,
-                   AttributeStats(0.0, MostCommonValues([3.0], [1.0]), None, 2, 1), None),
+        RangeStats(0.0, 0.0, AttributeStats(0.0, MostCommonValues([3.0], [1.0]), None, 2, 1),
+                   AttributeStats(1.0, EMPTY_MCV, None, 2, 1)),
     ], ids=["empty-mcv", "no-histogram", "negative-zero-mcv", "all-null", "all-nan",
-            "range-no-bounds", "range-no-lower", "range-no-upper"])
+            "range-no-positioned-row", "range-lower-infinite", "range-upper-infinite"])
     def test_documents_with_missing_parts(self, s):
         save = save_range_stats if isinstance(s, RangeStats) else save_stats
         assert save(s) == reference_doc(s)
@@ -935,8 +939,7 @@ class TestByteOrderMark:
 # AttributeStats or RangeStats needs one more entry here.
 SCALAR_FIELDS = ("null_frac", "mcv", "histogram", "row_count", "statistics_target")
 SCALAR_NESTED_FIELDS = (("mcv", "values"), ("mcv", "fractions"), ("histogram", "bounds"))
-RANGE_FIELDS = ("null_frac", "empty_frac", "lower_inf_frac", "upper_inf_frac",
-                "lower_stats", "upper_stats")
+RANGE_FIELDS = ("null_frac", "empty_frac", "lower_stats", "upper_stats")
 RANGE_NESTED_FIELDS = tuple(
     (bound, *path)
     for bound in ("lower_stats", "upper_stats")
@@ -988,6 +991,28 @@ class TestLoadErrors:
             node = node[name]
         del node[leaf]
         message = ": ".join((*parents, f"missing field {leaf}"))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load(json.dumps(doc))
+
+    @pytest.mark.parametrize("load,path", [
+        pytest.param(load_stats, ("extra",), id="extra"),
+        pytest.param(load_stats, ("mcv", "extra"), id="mcv.extra"),
+        pytest.param(load_stats, ("histogram", "extra"), id="histogram.extra"),
+        pytest.param(load_range_stats, ("lower_inf_frac",), id="range-lower_inf_frac"),
+        pytest.param(load_range_stats, ("upper_stats", "extra"), id="range-upper_stats.extra"),
+        pytest.param(load_range_stats, ("lower_stats", "histogram", "extra"),
+                     id="range-lower_stats.histogram.extra"),
+    ])
+    def test_unknown_field(self, load, path):
+        # a field the type does not declare is rejected, at any depth, and
+        # the error names every field on the way down
+        doc = GOOD_DOCS[load]()
+        *parents, leaf = path
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[leaf] = 0.0
+        message = ": ".join((*parents, f"unknown field {leaf}"))
         with pytest.raises(ValueError, match=f"^{message}$"):
             load(json.dumps(doc))
 
@@ -1071,8 +1096,7 @@ class TestFractionsAreFloats:
 
     BOUND = AttributeStats(0.0, EMPTY_MCV, EquiDepthHistogram([0.0, 1.0]), 10, 3)
     FIELDS = [("scalar", "null_frac"),
-              *(("range", f) for f in ("null_frac", "empty_frac", "lower_inf_frac",
-                                       "upper_inf_frac"))]
+              *(("range", f) for f in ("null_frac", "empty_frac"))]
 
     def make(self, kind, fld, value):
         if kind == "scalar":

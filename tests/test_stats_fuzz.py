@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from ineqsel import (
+    RangeColumn,
     RangeOp,
     ScalarOp,
     analyze_column,
@@ -51,7 +52,8 @@ REPLACEMENTS = [
 
 
 def _base_documents():
-    """Small valid documents (a few MCV entries and bins), scalar and range."""
+    """Small valid documents (a few MCV entries and bins), scalar and range,
+    one of the range documents with all-null lower bound statistics."""
     scalar = [
         json.loads(save_stats(analyze_column(generate_scalar_column(kind, 300, seed), target)))
         for kind in ("skewed-int", "uniform-int") for seed, target in ((0, 4), (1, 8))
@@ -60,10 +62,12 @@ def _base_documents():
     column[::4] = np.nan
     scalar.append(json.loads(save_stats(analyze_column(column, 3))))
     scalar.append(json.loads(save_stats(analyze_column([1, 1, 2, 2, 2, 7, 7], 3))))
-    ranges = [
-        json.loads(save_range_stats(analyze_range_column(generate_range_column(300, seed), 5)))
-        for seed in range(3)
-    ]
+    columns = [generate_range_column(300, seed) for seed in range(4)]
+    # every lower bound infinite: lower bound statistics that are all null
+    last = columns[-1]
+    columns[-1] = RangeColumn(np.full(len(last), -np.inf), last.upper, last.lower_closed,
+                              last.upper_closed, last.null, last.empty)
+    ranges = [json.loads(save_range_stats(analyze_range_column(c, 5))) for c in columns]
     return scalar, ranges
 
 
