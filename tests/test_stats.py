@@ -1092,19 +1092,31 @@ class TestInvariants:
 class TestFractionsAreFloats:
     """A statistics object stores each fraction it is given as a float, so
     that every document it saves loads back and saves the same bytes; a
-    bool or a value that is not a real number is refused by name."""
+    bool or a value that is not a real number is refused by name. A range
+    bound's null_frac, its infinite share, is one of them."""
 
     BOUND = AttributeStats(0.0, EMPTY_MCV, EquiDepthHistogram([0.0, 1.0]), 10, 3)
     FIELDS = [("scalar", "null_frac"),
-              *(("range", f) for f in ("null_frac", "empty_frac"))]
+              *(("range", f) for f in ("null_frac", "empty_frac",
+                                       "lower_stats.null_frac", "upper_stats.null_frac"))]
 
     def make(self, kind, fld, value):
         if kind == "scalar":
             s = AttributeStats(value, EMPTY_MCV, self.BOUND.histogram, 10, 3)
             return s, save_stats, load_stats
-        fractions = {f: 0.1 for _, f in self.FIELDS}
-        s = RangeStats(**{**fractions, fld: value}, lower_stats=self.BOUND, upper_stats=self.BOUND)
-        return s, save_range_stats, load_range_stats
+        fields = dict(null_frac=0.1, empty_frac=0.1, lower_stats=self.BOUND, upper_stats=self.BOUND)
+        bound = fld.rpartition(".")[0]
+        if bound:
+            fields[bound] = AttributeStats(value, EMPTY_MCV, self.BOUND.histogram, 10, 3)
+        else:
+            fields[fld] = value
+        return RangeStats(**fields), save_range_stats, load_range_stats
+
+    @staticmethod
+    def fraction(s, fld):
+        for name in fld.split("."):
+            s = getattr(s, name)
+        return s
 
     @pytest.mark.parametrize("value", [0, 1, 0.75, np.float64(0.5), np.float32(0.25), np.int64(0),
                                        Fraction(1, 4), Fraction(1, 3)],
@@ -1113,7 +1125,8 @@ class TestFractionsAreFloats:
     @pytest.mark.parametrize("kind,fld", FIELDS)
     def test_real_value_round_trips(self, kind, fld, value):
         s, save, load = self.make(kind, fld, value)
-        assert type(getattr(s, fld)) is float and getattr(s, fld) == float(value)
+        got = self.fraction(s, fld)
+        assert type(got) is float and got == float(value)
         doc = save(s)
         assert save(load(doc)) == doc
 
@@ -1123,7 +1136,9 @@ class TestFractionsAreFloats:
     ], ids=["bool", "numpy-bool", "str", "None", "complex", "big-int"])
     @pytest.mark.parametrize("kind,fld", FIELDS)
     def test_other_value_refused(self, kind, fld, value, error):
-        message = (f"{fld} must be a real number, got {value!r}" if error is TypeError
-                   else f"{fld} is beyond float range")
+        # a bound's statistics name their own field
+        leaf = fld.rpartition(".")[2]
+        message = (f"{leaf} must be a real number, got {value!r}" if error is TypeError
+                   else f"{leaf} is beyond float range")
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             self.make(kind, fld, value)
