@@ -2,18 +2,19 @@
 Equi-depth histograms as approximate distributions
 ==================================================
 
-Build a three-bin equi-depth histogram over a small integer column and
-read its CDF.  Every bin holds the same share of rows, so bin widths
-adapt: tight where the data is dense, wide where it is sparse.
+Analyze a small integer column at statistics target 3 and read the CDF of
+the three-bin equi-depth histogram ANALYZE builds: no value repeats, so
+there is no MCV list and the histogram covers every row.  Every bin holds
+the same share of rows, so bin widths adapt: tight where the data is
+dense, wide where it is sparse.
 """
 
 import numpy as np
 
-from ineqsel import cdf
-from ineqsel.histogram import build_equi_depth
+from ineqsel import analyze_column, cdf
 
 column = [10, 11, 12, 20, 21, 22, 24, 25, 30, 35, 38, 45]
-h = build_equi_depth(column, bin_count=3)
+h = analyze_column(column, 3).histogram
 
 print("column:", column)
 print("boundaries:", h.bounds.tolist())

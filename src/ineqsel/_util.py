@@ -137,7 +137,25 @@ def write_doc(obj) -> bytes:
     nested statistics object as a nested object, an array as a list.
 
     The bytes are, to the byte, what ``json.dumps`` writes for that tree.
-    Each array is written by the first of three rules that fits it:
+    One walk writes the text: an object's fields in declaration order, each
+    array by _numbers, and every other value (None as null) by
+    ``json.dumps``.
+    """
+    return _text(obj).encode("utf-8")
+
+
+def _text(v) -> str:
+    """The JSON text of ``v``: a statistics object, an array or a scalar."""
+    if isinstance(v, np.ndarray):
+        return _numbers(v)
+    if is_dataclass(v):
+        return "{" + ", ".join(f'"{f.name}": {_text(getattr(v, f.name))}' for f in fields(v)) + "}"
+    return json.dumps(v)
+
+
+def _numbers(a: np.ndarray) -> str:
+    """The JSON text of array ``a``, as ``json.dumps`` writes its list, by
+    the first of three rules that fits it:
 
     1. Whole numbers below 1e16 in magnitude, none of them -0.0, in one
        ``%d`` format: in that range ``float.__repr__`` writes the digits
@@ -147,61 +165,26 @@ def write_doc(obj) -> bytes:
        bounds sorted): each run's number is written once and its text
        repeated.
     3. Anything else through ``json.dumps``.
-
-    One ``json.dumps`` call writes the document, with the arrays of rule 3
-    as lists.  An array of rule 1 or 2 stands in that call as the string
-    _HOLE, which no document holds otherwise (its only strings are field
-    names), and its text is spliced in where the string's JSON stands.
     """
-    texts = []
-    doc = json.dumps(_tree(obj, texts))
-    # a search of a long list of rule 3 for the hole costs 8 us per 20 kB
-    if texts:
-        pieces = doc.split(json.dumps(_HOLE))
-        doc = "".join([p + t for p, t in zip(pieces, texts + [""])])
-    return doc.encode("utf-8")
-
-
-_HOLE = "\0"
-
-
-def _tree(obj, texts: list):
-    """``obj`` as a JSON tree, with each array that _numbers writes as
-    _HOLE and its text appended to ``texts``."""
-    if isinstance(obj, np.ndarray):
-        text = _numbers(obj)
-        if text is None:
-            return obj.tolist()
-        texts.append(text)
-        return _HOLE
-    if is_dataclass(obj):
-        return {f.name: _tree(getattr(obj, f.name), texts) for f in fields(obj)}
-    return obj
-
-
-def _numbers(a: np.ndarray) -> str | None:
-    """The JSON text of float array ``a`` by rule 1 or 2 of write_doc, or
-    None when neither fits."""
     n = a.size
-    if a.dtype != np.float64 or n < 2:
-        return None
-    # the first value turns most arrays of rule 3 away; a NaN or an
-    # infinity fails the comparison
-    if float(a[0]).is_integer() and np.abs(a).max() < 1e16:
-        ints = a.astype(np.int64)
-        # -0.0 passes as a whole number, but %d writes 0.0 where repr writes -0.0
-        if (ints == a).all() and not np.signbit(a[ints == 0]).any():
-            return ("[" + "%d.0, " * n)[:-2] % tuple(ints.tolist()) + "]"
-    bits = a.view(np.int64)
-    steps = bits[1:] != bits[:-1]
-    if 2 * (np.count_nonzero(steps) + 1) > n:
-        return None
-    # the last index of each run
-    ends = np.flatnonzero(steps).tolist() + [n - 1]
-    # one json.dumps for every run's number; no number's text holds ", "
-    numbers = json.dumps(a[ends].tolist())[1:-1].split(", ")
-    runs = [(x + ", ") * (e - s) for x, s, e in zip(numbers, [-1, *ends], ends)]
-    return "[" + "".join(runs)[:-2] + "]"
+    if a.dtype == np.float64 and n >= 2:
+        # the first value turns most arrays of rule 3 away; a NaN or an
+        # infinity fails the comparison
+        if float(a[0]).is_integer() and np.abs(a).max() < 1e16:
+            ints = a.astype(np.int64)
+            # -0.0 passes as a whole number, but %d writes 0.0 where repr writes -0.0
+            if (ints == a).all() and not np.signbit(a[ints == 0]).any():
+                return ("[" + "%d.0, " * n)[:-2] % tuple(ints.tolist()) + "]"
+        bits = a.view(np.int64)
+        steps = bits[1:] != bits[:-1]
+        if 2 * (np.count_nonzero(steps) + 1) <= n:
+            # the last index of each run
+            ends = np.flatnonzero(steps).tolist() + [n - 1]
+            # one json.dumps for every run's number; no number's text holds ", "
+            numbers = json.dumps(a[ends].tolist())[1:-1].split(", ")
+            runs = [(x + ", ") * (e - s) for x, s, e in zip(numbers, [-1, *ends], ends)]
+            return "[" + "".join(runs)[:-2] + "]"
+    return json.dumps(a.tolist())
 
 
 def parse_json(data: bytes | str):

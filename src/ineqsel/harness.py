@@ -32,7 +32,7 @@ from .ranges import (
     range_join_selectivity,
     save_range_stats,
 )
-from .stats import AttributeStats, _require_integer, analyze_column, save_stats
+from .stats import AttributeStats, _require_integer, _require_target, analyze_column, save_stats
 
 SCALAR_KINDS = ("uniform-int", "skewed-int", "running-example-r1", "running-example-r2")
 RANGE_KINDS = ("ranges-mixed",)
@@ -206,9 +206,7 @@ def run_sweep(file_x, file_y, op: ScalarOp | RangeOp, targets) -> list[Experimen
     """
     targets = list(targets)
     for t in targets:
-        _require_integer(t, "statistics_target")
-        if t < 1:
-            raise ValueError("statistics target must be at least 1")
+        _require_target(t)
     targets = sorted(set(map(int, targets)))
     if not targets:
         raise ValueError("no statistics targets given")

@@ -7,9 +7,10 @@ selectivity estimates.
 A statistics document is its type's fields: _util.write_doc writes them
 and from_doc reads them, checking each against its declared type.  Then
 AttributeStats' constructor checks its invariants, so the estimators check
-nothing.  The writer's bytes are those ``json.dumps`` writes for the
-fields; it writes an array of whole numbers in one ``%d`` format and a
-list of runs (the MCV fractions, which repeat) each run's number once.
+nothing.  The writer walks the fields once and writes the bytes
+``json.dumps`` writes for them; it writes an array of whole numbers in one
+``%d`` format and a list of runs (the MCV fractions, which repeat) each
+run's number once.
 
 ANALYZE draws its rows by one rule, sample_rows, for scalar and range
 columns alike, as ``acquire_sample_rows`` in PostgreSQL's
@@ -91,6 +92,13 @@ def _require_integer(value, name: str) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_target(statistics_target) -> None:
+    # the one rule for a statistics target: an integer of at least 1
+    _require_integer(statistics_target, "statistics_target")
+    if statistics_target < 1:
+        raise ValueError("statistics target must be at least 1")
+
+
 def sample_rows(n: int, statistics_target: int, seed: int = 0, cap: int | None = None):
     """The rows ANALYZE reads of n: all (a full slice) when the cap (by
     default SAMPLE_ROWS_PER_TARGET per unit of target) covers them, else the
@@ -106,12 +114,10 @@ def sample_rows(n: int, statistics_target: int, seed: int = 0, cap: int | None =
     sampled row: 240 KB at the default target of 100, and at most 24 MB at
     target 10000 on a column of more than 3M rows.
     """
-    _require_integer(statistics_target, "statistics_target")
+    _require_target(statistics_target)
     if cap is not None:
         _require_integer(cap, "sample_cap")
     _require_integer(seed, "sample_seed")
-    if statistics_target < 1:
-        raise ValueError("statistics target must be at least 1")
     if n == 0:
         raise ValueError("no data")
     if cap is None:
