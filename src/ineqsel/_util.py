@@ -138,19 +138,26 @@ def write_doc(obj) -> bytes:
 
     The bytes are, to the byte, what ``json.dumps`` writes for that tree.
     One walk writes the text: an object's fields in declaration order, each
-    array by _numbers, and every other value (None as null) by
-    ``json.dumps``.
+    array by _numbers, None as null and a number by its repr, as
+    ``json.dumps`` writes an int and a finite float.
     """
     return _text(obj).encode("utf-8")
 
 
 def _text(v) -> str:
-    """The JSON text of ``v``: a statistics object, an array or a scalar."""
+    """The JSON text of ``v``: None, a number, an array or a statistics
+    object.  A number field holds exactly an int (a count) or a float (a
+    share, which the constructors store as a Python float in [0, 1]), and
+    its repr is what ``json.dumps`` writes for it."""
+    if v is None:
+        return "null"
+    if type(v) is int:
+        return int.__repr__(v)
+    if type(v) is float:
+        return float.__repr__(v)
     if isinstance(v, np.ndarray):
         return _numbers(v)
-    if is_dataclass(v):
-        return "{" + ", ".join(f'"{f.name}": {_text(getattr(v, f.name))}' for f in fields(v)) + "}"
-    return json.dumps(v)
+    return "{" + ", ".join(f'"{f.name}": {_text(getattr(v, f.name))}' for f in fields(v)) + "}"
 
 
 def _numbers(a: np.ndarray) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 
@@ -86,6 +87,42 @@ def generate_scalar_column(kind: str, rows: int, seed: int) -> np.ndarray:
     raise ValueError(f"unknown scalar dataset kind {kind!r}")
 
 
+def _row_starts(d: np.ndarray, rows: int) -> np.ndarray:
+    """The offsets in the stream ``d`` at which the first ``rows`` rows start.
+
+    A row that starts at offset o takes 7 doubles, unless d[o] makes it
+    null or empty (1 double) or d[o + 6] gives it an infinite bound (8).
+    Between two such odd rows the starts step by 7 and stay on one lane,
+    the offsets 7k + r of one residue r.  Each lane's odd offsets are
+    listed by k, so one bisection finds where a run of starts ends, and
+    the runs are filled as arithmetic progressions: the loop takes one
+    step per odd row, not per row.
+    """
+    blank = d[:-7] < NULL_FRAC + EMPTY_FRAC
+    odd = blank | (d[6:-1] < INF_FRAC)
+    lanes = []      # per lane: the k of its odd offsets, and the doubles each row takes
+    for r in range(7):
+        k = np.flatnonzero(odd[r::7])
+        lanes.append((k.tolist(), np.where(blank[r::7][k], 1, 8).tolist()))
+    firsts, runs = [], []   # each run's first offset and its number of rows
+    at, left = 0, rows
+    while left:
+        k, r = divmod(at, 7)
+        ks, takes = lanes[r]
+        i = bisect_left(ks, k)
+        # the run ends at its lane's next odd row, if that comes in time
+        n = min(left, ks[i] - k + 1) if i < len(ks) else left
+        firsts.append(at)
+        runs.append(n)
+        left -= n
+        if left:
+            at = 7 * ks[i] + r + takes[i]
+    # the row j rows into a run lies 7 * j doubles past the run's first
+    runs = np.array(runs)
+    base = np.array(firsts) - 7 * (np.cumsum(runs) - runs)
+    return np.repeat(base, runs) + 7 * np.arange(rows)
+
+
 def generate_range_column(rows: int, seed: int) -> RangeColumn:
     """Deterministic mixed range column: short/medium/long widths in a
     60/30/10 ratio over [0, 10^6], plus empty, null and infinite-bound rows.
@@ -94,22 +131,17 @@ def generate_range_column(rows: int, seed: int) -> RangeColumn:
     row takes one double to decide null / empty / positioned, and a
     positioned row takes six more (width class, width, start, the two
     closed flags, infinite or not) and, when a bound is infinite, one more
-    for which.  The stream is drawn as one block and each row's offset in
-    it found by walking the draw counts.
+    for which.  The stream is drawn as one block, and the rows' offsets in
+    it are found run by run (_row_starts): the rows between two null,
+    empty or infinite-bound rows start 7 doubles apart.
     """
     rows, seed = _rows_and_seed(rows, seed)
     d = np.random.default_rng(seed).random(8 * rows)
-    # the number of doubles a row takes if it starts at each offset
-    blank = d[:-7] < NULL_FRAC + EMPTY_FRAC
-    draws = np.where(blank, 1, np.where(d[6:-1] < INF_FRAC, 8, 7)).tolist()
-    starts = []
-    at = 0
-    for _ in range(rows):
-        starts.append(at)
-        at += draws[at]
-    p = np.array(starts)
+    p = _row_starts(d, rows)
     u = d[p]
-    width_class = np.searchsorted([0.6, 0.9], d[p + 1], side="right")
+    # class 0, 1 or 2 as the double is below 0.6, below 0.9 or neither
+    pick = d[p + 1]
+    width_class = (pick >= 0.6).astype(np.intp) + (pick >= 0.9)
     lo = np.array([1.0, 100.0, 10_000.0])[width_class]
     hi = np.array([100.0, 10_000.0, 200_000.0])[width_class]
     width = lo + (hi - lo) * d[p + 2]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ineqsel import EquiDepthHistogram, RangeColumn, RangeValue, cdf
+from ineqsel.harness import EMPTY_FRAC, INF_FRAC, NULL_FRAC
 from ineqsel.histogram import build_equi_depth
 from ineqsel.mcv import EMPTY_MCV, MostCommonValues
 from ineqsel.ranges import EMPTY_RANGE
@@ -176,3 +177,21 @@ def normalized_row(lower, upper, lower_closed, upper_closed, empty=False) -> Ran
 def column_row(lower, upper, lower_closed=True, upper_closed=True) -> RangeValue:
     """The row a ``RangeColumn`` makes of these fields, checked and normalized."""
     return RangeColumn.from_values([RangeValue(lower, upper, lower_closed, upper_closed)])[0]
+
+
+def walk_row_starts(d, rows) -> np.ndarray:
+    """The offsets in the stream ``d`` at which ``generate_range_column``'s
+    first ``rows`` rows start: the reference for ``harness._row_starts``.
+
+    Deliberately naive: one step per row over a list of every offset's
+    draw count, 1 for a null or empty row, 8 for a row with an infinite
+    bound and 7 for any other.
+    """
+    blank = d[:-7] < NULL_FRAC + EMPTY_FRAC
+    draws = np.where(blank, 1, np.where(d[6:-1] < INF_FRAC, 8, 7)).tolist()
+    starts = []
+    at = 0
+    for _ in range(rows):
+        starts.append(at)
+        at += draws[at]
+    return np.array(starts)

@@ -34,6 +34,7 @@ class Mutant(NamedTuple):
 
 
 WRITER = "tests/test_stats.py::TestWriter"
+GENERATION = "tests/test_harness.py::TestGeneration"
 
 MUTANTS = [
     Mutant("src/ineqsel/_util.py",
@@ -49,13 +50,53 @@ MUTANTS = [
            '"{" + ",".join(',
            WRITER, "fields separated by a bare comma, not json.dumps's \", \""),
     Mutant("src/ineqsel/_util.py",
-           "return json.dumps(v)",
-           "return str(v)",
-           WRITER, "scalars by str, which writes None as None, not null"),
+           'return "null"',
+           'return "None"',
+           WRITER, "None written as None, not null"),
     Mutant("src/ineqsel/_util.py",
            "zip(numbers, [-1, *ends], ends)",
            "zip(numbers, [0, *ends], ends)",
            WRITER, "rule 2 repeats the first run's number once too few"),
+    Mutant("src/ineqsel/harness.py",
+           "+ 7 * np.arange(rows)",
+           "+ 8 * np.arange(rows)",
+           GENERATION, "a run's starts filled 8 doubles apart, not 7"),
+    Mutant("src/ineqsel/harness.py",
+           "i = bisect_left(ks, k)",
+           "i = bisect_left(ks, k + 1)",
+           GENERATION, "bisect_right's position: an odd row at a run's own start is skipped"),
+    Mutant("src/ineqsel/harness.py",
+           "np.where(blank[r::7][k], 1, 8)",
+           "np.where(blank[r::7][k], 1, 7)",
+           GENERATION, "a row with an infinite bound steps 7 doubles, not 8"),
+    Mutant("src/ineqsel/harness.py",
+           "np.where(blank[r::7][k], 1, 8)",
+           "np.where(d[6:-1][r::7][k] < INF_FRAC, 8, 1)",
+           GENERATION, "the infinite-bound test before the null/empty one: a blank row steps 8"),
+    Mutant("src/ineqsel/oracle.py",
+           "return s[:np.searchsorted(s, np.nan)]",
+           "return s",
+           "tests/test_oracle.py::TestJoin", "the sorted NaN tail kept, so nulls are counted"),
+    Mutant("src/ineqsel/oracle.py",
+           "op in (ScalarOp.GT, ScalarOp.GE)",
+           "op in (ScalarOp.GT,)",
+           "tests/test_oracle.py::TestJoin", "GE not oriented: x >= y counted as x <= y"),
+    Mutant("src/ineqsel/ranges.py",
+           "0 if row.lower_closed else 1",
+           "0 if row.lower_closed else -1",
+           "tests/test_ranges.py::TestOperatorSemantics", "an open lower bound nudged down, not up"),
+    Mutant("src/ineqsel/ranges.py",
+           "0 if row.upper_closed else -1",
+           "0 if row.upper_closed else 1",
+           "tests/test_ranges.py::TestOperatorSemantics", "an open upper bound nudged up, not down"),
+    Mutant("src/ineqsel/oracle.py",
+           'raise outcome["error"]',
+           "pass",
+           "tests/test_oracle.py::TestTwoThreads", "the helper's exception is not raised again"),
+    Mutant("src/ineqsel/stats.py",
+           "rows.flags.writeable = False",
+           "pass",
+           "tests/test_stats.py::TestSampleRows", "the kept draw is writable, so a caller can change it"),
 ]
 
 

@@ -21,6 +21,7 @@ from ineqsel.cli import main
 from ineqsel.columnfile import looks_like_range_file
 from ineqsel.harness import (
     ExperimentRow,
+    _row_starts,
     RUNNING_EXAMPLE_R1,
     RUNNING_EXAMPLE_R2,
     generate_range_column,
@@ -32,6 +33,8 @@ from ineqsel.harness import (
     write_range_column,
     write_scalar_column,
 )
+
+from conftest import walk_row_starts
 
 GOLDEN_JOIN = 24221 / 37620
 CSV_COLUMNS = ["statistics_target", "estimate", "exact", "error", "est_time_us", "build_time_us"]
@@ -107,15 +110,33 @@ class TestGeneration:
     # generator's random stream and its use are fixed for good
     @pytest.mark.parametrize("rows,seed,digest", [
         (1, 0, "9a8fb2d1f881ff1331d0c5d43b98de2caeffac34d804ce2e453fb38b6fd14407"),
+        (2, 0, "f2bcd6400e5c879e99362ce4dd33c45e0c8a2702aa8702a56964890929893075"),
+        (8, 3, "99e8d7cef04aaad7b5aebf8eefd1fe8ce38c27c2c27293e41c853471a6d820c3"),
+        (9, 5, "faf06fdd0b5f3073a9fa4f18eeba67b651e98015643cc33f2e7d9c452317fb0f"),
         (100, 0, "b6dcd941f9bde05a54b1995e17739cb1d4a9d55876b3bac7552872c6354fc555"),
         (1000, 7, "1eeb5d2063652fb2238a8d26d6a0676657830f27340b190f1c758370eb856e81"),
         (5000, 11, "7cca15fe165fbb5a8be23a3888a59afe4c9fc02be2ed72e8ac9c78924f003bf6"),
         (20000, 1, "ecefeb44af14326ec90b8e07a7250ccbaa6ecf028befa7b80c6ae4d86a12a7bc"),
+        (200000, 2, "cf55507c549142e0720ae4f2249f04ded0d85e9f92d6eb3a5b71d1bb13b8b2d0"),
     ])
     def test_range_stream_pinned(self, tmp_path, rows, seed, digest):
         path = tmp_path / "r.col"
         write_range_column(path, generate_range_column(rows, seed))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_row_starts_match_the_walk(self):
+        # every short column of seeds 0-20 (the first 8 * rows doubles of a
+        # seed's stream are the stream of its rows-row column): runs that
+        # end at the first row, at the last or not at all, and null, empty
+        # or infinite-bound rows back to back
+        for seed in range(21):
+            d = np.random.default_rng(seed).random(8 * 300)
+            for rows in range(1, 301):
+                stream = d[:8 * rows]
+                assert np.array_equal(_row_starts(stream, rows), walk_row_starts(stream, rows)), \
+                    (rows, seed)
+        d = np.random.default_rng(4).random(8 * 200_000)
+        assert np.array_equal(_row_starts(d, 200_000), walk_row_starts(d, 200_000))
 
     # sha256 of write_scalar_column(generate_scalar_column(kind, rows, seed))
     # with every 17th row from row 3 on a null: integers and blank lines
