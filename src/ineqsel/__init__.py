@@ -14,10 +14,8 @@ from .estimator import join_selectivity, restriction_selectivity
 from .ranges import (
     RangeColumn,
     RangeStats,
-    RangeValue,
     analyze_range_column,
     load_range_stats,
-    parse_range,
     range_join_selectivity,
     range_op_holds,
     save_range_stats,
@@ -40,7 +38,6 @@ __all__ = [
     "RangeColumn",
     "RangeOp",
     "RangeStats",
-    "RangeValue",
     "ScalarOp",
     "analyze_column",
     "analyze_range_column",
@@ -52,7 +49,6 @@ __all__ = [
     "join_selectivity",
     "load_range_stats",
     "load_stats",
-    "parse_range",
     "range_join_selectivity",
     "range_op_holds",
     "restriction_selectivity",

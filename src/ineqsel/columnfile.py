@@ -118,8 +118,8 @@ def _count(codes: np.ndarray, chars: bytes) -> int:
 
 
 def parse_range_bytes(data: bytes) -> RangeColumn | None:
-    """Parse the lines of an ASCII range file in bulk: the column that
-    RangeColumn.from_values makes of parse_range of each line.
+    """Parse the lines of an ASCII range file in bulk: the column that the
+    RangeColumn constructor makes of parse_range's fields of each line.
 
     ``data`` is the file's text without its final newline.  Every line must
     be a range literal, "empty" in any case, or blank (null), and the text
@@ -171,7 +171,8 @@ def parse_range_bytes(data: bytes) -> RangeColumn | None:
 
 
 def read_range_column(path) -> RangeColumn:
-    return _read_column(path, parse_range_bytes, parse_range, RangeColumn.from_values)
+    return _read_column(path, parse_range_bytes, parse_range,
+                        lambda rows: RangeColumn(*zip(*rows)))
 
 
 def looks_like_range_file(path) -> bool:

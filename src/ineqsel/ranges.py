@@ -2,10 +2,11 @@
 
 A range column is a RangeColumn, six numpy arrays whose constructor is the
 one place a range is checked and normalized; it reads each field by the
-input rule every array obeys, _util.as_column.  A RangeValue is a plain
-record of one row's fields, as the column yields it.  Every range entry
-point (analyze_range_column, the oracle, the column writer) takes a
-RangeColumn; RangeColumn.from_values makes one from rows.
+input rule every array obeys, _util.as_column.  The constructor is the one
+way into a column: the generator, the file reader and a caller with arrays
+all go through it.  Rows come out by iteration, each a RangeValue, a plain
+record of one row's fields, or None for a null.  Every range entry point
+(analyze_range_column, the oracle, the column writer) takes a RangeColumn.
 
 A range attribute is summarized by fractions for nulls and empty ranges
 and two scalar statistics objects, one per bound of the positioned rows
@@ -46,14 +47,14 @@ nested documents: _util.write_doc, the one writer of both document kinds,
 writes them, in the bytes ``json.dumps`` writes for them, and from_doc
 reads them, checking each against its declared type.
 
-parse_range reads one range literal into its fields, unnormalized; whole
-range files are read and written by the columnfile module.
+parse_range reads one range literal into the six column fields,
+unnormalized; whole range files are read and written by the columnfile
+module.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -68,11 +69,8 @@ from .stats import AttributeStats, analyze_column, sample_rows
 
 
 class RangeValue(NamedTuple):
-    """One row of a RangeColumn: an interval over a totally ordered domain.
-
-    A plain record, unchecked.  The rows a column yields are normalized;
-    RangeColumn.from_values checks and normalizes rows built by hand.
-    """
+    """One row of a RangeColumn, as iteration yields it: an interval over a
+    totally ordered domain.  A plain record, normalized by the column."""
 
     lower: float
     upper: float
@@ -80,8 +78,6 @@ class RangeValue(NamedTuple):
     upper_closed: bool
     empty: bool = False
 
-
-EMPTY_RANGE = RangeValue(0.0, 0.0, False, False, True)
 
 _COLUMN_FIELDS = ("lower", "upper", "lower_closed", "upper_closed", "null", "empty")
 
@@ -100,9 +96,9 @@ class RangeColumn(ArrayFields):
     the bounds as float64 and the flags as bool by numpy's truth rule, and
     its error is prefixed with the field's name.  The arrays are read-only.
 
-    Indexing a row gives a RangeValue or None, iterating gives every row
-    that way, and a slice gives a RangeColumn; a column compares equal to
-    another column holding the same rows.
+    Iterating gives every row, a RangeValue or None for a null, and a
+    slice gives a RangeColumn; an integer key is refused.  A column
+    compares equal to another column holding the same rows.
     """
 
     lower: np.ndarray
@@ -142,22 +138,6 @@ class RangeColumn(ArrayFields):
         upper_closed &= ~blank
         self._freeze(**dict(zip(_COLUMN_FIELDS, arrays)))
 
-    @classmethod
-    def from_values(cls, values) -> RangeColumn:
-        """The column of an iterable of RangeValue and None entries, which
-        the constructor checks and normalizes."""
-        rows = list(values)
-        null = [r is None for r in rows]
-        rows = [EMPTY_RANGE if r is None else r for r in rows]
-        return cls(
-            [r.lower for r in rows],
-            [r.upper for r in rows],
-            [r.lower_closed for r in rows],
-            [r.upper_closed for r in rows],
-            null,
-            [r.empty for r in rows],
-        )
-
     @property
     def positioned(self) -> np.ndarray:
         """Rows that are neither null nor empty."""
@@ -173,36 +153,36 @@ class RangeColumn(ArrayFields):
             yield None if null else row
 
     def __getitem__(self, key):
-        if isinstance(key, slice):
-            return RangeColumn(*(getattr(self, name)[key] for name in _COLUMN_FIELDS))
-        k = operator.index(key)
-        if self.null[k]:
-            return None
-        return RangeValue(*(getattr(self, f)[k].item() for f in RangeValue._fields))
+        if not isinstance(key, slice):
+            raise TypeError("a RangeColumn takes slices only; iterate it for rows")
+        return RangeColumn(*(getattr(self, name)[key] for name in _COLUMN_FIELDS))
 
 
 def _require_column(column) -> None:
     if not isinstance(column, RangeColumn):
         raise TypeError(f"expected a RangeColumn, got {type(column).__name__}; "
-                        "RangeColumn.from_values makes one from rows")
+                        "RangeColumn(lower, upper, lower_closed, upper_closed, null, empty)"
+                        " makes one from its arrays")
 
 
 _RANGE_RE = re.compile(r"^([\[\(])([^,]*),([^,]*)([\]\)])$")
 
 
-def parse_range(text: str) -> RangeValue | None:
-    """The fields of a range literal, as written; an empty string denotes null.
+def parse_range(text: str) -> tuple[float, float, bool, bool, bool, bool]:
+    """A range literal's six column fields, as written, in the RangeColumn
+    constructor's order: lower, upper, lower_closed, upper_closed, null, empty.
 
-    Accepted forms: "empty", and "[a,b]" with any mix of [ ( ] ) brackets;
-    bounds are decimal numbers or "-inf"/"inf".  A NaN bound and bounds out
-    of order are rejected here, so that a file's reader can name the line.
-    The row is not normalized: RangeColumn.from_values normalizes rows.
+    A blank line is a null and "empty", in any case, an empty range; other
+    literals are "[a,b]" with any mix of [ ( ] ) brackets, whose bounds are
+    decimal numbers or "-inf"/"inf".  A NaN bound and bounds out of order
+    are rejected here, so that a file's reader can name the line.  The
+    fields are not normalized: the constructor normalizes them.
     """
     text = text.strip()
     if not text:
-        return None
+        return 0.0, 0.0, False, False, True, False
     if text.lower() == "empty":
-        return EMPTY_RANGE
+        return 0.0, 0.0, False, False, False, True
     m = _RANGE_RE.match(text)
     if not m:
         raise ValueError(f"malformed range literal {text!r}")
@@ -216,7 +196,7 @@ def parse_range(text: str) -> RangeValue | None:
         raise ValueError(f"malformed range literal {text!r}")
     if lower == math.inf or upper == -math.inf or lower > upper:
         raise ValueError(f"invalid range {text!r}: range bounds out of order")
-    return RangeValue(lower, upper, open_br == "[", close_br == "]")
+    return lower, upper, open_br == "[", close_br == "]", False, False
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +298,9 @@ def analyze_range_column(
 def range_join_selectivity(sx: RangeStats, sy: RangeStats, op: RangeOp) -> float:
     """Estimate the fraction of the Cartesian product with ``x <op> y``.
 
-    Only positioned pairs (neither side null nor empty) qualify.  Each
+    Only positioned pairs (neither side null nor empty) qualify: every
+    estimate is scaled by both positioned shares, so a side without a
+    positioned row gives +0.0 for every operator, overlaps too.  Each
     operator but overlaps is the scalar estimate of its BOUND_INEQUALITY
     entry over the bound statistics, whose null factor leaves out the pairs
     with an infinite bound, plus, for &< and &>, Y's infinite share, as the
@@ -329,8 +311,6 @@ def range_join_selectivity(sx: RangeStats, sy: RangeStats, op: RangeOp) -> float
         raise ValueError(f"unsupported operator {op}")
     nn_x = (1.0 - sx.null_frac) * (1.0 - sx.empty_frac)
     nn_y = (1.0 - sy.null_frac) * (1.0 - sy.empty_frac)
-    if nn_x <= 0.0 or nn_y <= 0.0:
-        return 0.0
     if op is RangeOp.OVERLAPS:
         return clamp01(nn_x * nn_y - range_join_selectivity(sx, sy, RangeOp.STRICTLY_LEFT)
                        - range_join_selectivity(sx, sy, RangeOp.STRICTLY_RIGHT))

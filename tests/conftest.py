@@ -7,11 +7,11 @@ import pickle
 import numpy as np
 import pytest
 
-from ineqsel import EquiDepthHistogram, RangeColumn, RangeValue, cdf
+from ineqsel import EquiDepthHistogram, RangeColumn, cdf
 from ineqsel.harness import EMPTY_FRAC, INF_FRAC, NULL_FRAC
 from ineqsel.histogram import build_equi_depth
 from ineqsel.mcv import EMPTY_MCV, MostCommonValues
-from ineqsel.ranges import EMPTY_RANGE
+from ineqsel.ranges import RangeValue
 from ineqsel.stats import SAMPLE_ROWS_PER_TARGET, AttributeStats
 
 
@@ -152,6 +152,18 @@ def multipass_analyze_column(values, statistics_target, sample_seed=0, sample_ca
     return AttributeStats(null_frac, mcv, histogram, int(sample.size), statistics_target)
 
 
+EMPTY_RANGE = RangeValue(0.0, 0.0, False, False, True)
+
+
+def range_column(rows) -> RangeColumn:
+    """The column of an iterable of RangeValue rows and None nulls, which
+    the constructor checks and normalizes: the tests' way to write a
+    column row by row, where the library takes its six arrays."""
+    fields = [(0.0, 0.0, False, False, True, False) if r is None else (*r[:4], False, r.empty)
+              for r in rows]
+    return RangeColumn(*(zip(*fields) if fields else [()] * 6))
+
+
 def normalized_row(lower, upper, lower_closed, upper_closed, empty=False) -> RangeValue:
     """The per-row range rules: the reference for ``RangeColumn``'s normalization.
 
@@ -176,7 +188,7 @@ def normalized_row(lower, upper, lower_closed, upper_closed, empty=False) -> Ran
 
 def column_row(lower, upper, lower_closed=True, upper_closed=True) -> RangeValue:
     """The row a ``RangeColumn`` makes of these fields, checked and normalized."""
-    return RangeColumn.from_values([RangeValue(lower, upper, lower_closed, upper_closed)])[0]
+    return next(iter(range_column([RangeValue(lower, upper, lower_closed, upper_closed)])))
 
 
 def walk_row_starts(d, rows) -> np.ndarray:

@@ -35,6 +35,10 @@ class Mutant(NamedTuple):
 
 WRITER = "tests/test_stats.py::TestWriter"
 GENERATION = "tests/test_harness.py::TestGeneration"
+WINDOW_SEARCH = "tests/test_oracle.py::TestWindowSearch"
+CHUNKS = "tests/test_column_fuzz.py::test_long_token_at_either_end_of_a_chunk"
+CHUNK_SIZES = "tests/test_column_fuzz.py::test_corpora_read_alike_at_every_chunk_size"
+RUN_CUTS = "tests/test_stats.py::TestRunCuts"
 
 MUTANTS = [
     Mutant("src/ineqsel/_util.py",
@@ -97,6 +101,42 @@ MUTANTS = [
            "rows.flags.writeable = False",
            "pass",
            "tests/test_stats.py::TestSampleRows", "the kept draw is writable, so a caller can change it"),
+    Mutant("src/ineqsel/oracle.py",
+           "np.searchsorted(a, window[[0, -1]], side=side)",
+           'np.searchsorted(a, window[[0, -1]], side="right" if side == "left" else "left")',
+           WINDOW_SEARCH, "a window's stretch bounded on the other side than its keys"),
+    Mutant("src/ineqsel/oracle.py",
+           "window[[0, -1]]",
+           "window[[0, 0]]",
+           WINDOW_SEARCH, "a window's stretch ends at its first key, not its last"),
+    Mutant("src/ineqsel/oracle.py",
+           "window = keys[first:first + _WINDOW]",
+           "window = keys[first:first + _WINDOW - 1]",
+           WINDOW_SEARCH, "each window one key short, so a key per window is never counted"),
+    Mutant("src/ineqsel/oracle.py",
+           "np.searchsorted(a[start:end], window, side=side)",
+           "np.searchsorted(a[start + 1:end], window, side=side)",
+           WINDOW_SEARCH, "a window's stretch starts one past its first key's position"),
+    Mutant("src/ineqsel/columnfile.py",
+           "after_minus[part].max() <= _SHORT",
+           "after_minus[part][0] <= _SHORT",
+           CHUNKS, "a chunk's kernel window chosen by its first token only"),
+    Mutant("src/ineqsel/columnfile.py",
+           "ends[part]], minus[part],",
+           "ends[part]], minus[:_CHUNK][:ends[part].size],",
+           CHUNK_SIZES, "every chunk read with the first chunk's minus flags"),
+    Mutant("src/ineqsel/stats.py",
+           "kept = np.sort(order)",
+           "kept = order",
+           RUN_CUTS, "the MCV cuts taken in MCV order, not sample order"),
+    Mutant("src/ineqsel/stats.py",
+           "np.append(starts[kept], ordered.size)",
+           "np.append(starts[kept] + 1, ordered.size)",
+           RUN_CUTS, "each kept stretch ends one row past its MCV run's start"),
+    Mutant("src/ineqsel/ranges.py",
+           "return 0.0, 0.0, False, False, True, False",
+           "return 0.0, 0.0, False, False, False, True",
+           "tests/test_column_fuzz.py", "a blank line read per line as an empty range, not a null"),
 ]
 
 

@@ -31,9 +31,10 @@ from ineqsel.histogram import build_equi_depth
 from ineqsel.harness import (DATASET_KINDS, RANGE_KINDS, generate_scalar_column, run_sweep,
                              write_range_column, write_results_csv)
 from ineqsel.histogram import cdf
-from ineqsel.ranges import EMPTY_RANGE, RangeColumn, RangeValue
+from ineqsel.ranges import RangeColumn, RangeValue
 
-from conftest import R1_X, R2_Y, nested_arrays, random_histogram, sync_trapezoid
+from conftest import (EMPTY_RANGE, R1_X, R2_Y, nested_arrays, random_histogram, range_column,
+                      sync_trapezoid)
 
 GOLDEN_JOIN = 24221 / 37620
 
@@ -194,7 +195,7 @@ def test_identity_suite():
         for _ in range(n):
             start = float(rng.integers(0, 900))
             out.append(RangeValue(start, start + float(rng.integers(1, 60)), True, True))
-        return RangeColumn.from_values(out)
+        return range_column(out)
 
     for _ in range(10):
         rx = analyze_range_column(clean_ranges(60), 6)
@@ -215,7 +216,7 @@ def test_identity_suite():
     for op in (ScalarOp.LT, ScalarOp.LE, ScalarOp.GT, ScalarOp.GE):
         ok &= join_selectivity(s_null, s_vals, op) == 0.0
         ok &= join_selectivity(s_vals, s_null, op) == 0.0
-    r_null = analyze_range_column(RangeColumn.from_values([None] * 5), 3)
+    r_null = analyze_range_column(range_column([None] * 5), 3)
     r_vals = analyze_range_column(clean_ranges(10), 3)
     for rop in RangeOp:
         ok &= range_join_selectivity(r_null, r_vals, rop) == 0.0
@@ -346,7 +347,7 @@ def test_stats_round_trip():
                 lo = float(rng.integers(0, 500))
                 rows.append(RangeValue(lo, lo + float(rng.integers(1, 50)), True, False))
         if not all(r is None for r in rows):
-            rs = analyze_range_column(RangeColumn.from_values(rows), int(rng.integers(1, 8)))
+            rs = analyze_range_column(range_column(rows), int(rng.integers(1, 8)))
             rblob = save_range_stats(rs)
             rback = load_range_stats(rblob)
             ok &= rback == rs

@@ -29,14 +29,16 @@ from ineqsel.harness import (
     write_range_column,
     write_scalar_column,
 )
-from ineqsel.ranges import EMPTY_RANGE, RangeColumn, RangeValue, parse_range
+from ineqsel.ranges import RangeColumn, RangeValue, parse_range
+
+from conftest import EMPTY_RANGE, range_column
 
 SEEDS = range(200)
 ROWS = 30
 
 
 def reference_read(path):
-    """The per-line reading: one parse_range per line of the file."""
+    """The per-line reading: parse_range's column fields of each line of the file."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -55,7 +57,7 @@ FIELDS = ("lower", "upper", "lower_closed", "upper_closed", "null", "empty")
 def assert_same_bytes(got, want_rows):
     """Every array of the column holds the bytes of the reference rows' column,
     so the sign of a zero bound counts."""
-    want = RangeColumn.from_values(want_rows)
+    want = RangeColumn(*zip(*want_rows))
     for name in FIELDS:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
@@ -224,7 +226,8 @@ def test_hand_written_file_reads_as_reference(tmp_path, bulk_only):
              "EMPTY", "", "[-5e-324,5e-324]", "", "empty", "(0.0,inf]", "[-0.0,-0.0)"]
     path.write_bytes("\r\n".join(lines).encode("ascii"))      # CRLF, no final newline
     want = reference_read(path)
-    assert want[0] == RangeValue(-0.0, 0.0, True, True) and want[7] is None
+    assert want[0] == (-0.0, 0.0, True, True, False, False)
+    assert want[7] == (0.0, 0.0, False, False, True, False)
     got = read_range_column(path)
     assert_same_bytes(got, want)
     assert got.lower.tobytes()[:8] == np.float64(-0.0).tobytes()
@@ -313,7 +316,7 @@ def test_byte_order_mark_is_dropped(tmp_path, kind):
         if kind == "scalar":
             assert_same_scalar_bytes(got, want)
         else:
-            assert_same_bytes(got, list(want))
+            assert_same_bytes(got, list(zip(*(getattr(want, name).tolist() for name in FIELDS))))
         assert columnfile.looks_like_range_file(marked) is (kind == "range")
         docs = []
         for path in (plain, marked):
@@ -758,7 +761,7 @@ def per_value_range_bytes(column):
             return "empty"
         lb, rb = "[" if r.lower_closed else "(", "]" if r.upper_closed else ")"
         return f"{lb}{r.lower!r},{r.upper!r}{rb}"
-    return "".join(f"{line(r)}\n" for r in RangeColumn.from_values(column)).encode("ascii")
+    return "".join(f"{line(r)}\n" for r in column).encode("ascii")
 
 
 def per_value_scalar_bytes(values):
@@ -814,7 +817,7 @@ def test_range_writer_bytes_are_per_value(tmp_path, layout_rows, seed):
                         rng.random(400) < 0.05, rng.random(400) < 0.05)
     for i, column in enumerate((mixed, _random_bounds_column(300, seed),
                                 generate_range_column(300, seed),
-                                RangeColumn.from_values(list(mixed)))):
+                                range_column(list(mixed)))):
         path = tmp_path / f"{i}.col"
         write_range_column(path, column)
         assert path.read_bytes() == per_value_range_bytes(column)
@@ -822,17 +825,17 @@ def test_range_writer_bytes_are_per_value(tmp_path, layout_rows, seed):
 
 @pytest.mark.parametrize("write,column,text", [
     # a range file keeps the sign of a zero bound, a scalar file writes one zero
-    (write_range_column, RangeColumn.from_values([
+    (write_range_column, range_column([
         RangeValue(-0.0, 1.0, True, False), RangeValue(-5.0, -0.0, True, True),
         RangeValue(-0.0, 0.0, True, True)]),
      b"[-0.0,1.0)\n[-5.0,-0.0]\n[-0.0,0.0]\n"),
     (write_scalar_column, [-0.0, 0.0], b"0\n0\n"),
-    (write_range_column, RangeColumn.from_values(
+    (write_range_column, range_column(
         [None, EMPTY_RANGE, RangeValue(-math.inf, math.inf, False, False), None]),
      b"\nempty\n(-inf,inf)\n\n"),
-    (write_range_column, RangeColumn.from_values([None, None]), b"\n\n"),
+    (write_range_column, range_column([None, None]), b"\n\n"),
     (write_scalar_column, [math.nan, math.nan], b"\n\n"),
-    (write_range_column, RangeColumn.from_values([]), b""),
+    (write_range_column, range_column([]), b""),
     (write_scalar_column, [], b""),
     (write_scalar_column, [math.inf, -math.inf, 1e16], b"inf\n-inf\n10000000000000000\n"),
     # a NaN with any payload is a null line: 1.0, a signalling NaN, a quiet
@@ -841,7 +844,7 @@ def test_range_writer_bytes_are_per_value(tmp_path, layout_rows, seed):
      np.array([0x3FF0000000000000, 0x7FF0000000000001, 0x7FF8000000000123, 0xFFF8000000000000],
               dtype=np.uint64).view(np.float64),
      b"1\n\n\n\n"),
-    (write_range_column, RangeColumn.from_values([
+    (write_range_column, range_column([
         RangeValue(-1e15, 1e16, True, False), RangeValue(999999999999999, 1e15, True, False)]),
      b"[-1000000000000000.0,1e+16)\n[999999999999999.0,1000000000000000.0)\n"),
 ])

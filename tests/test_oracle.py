@@ -12,7 +12,6 @@ import pytest
 from ineqsel import (
     ExactCount,
     RangeOp,
-    RangeValue,
     ScalarOp,
     exact_join,
     exact_range_join,
@@ -21,9 +20,9 @@ from ineqsel import (
 from ineqsel import harness, oracle
 from ineqsel._util import as_column
 from ineqsel.oracle import _count_le
-from ineqsel.ranges import EMPTY_RANGE, RangeColumn
+from ineqsel.ranges import RangeColumn, RangeValue
 
-from conftest import NAN_BITS, NAN_PATTERNS, R1_X, R2_Y, column_row
+from conftest import EMPTY_RANGE, NAN_BITS, NAN_PATTERNS, R1_X, R2_Y, column_row, range_column
 
 ALL_SCALAR_OPS = (ScalarOp.LT, ScalarOp.LE, ScalarOp.GT, ScalarOp.GE)
 PAIRWISE = {
@@ -190,8 +189,8 @@ def rv(lo, hi, lc=True, uc=True):
 
 
 # hand-enumerated 4x4 fixture; see the expected counts worked out per pair
-XS_FIXTURE = RangeColumn.from_values([rv(1, 2), rv(3, 5, False, True), EMPTY_RANGE, None])
-YS_FIXTURE = RangeColumn.from_values([rv(2, 3), rv(5, 7, False, False), rv(0, 10), None])
+XS_FIXTURE = range_column([rv(1, 2), rv(3, 5, False, True), EMPTY_RANGE, None])
+YS_FIXTURE = range_column([rv(2, 3), rv(5, 7, False, False), rv(0, 10), None])
 
 HAND_COUNTS = {
     RangeOp.STRICTLY_LEFT: 2,    # [1,2]<<(5,7)  (3,5]<<(5,7)
@@ -210,21 +209,21 @@ class TestRangeJoin:
         assert c.qualifying == expected, op
 
     def test_disjoint_full_count(self):
-        xs = RangeColumn.from_values([rv(0, 10)] * 5)
-        ys = RangeColumn.from_values([rv(20, 30)] * 7)
+        xs = range_column([rv(0, 10)] * 5)
+        ys = range_column([rv(20, 30)] * 7)
         c = exact_range_join(xs, ys, RangeOp.STRICTLY_LEFT)
         assert (c.qualifying, c.total) == (35, 35)
 
     def test_unknown_operator_raises(self):
-        xs = RangeColumn.from_values([rv(0, 1), None])
+        xs = range_column([rv(0, 1), None])
         for op in ("bogus", "overlaps", ScalarOp.LT, None, [RangeOp.OVERLAPS], {}):
             with pytest.raises(ValueError, match="unsupported operator"):
                 exact_range_join(xs, xs, op)
 
     def test_all_null_side(self):
-        ys = RangeColumn.from_values([rv(0, 1), rv(2, 3)])
+        ys = range_column([rv(0, 1), rv(2, 3)])
         for op in RangeOp:
-            assert exact_range_join(RangeColumn.from_values([None, None]), ys, op).qualifying == 0
+            assert exact_range_join(range_column([None, None]), ys, op).qualifying == 0
 
     @pytest.mark.parametrize("blank", [[None], [EMPTY_RANGE] * 3, [None, EMPTY_RANGE, None]],
                              ids=["null", "empty", "null-and-empty"])
@@ -234,7 +233,7 @@ class TestRangeJoin:
         others = [blank, [EMPTY_RANGE, None], [tie_heavy_range(rng) for _ in range(9)] + [rv(1, 2)]]
         for rows in others:
             for xs, ys in ((blank, rows), (rows, blank)):
-                x, y = RangeColumn.from_values(xs), RangeColumn.from_values(ys)
+                x, y = range_column(xs), range_column(ys)
                 for op in rng.permutation(list(RangeOp)):
                     assert exact_range_join(x, y, op) == ExactCount(0, len(xs) * len(ys)), op
 
@@ -244,7 +243,7 @@ class TestRangeJoin:
             n, m = rng.integers(1, 60, size=2)
             xs = [random_range(rng) for _ in range(n)]
             ys = [random_range(rng) for _ in range(m)]
-            cx, cy = RangeColumn.from_values(xs), RangeColumn.from_values(ys)
+            cx, cy = range_column(xs), range_column(ys)
             for op in RangeOp:
                 naive = sum(1 for x in xs for y in ys if range_op_holds(op, x, y))
                 got = exact_range_join(cx, cy, op)
@@ -350,25 +349,25 @@ class TestRangeJoinSortedKeys:
             n, m = rng.integers(1, 30, size=2)
             xs = [tie_heavy_range(rng) for _ in range(n)]
             ys = [tie_heavy_range(rng) for _ in range(m)]
-            wx, wy = RangeColumn.from_values(xs), RangeColumn.from_values(ys)
+            wx, wy = range_column(xs), range_column(ys)
             ops = list(rng.permutation(list(RangeOp))) + list(rng.permutation(list(RangeOp)))
             for op in ops:
                 for (a, av), (b, bv) in (((wx, xs), (wy, ys)), ((wy, ys), (wx, xs)),
                                          ((wx, xs), (wx, xs))):
                     got = exact_range_join(a, b, op)
-                    fresh = exact_range_join(RangeColumn.from_values(av),
-                                             RangeColumn.from_values(bv), op)
+                    fresh = exact_range_join(range_column(av),
+                                             range_column(bv), op)
                     naive = sum(range_op_holds(op, x, y) for x in av for y in bv)
                     assert got == fresh, op
                     assert got.qualifying == naive, op
-            assert wx == RangeColumn.from_values(xs) and list(wx) == xs
-            assert wy == RangeColumn.from_values(ys) and list(wy) == ys
+            assert wx == range_column(xs) and list(wx) == xs
+            assert wy == range_column(ys) and list(wy) == ys
 
     def test_slices_sort_their_own_rows(self):
         rng = np.random.default_rng(14)
         rows = [tie_heavy_range(rng) for _ in range(40)]
         other = [tie_heavy_range(rng) for _ in range(25)]
-        column, ys = RangeColumn.from_values(rows), RangeColumn.from_values(other)
+        column, ys = range_column(rows), range_column(other)
         for op in RangeOp:
             exact_range_join(column, ys, op)
             exact_range_join(ys, column, op)
@@ -394,7 +393,7 @@ class TestRangeJoinPairCounts:
         orders = [list(RangeOp), list(reversed(list(RangeOp)))]
         orders += [list(rng.permutation(list(RangeOp))) for _ in range(4)]
         for order in orders:
-            wx, wy = RangeColumn.from_values(xs), RangeColumn.from_values(ys)
+            wx, wy = range_column(xs), range_column(ys)
             for op in order + order:
                 assert exact_range_join(wx, wy, op).qualifying == want[op], (order, op)
 
@@ -403,12 +402,12 @@ class TestRangeJoinPairCounts:
         for _ in range(10):
             rows = [[tie_heavy_range(rng) for _ in range(int(rng.integers(1, 25)))]
                     for _ in range(3)]
-            x, y, z = (RangeColumn.from_values(r) for r in rows)
+            x, y, z = (range_column(r) for r in rows)
             for a, b in ((x, y), (x, z), (x, y), (y, x), (x, x), (y, x)):
                 for op in rng.permutation(list(RangeOp)):
                     got = exact_range_join(a, b, op)
-                    fresh = exact_range_join(RangeColumn.from_values(list(a)),
-                                             RangeColumn.from_values(list(b)), op)
+                    fresh = exact_range_join(range_column(list(a)),
+                                             range_column(list(b)), op)
                     naive = sum(range_op_holds(op, u, v) for u in a for v in b)
                     assert got == fresh and got.qualifying == naive, op
                     assert got.total == len(a) * len(b)
@@ -416,11 +415,11 @@ class TestRangeJoinPairCounts:
     def test_another_column_never_hits_the_memo(self):
         rng = np.random.default_rng(17)
         rows = [tie_heavy_range(rng) for _ in range(30)]
-        xs = RangeColumn.from_values(rows)
-        ys = [RangeColumn.from_values([tie_heavy_range(rng) for _ in range(20)])
+        xs = range_column(rows)
+        ys = [range_column([tie_heavy_range(rng) for _ in range(20)])
               for _ in range(3)]
         # an equal column that is not ys is a different pair too
-        ys.append(RangeColumn.from_values(list(ys[0])))
+        ys.append(range_column(list(ys[0])))
         for _ in range(2):
             for y in ys:
                 for op in RangeOp:
@@ -436,10 +435,10 @@ class TestRangeJoinPairCounts:
         # place in memory, and so its id
         rng = np.random.default_rng(18)
         rows = [tie_heavy_range(rng) for _ in range(30)]
-        xs = RangeColumn.from_values(rows)
+        xs = range_column(rows)
         others = [[tie_heavy_range(rng) for _ in range(int(rng.integers(1, 25)))]
                   for _ in range(20)]
-        arrays = [[getattr(RangeColumn.from_values(o), f) for f in COLUMN_FIELDS] for o in others]
+        arrays = [[getattr(range_column(o), f) for f in COLUMN_FIELDS] for o in others]
         ys = None
         for other, fields in zip(others, arrays):
             del ys
@@ -451,7 +450,7 @@ class TestRangeJoinPairCounts:
     def test_threads_never_mix_pairs(self):
         # each thread counts its own pair, so the slot changes hands often
         rng = np.random.default_rng(24)
-        pairs = [tuple(RangeColumn.from_values([tie_heavy_range(rng) for _ in range(20)])
+        pairs = [tuple(range_column([tie_heavy_range(rng) for _ in range(20)])
                        for _ in range(2)) for _ in range(4)]
         want = [{op: exact_range_join(x, y, op) for op in RangeOp} for x, y in pairs]
         wrong = []
@@ -480,8 +479,8 @@ class TestRangeJoinPairCounts:
 
     def test_memo_does_not_keep_ys_alive(self):
         rng = np.random.default_rng(18)
-        xs = RangeColumn.from_values([tie_heavy_range(rng) for _ in range(30)])
-        ys = RangeColumn.from_values([tie_heavy_range(rng) for _ in range(20)])
+        xs = range_column([tie_heavy_range(rng) for _ in range(30)])
+        ys = range_column([tie_heavy_range(rng) for _ in range(20)])
         exact_range_join(xs, ys, RangeOp.OVERLAPS)
         refs = weakref.ref(xs), weakref.ref(ys)
         del xs, ys
@@ -491,12 +490,12 @@ class TestRangeJoinPairCounts:
     def test_warm_column_pickles_as_a_fresh_one(self):
         rng = np.random.default_rng(19)
         rows = [tie_heavy_range(rng) for _ in range(30)]
-        xs = RangeColumn.from_values(rows)
+        xs = range_column(rows)
         for op in RangeOp:
             exact_range_join(xs, xs, op)
         copy = pickle.loads(pickle.dumps(xs))
         assert copy == xs and list(copy) == rows
-        assert copy == RangeColumn.from_values(rows)
+        assert copy == range_column(rows)
         for name in COLUMN_FIELDS:
             assert not getattr(copy, name).flags.writeable, name
         for op in RangeOp:
@@ -592,11 +591,11 @@ def range_pairs():
     rng = np.random.default_rng(32)
     pairs = [(harness.generate_range_column(rows, 1), harness.generate_range_column(rows, 2))
              for rows in (20_000, 200_000)]
-    tied = [RangeColumn.from_values([tie_heavy_range(rng) for _ in range(n)]) for n in (3000, 2001)]
+    tied = [range_column([tie_heavy_range(rng) for _ in range(n)]) for n in (3000, 2001)]
     pairs.append(tuple(tied))
-    pairs.append((tied[0], RangeColumn.from_values([None, None])))
-    pairs.append((RangeColumn.from_values([EMPTY_RANGE, None]), tied[1]))
-    pairs.append((RangeColumn.from_values([rv(1, 2)]), tied[1]))
+    pairs.append((tied[0], range_column([None, None])))
+    pairs.append((range_column([EMPTY_RANGE, None]), tied[1]))
+    pairs.append((range_column([rv(1, 2)]), tied[1]))
     return pairs
 
 
@@ -663,8 +662,8 @@ class TestTwoThreads:
         starts.refuse = refuse
         x, y = np.array([1.0, 2.0]), np.array([3.0, 4.0])
         # fresh columns, so the last pair's counts are never read instead
-        rx = RangeColumn.from_values([rv(1, 2), rv(3, 5), None, EMPTY_RANGE])
-        ry = RangeColumn.from_values([rv(2, 3), rv(4, 6)])
+        rx = range_column([rv(1, 2), rv(3, 5), None, EMPTY_RANGE])
+        ry = range_column([rv(2, 3), rv(4, 6)])
         sorted_values, bound_keys = oracle._sorted_values, oracle._bound_keys
 
         def fail_on(side, real):
@@ -722,6 +721,6 @@ class TestTwoThreads:
         with pytest.raises(ValueError, match="no data"):
             exact_join([], [1.0], ScalarOp.LT)
         with pytest.raises(ValueError, match="no data"):
-            exact_range_join(RangeColumn.from_values([]), XS_FIXTURE, RangeOp.OVERLAPS)
+            exact_range_join(range_column([]), XS_FIXTURE, RangeOp.OVERLAPS)
         assert threading.active_count() == before
         assert starts.count > 0

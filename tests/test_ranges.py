@@ -12,23 +12,21 @@ from ineqsel import (
     RangeColumn,
     RangeOp,
     RangeStats,
-    RangeValue,
     ScalarOp,
     analyze_column,
     analyze_range_column,
     exact_range_join,
     join_selectivity,
     load_range_stats,
-    parse_range,
     range_join_selectivity,
     range_op_holds,
     save_range_stats,
 )
 from ineqsel.harness import generate_range_column, write_range_column
 from ineqsel.mcv import EMPTY_MCV
-from ineqsel.ranges import _COLUMN_FIELDS, BOUND_INEQUALITY, EMPTY_RANGE
+from ineqsel.ranges import _COLUMN_FIELDS, BOUND_INEQUALITY, RangeValue, parse_range
 
-from conftest import assert_copies_rebuilt, column_row, normalized_row
+from conftest import EMPTY_RANGE, assert_copies_rebuilt, column_row, normalized_row, range_column
 
 
 def rv(lo, hi, lc=True, uc=True):
@@ -36,8 +34,8 @@ def rv(lo, hi, lc=True, uc=True):
 
 
 class TestRangeValue:
-    """A RangeValue built by hand is a plain record; RangeColumn.from_values
-    checks and normalizes it."""
+    """A RangeValue built by hand is a plain record; the RangeColumn
+    constructor checks and normalizes its fields."""
 
     def test_basic(self):
         assert rv(2, 1) == (2, 1, True, True, False)      # unchecked
@@ -89,11 +87,11 @@ class TestRangeColumn:
         assert got == [(0.0, 0.0, False, False, True, False) if r is None else
                        (r.lower, r.upper, r.lower_closed, r.upper_closed, False, r.empty)
                        for r in want]
-        assert list(col) == want and [col[k] for k in range(len(col))] == want
-        # hand-built rows are normalized by from_values alone
+        assert list(col) == want
+        # hand-built rows are normalized by the constructor alone
         raw = [None if n else RangeValue(*row, empty=e)
                for *row, n, e in zip(lo, hi, lc, uc, null, empty)]
-        assert RangeColumn.from_values(raw) == col == RangeColumn.from_values(want)
+        assert range_column(raw) == col == range_column(want)
         for row in filter(None, col):
             assert [type(f) for f in row] == [float, float, bool, bool, bool]
         # a generated column's rows are normalized already
@@ -170,41 +168,50 @@ class TestRangeColumn:
 
     def test_sequence_interface(self):
         rows = [rv(1, 2), None, EMPTY_RANGE, rv(-math.inf, 4, False, True)]
-        col = RangeColumn.from_values(rows)
-        assert RangeColumn.from_values(col) == col
-        assert len(col) == 4
-        assert [col[k] for k in range(-4, 4)] == rows + rows
+        col = range_column(rows)
+        assert range_column(col) == col
+        assert len(col) == 4 and list(col) == rows
         assert isinstance(col[1:3], RangeColumn) and list(col[1:3]) == rows[1:3]
         assert list(col[::-1]) == rows[::-1]
-        assert col == RangeColumn.from_values(list(rows))
+        assert col == range_column(list(rows))
         assert col != col[:3] and col != col[::-1] and col != rows and col != "[1,2]"
-        with pytest.raises(IndexError):
-            col[4]
+        message = "^a RangeColumn takes slices only; iterate it for rows$"
+        for key in (0, -1, 4, np.int64(1)):
+            with pytest.raises(TypeError, match=message):
+                col[key]
         with pytest.raises(ValueError):
             col.lower[0] = 7.0
+
+
+def literal_fields(lo, hi, lc=True, uc=True):
+    """A positioned literal's six column fields."""
+    return (lo, hi, lc, uc, False, False)
 
 
 class TestLiterals:
     @pytest.mark.parametrize(
         "text,expected",
         [
-            ("[1,2]", rv(1, 2, True, True)),
-            ("[1,2)", rv(1, 2, True, False)),
-            ("(1,2]", rv(1, 2, False, True)),
-            ("(1,2)", rv(1, 2, False, False)),
-            ("[-inf,5]", rv(-math.inf, 5)),
-            ("(0,inf)", rv(0, math.inf, False, False)),
-            ("empty", EMPTY_RANGE),
-            (" [ 1.5 , 2.5 ] ", rv(1.5, 2.5)),
-            ("[5,5)", rv(5, 5, True, False)),      # as written, not normalized
+            ("[1,2]", literal_fields(1, 2, True, True)),
+            ("[1,2)", literal_fields(1, 2, True, False)),
+            ("(1,2]", literal_fields(1, 2, False, True)),
+            ("(1,2)", literal_fields(1, 2, False, False)),
+            ("[-inf,5]", literal_fields(-math.inf, 5)),
+            ("(0,inf)", literal_fields(0, math.inf, False, False)),
+            ("empty", (0.0, 0.0, False, False, False, True)),
+            ("EmPtY", (0.0, 0.0, False, False, False, True)),
+            (" [ 1.5 , 2.5 ] ", literal_fields(1.5, 2.5)),
+            ("[5,5)", literal_fields(5, 5, True, False)),      # as written, not normalized
         ],
     )
     def test_parse(self, text, expected):
-        assert parse_range(text) == expected
+        got = parse_range(text)
+        assert got == expected
+        assert [type(f) for f in got] == [float, float, bool, bool, bool, bool]
 
     def test_empty_string_is_null(self):
-        assert parse_range("") is None
-        assert parse_range("   ") is None
+        assert parse_range("") == (0.0, 0.0, False, False, True, False)
+        assert parse_range("   ") == (0.0, 0.0, False, False, True, False)
 
     @pytest.mark.parametrize("text", ["[1;2]", "[1,2", "1,2]", "[a,b]", "[nan,2]", "<1,2>"])
     def test_malformed(self, text):
@@ -231,11 +238,12 @@ class TestLiterals:
                     bool(rng.random() < 0.5) or lo == hi,
                 )
             drawn.append(r)
-        rows = list(RangeColumn.from_values(drawn))
+        col = range_column(drawn)
         path = tmp_path / "r.col"
-        write_range_column(path, RangeColumn.from_values(rows + [None]))
+        write_range_column(path, range_column([*col, None]))
         *lines, null, end = path.read_bytes().decode("ascii").split("\n")
-        assert [parse_range(line) for line in lines] == rows
+        assert [parse_range(line) for line in lines] == list(
+            zip(*(getattr(col, f).tolist() for f in _COLUMN_FIELDS)))
         assert null == end == ""
 
 
@@ -301,7 +309,7 @@ class TestOperatorSemantics:
 class TestAnalyze:
     def test_counting_example(self):
         rows = [rv(1, 2), rv(3, 9), EMPTY_RANGE, None]
-        s = analyze_range_column(RangeColumn.from_values(rows), 2)
+        s = analyze_range_column(range_column(rows), 2)
         assert s.null_frac == 0.25
         assert s.empty_frac == pytest.approx(1 / 3)
         assert s.lower_stats.histogram.bounds.tolist() == [1, 3]
@@ -311,7 +319,7 @@ class TestAnalyze:
                                       [EMPTY_RANGE, None]], ids=["empty", "null", "both"])
     def test_no_positioned_row_gives_all_null_bounds(self, rows):
         # each bound has zero rows, all of them null
-        s = analyze_range_column(RangeColumn.from_values(rows), 2)
+        s = analyze_range_column(range_column(rows), 2)
         blank = AttributeStats(1.0, EMPTY_MCV, None, 0, 2)
         assert s.lower_stats == blank and s.upper_stats == blank
         for op in RangeOp:
@@ -319,7 +327,7 @@ class TestAnalyze:
 
     def test_infinite_bounds_are_nulls_of_their_bound(self):
         rows = [rv(-math.inf, 5), rv(0, 5)]
-        s = analyze_range_column(RangeColumn.from_values(rows), 2)
+        s = analyze_range_column(range_column(rows), 2)
         assert s.lower_stats.null_frac == 0.5
         assert s.upper_stats.null_frac == 0.0
         assert s.lower_stats.histogram.bounds.tolist() == [0, 0]
@@ -331,7 +339,7 @@ class TestAnalyze:
         rows = [RangeValue(-math.inf, 3, False, True), RangeValue(-math.inf, 4, False, True)]
         if bound == "upper":
             rows = [RangeValue(3, math.inf, True, False), RangeValue(4, math.inf, True, False)]
-        s = analyze_range_column(RangeColumn.from_values(rows + [None, EMPTY_RANGE]), 2)
+        s = analyze_range_column(range_column(rows + [None, EMPTY_RANGE]), 2)
         infinite = getattr(s, f"{bound}_stats")
         assert infinite == AttributeStats(1.0, EMPTY_MCV, None, 2, 2)
         other = s.upper_stats if bound == "lower" else s.lower_stats
@@ -340,11 +348,11 @@ class TestAnalyze:
     def test_invalid_target(self):
         # named as such: with the target at 0, the default cap is 0 too
         with pytest.raises(ValueError, match="statistics target must be at least 1"):
-            analyze_range_column(RangeColumn.from_values([rv(1, 2)]), 0)
+            analyze_range_column(range_column([rv(1, 2)]), 0)
 
     def test_sample_cap_below_one_rejected(self):
         with pytest.raises(ValueError, match="sample cap"):
-            analyze_range_column(RangeColumn.from_values([rv(1, 2), rv(3, 4)]), 2, sample_cap=0)
+            analyze_range_column(range_column([rv(1, 2), rv(3, 4)]), 2, sample_cap=0)
 
     def test_sampled_rows_analyzed_as_a_column(self):
         # the rows are drawn as default_rng(seed).choice draws them, and then
@@ -371,7 +379,7 @@ class TestAnalyze:
 
 class TestColumnRequired:
     """Every range entry point takes a RangeColumn: a list of rows fails at
-    once, naming RangeColumn and the conversion that makes one."""
+    once, naming RangeColumn and the constructor that makes one."""
 
     @pytest.mark.parametrize("call", [
         lambda rows, col, path: exact_range_join(rows, col, RangeOp.OVERLAPS),
@@ -383,8 +391,8 @@ class TestColumnRequired:
     def test_list_of_rows_rejected(self, call, tmp_path):
         rows = [rv(1, 2), rv(3, 4), None]
         path = tmp_path / "col.txt"
-        with pytest.raises(TypeError, match=r"RangeColumn\b.*RangeColumn\.from_values"):
-            call(rows, RangeColumn.from_values(rows), path)
+        with pytest.raises(TypeError, match=r"RangeColumn\b.*RangeColumn\(lower, upper, lower_closed, upper_closed, null, empty\)"):
+            call(rows, range_column(rows), path)
         assert not path.exists()
 
 
@@ -393,7 +401,7 @@ def uniform_ranges(rng, n, lo=0, hi=1000, max_width=50):
     for _ in range(n):
         start = float(rng.integers(lo, hi - max_width))
         out.append(rv(start, start + float(rng.integers(1, max_width))))
-    return RangeColumn.from_values(out)
+    return range_column(out)
 
 
 class TestJoin:
@@ -435,7 +443,7 @@ class TestJoin:
 
     def test_empty_absorption(self):
         rng = np.random.default_rng(6)
-        s_empty = analyze_range_column(RangeColumn.from_values([EMPTY_RANGE] * 10), 3)
+        s_empty = analyze_range_column(range_column([EMPTY_RANGE] * 10), 3)
         s = analyze_range_column(uniform_ranges(rng, 20), 3)
         for op in RangeOp:
             assert range_join_selectivity(s_empty, s, op) == 0.0
@@ -443,16 +451,48 @@ class TestJoin:
 
     def test_null_absorption(self):
         rng = np.random.default_rng(7)
-        s_null = analyze_range_column(RangeColumn.from_values([None] * 10), 3)
+        s_null = analyze_range_column(range_column([None] * 10), 3)
         s = analyze_range_column(uniform_ranges(rng, 20), 3)
         for op in RangeOp:
             assert range_join_selectivity(s_null, s, op) == 0.0
 
+    def test_side_without_positioned_rows_gives_positive_zero(self):
+        # both positioned shares scale every estimate, so a side with no
+        # positioned row gives +0.0 for every operator, overlaps too, on
+        # either side of every layout
+        col = generate_range_column(300, 1)
+        n = len(col)
+
+        def remade(**arrays):
+            return RangeColumn(**{f: arrays.get(f, getattr(col, f)) for f in _COLUMN_FIELDS})
+
+        blank = {
+            "all-null": range_column([None] * 6),
+            "all-empty": range_column([EMPTY_RANGE] * 6),
+            "null-and-empty": range_column([None, EMPTY_RANGE] * 3),
+            "no-positioned-row": remade(empty=~col.null),
+        }
+        layouts = {
+            **blank,
+            "generated": col,
+            "lower-infinite": remade(lower=np.full(n, -math.inf)),
+            "upper-infinite": remade(upper=np.full(n, math.inf)),
+        }
+        stats = {name: analyze_range_column(c, 5) for name, c in layouts.items()}
+        for name in blank:
+            s = stats[name]
+            assert (1.0 - s.null_frac) * (1.0 - s.empty_frac) == 0.0, name
+            for other, t in stats.items():
+                for op in RangeOp:
+                    for sx, sy in ((s, t), (t, s)):
+                        got = range_join_selectivity(sx, sy, op)
+                        assert got.hex() == "0x0.0p+0", (name, other, op)
+
     @pytest.mark.parametrize("rows", [[None, None], [EMPTY_RANGE], [rv(1, 2), rv(3, 5)]],
                              ids=["all-null", "all-empty", "positioned"])
     def test_unknown_operator_raises(self, rows):
-        # checked before the shortcut for a side without positioned rows
-        s = analyze_range_column(RangeColumn.from_values(rows), 10)
+        # checked first, a side without positioned rows included
+        s = analyze_range_column(range_column(rows), 10)
         for op in ("bogus", "overlaps", ScalarOp.LT, None, [RangeOp.OVERLAPS], {}):
             with pytest.raises(ValueError, match="unsupported operator"):
                 range_join_selectivity(s, s, op)
@@ -460,15 +500,15 @@ class TestJoin:
     def test_all_upper_bounds_infinite(self):
         # equal infinite upper bounds are both open, so every pair ends by
         # the other: no-extend-right holds for all of them
-        xs = RangeColumn.from_values([RangeValue(k, math.inf, True, False) for k in range(10)])
-        ys = RangeColumn.from_values([RangeValue(k + 5, math.inf, True, False) for k in range(10)])
+        xs = range_column([RangeValue(k, math.inf, True, False) for k in range(10)])
+        ys = range_column([RangeValue(k + 5, math.inf, True, False) for k in range(10)])
         sx, sy = analyze_range_column(xs, 3), analyze_range_column(ys, 3)
         assert exact_range_join(xs, ys, RangeOp.NO_EXTEND_RIGHT).selectivity == 1.0
         assert range_join_selectivity(sx, sy, RangeOp.NO_EXTEND_RIGHT) == 1.0
 
     def test_infinite_upper_never_strictly_left(self):
         rows = [RangeValue(0, math.inf, True, False)] * 10
-        sx = analyze_range_column(RangeColumn.from_values(rows), 3)
+        sx = analyze_range_column(range_column(rows), 3)
         rng = np.random.default_rng(9)
         sy = analyze_range_column(uniform_ranges(rng, 20), 3)
         assert range_join_selectivity(sx, sy, RangeOp.STRICTLY_LEFT) == 0.0
@@ -578,7 +618,7 @@ class TestOwnership:
     def test_copies_are_rebuilt(self):
         rng = np.random.default_rng(14)
         rows = list(uniform_ranges(rng, 50)) + [None, EMPTY_RANGE, rv(-math.inf, 3)]
-        column = RangeColumn.from_values(rows)
+        column = range_column(rows)
         assert_copies_rebuilt(column)
         assert_copies_rebuilt(analyze_range_column(column, 4))
 
@@ -587,7 +627,7 @@ class TestRoundTrip:
     def test_save_load(self):
         rng = np.random.default_rng(11)
         rows = list(uniform_ranges(rng, 50)) + [None, EMPTY_RANGE, rv(-math.inf, 3)]
-        s = analyze_range_column(RangeColumn.from_values(rows), 4)
+        s = analyze_range_column(range_column(rows), 4)
         assert load_range_stats(save_range_stats(s)) == s
 
     def test_missing_field(self):

@@ -35,14 +35,16 @@ from ineqsel._util import ArrayFields
 from ineqsel.harness import generate_range_column, generate_scalar_column, write_scalar_column
 from ineqsel.histogram import build_equi_depth
 from ineqsel.mcv import EMPTY_MCV, build_mcv
-from ineqsel.ranges import EMPTY_RANGE, RangeValue
+from ineqsel.ranges import RangeValue
 from ineqsel.stats import SAMPLE_ROWS_PER_TARGET, sample_rows
 
 from conftest import (
+    EMPTY_RANGE,
     NAN_PATTERNS,
     R1_X,
     assert_copies_rebuilt,
     multipass_analyze_column,
+    range_column,
     reference_doc,
 )
 
@@ -696,13 +698,13 @@ class TestPinnedStatistics:
          '{"null_frac": 0.0, "mcv": {"values": [], "fractions": []}, '
          '"histogram": {"bounds": [0.0, 3.5]}, "row_count": 2, "statistics_target": 1}'),
         (lambda: save_range_stats(analyze_range_column(
-            RangeColumn.from_values([None, EMPTY_RANGE]), 1)),
+            range_column([None, EMPTY_RANGE]), 1)),
          '{"null_frac": 0.5, "empty_frac": 1.0, '
          '"lower_stats": {"null_frac": 1.0, "mcv": {"values": [], "fractions": []}, '
          '"histogram": null, "row_count": 0, "statistics_target": 1}, '
          '"upper_stats": {"null_frac": 1.0, "mcv": {"values": [], "fractions": []}, '
          '"histogram": null, "row_count": 0, "statistics_target": 1}}'),
-        (lambda: save_range_stats(analyze_range_column(RangeColumn.from_values(
+        (lambda: save_range_stats(analyze_range_column(range_column(
             [RangeValue(1.0, math.inf, True, False), RangeValue(2.0, math.inf, True, False)]), 1)),
          '{"null_frac": 0.0, "empty_frac": 0.0, '
          '"lower_stats": {"null_frac": 0.0, "mcv": {"values": [], "fractions": []}, '
@@ -951,7 +953,7 @@ RANGE_NESTED_FIELDS = tuple(
 GOOD_DOCS = {
     load_stats: lambda: json.loads(save_stats(analyze_column([1, 1, 2, 3, 4], 2))),
     load_range_stats: lambda: json.loads(save_range_stats(analyze_range_column(
-        RangeColumn.from_values([RangeValue(lo, hi, True, True)
+        range_column([RangeValue(lo, hi, True, True)
                                  for lo, hi in ((1, 3), (1, 3), (2, 5), (4, 9), (6, 7))]),
         2))),
 }

@@ -11,6 +11,7 @@ exit status 1 and one ``error:`` line.
 """
 
 import copy
+import dataclasses
 import json
 import math
 import pickle
@@ -218,3 +219,24 @@ def test_module_entry_point_rejects_fuzzed_document(tmp_path, kind, seed):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_range_document_without_positioned_rows_estimates_positive_zero():
+    # A null or empty share of 1 leaves no positioned row, whatever bound
+    # statistics the document holds: every estimate with it on either side
+    # is +0.0, against the first base document and against the document it
+    # was made from.  The documents are every base and fuzzed range document
+    # that loads, each made blank both ways.
+    loaded = [load_range_stats(json.dumps(doc)) for doc in RANGE_DOCS]
+    for seed in SEEDS:
+        try:
+            loaded.append(load_range_stats(fuzzed_text(RANGE_DOCS[seed % len(RANGE_DOCS)], seed)))
+        except ValueError:
+            pass
+    assert len(loaded) > 100
+    for s in loaded:
+        for blank in (dataclasses.replace(s, null_frac=1.0), dataclasses.replace(s, empty_frac=1.0)):
+            for other in (loaded[0], s):
+                for op in RangeOp:
+                    assert range_join_selectivity(blank, other, op).hex() == "0x0.0p+0", (s, op)
+                    assert range_join_selectivity(other, blank, op).hex() == "0x0.0p+0", (s, op)
